@@ -50,6 +50,14 @@
 //! arena.give(reused);
 //! ```
 
+// Panic-freedom: this crate runs in the fleet-facing validation path, so
+// clippy rejects unwrap/expect/panic! in its library code (tests may
+// unwrap freely).
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::cell::{Cell, RefCell};
 use std::ops::{Deref, DerefMut};
 

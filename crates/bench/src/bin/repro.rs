@@ -364,6 +364,10 @@ fn run_fleetd(args: &[String]) -> ! {
             std::process::exit(2);
         }
     };
+    if let Err(error) = cli.config.validate() {
+        eprintln!("error: invalid fleetd config: {error}");
+        std::process::exit(2);
+    }
     if cli.trace.is_some() {
         anubis_obs::enable();
     }

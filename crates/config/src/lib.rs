@@ -1,22 +1,18 @@
 //! Sanctioned process-environment shim.
 //!
-//! ANUBIS promises bit-identical outputs for identical seeds, so the
-//! `cargo xtask analyze` A006 pass treats `std::env` reads as
-//! nondeterminism taint sources — a run's result must never depend on
-//! ambient process state. This crate is the one sanctioned exception
-//! ([`AnalysisConfig::env_shims`]): every knob it serves is
-//! *performance-shaped only* — thread counts, incremental-path toggles,
-//! perf-gate tolerances — values that change wall-clock time or gate
-//! strictness but never a computed number. Routing all env reads through
-//! here keeps that contract auditable: a `std::env` call anywhere else in
-//! the workspace is a finding, and a reviewer approving a new call-site
-//! *in this crate* is consciously asserting the knob is
-//! determinism-neutral.
+//! ANUBIS promises bit-identical outputs for identical seeds, so the root
+//! `clippy.toml` disallows `std::env::var` and friends — a run's result
+//! must never depend on ambient process state. [`raw`] is the one
+//! sanctioned reader: every knob this crate serves is *performance-shaped
+//! only* — thread counts, incremental-path toggles, perf-gate tolerances
+//! — values that change wall-clock time or gate strictness but never a
+//! computed number. Routing all env reads through here keeps that
+//! contract auditable: a `std::env` read anywhere else fails clippy, and
+//! a reviewer approving a new call-site *in this crate* is consciously
+//! asserting the knob is determinism-neutral.
 //!
 //! The crate is a dependency leaf (std only) so even `anubis-parallel`,
 //! which nothing else may depend on, can use it.
-//!
-//! [`AnalysisConfig::env_shims`]: ../anubis_xtask/passes/struct.AnalysisConfig.html#structfield.env_shims
 #![forbid(unsafe_code)]
 
 use std::str::FromStr;
@@ -26,6 +22,8 @@ use std::str::FromStr;
 /// (the perf gate reports a typo in its tolerance override instead of
 /// silently falling back).
 #[must_use]
+// The workspace's one sanctioned environment reader.
+#[allow(clippy::disallowed_methods)]
 pub fn raw(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }

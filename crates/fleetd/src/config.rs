@@ -1,6 +1,8 @@
 //! Configuration of the fleetd control plane.
 
 use anubis_traces::{AllocationConfig, IncidentStreamConfig};
+use std::cmp::Ordering;
+use std::fmt;
 
 /// All knobs of a fleetd run. Every field is deterministic input: two
 /// runs with equal configs produce byte-identical summaries and tick
@@ -107,7 +109,67 @@ impl Default for FleetdConfig {
     }
 }
 
+/// A [`FleetdConfig`] the service cannot run, one variant per rule
+/// [`FleetdConfig::validate`] checks.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ConfigError {
+    /// `nodes` is zero.
+    NoNodes,
+    /// `shards` is zero.
+    NoShards,
+    /// `tick_hours` is not a finite number above zero.
+    TickHours(f64),
+    /// `damage_min` is not below `damage_max`, so an incident has no
+    /// degradation range to sample from.
+    EmptyDamageRange {
+        /// The configured `damage_min`.
+        min: f64,
+        /// The configured `damage_max`.
+        max: f64,
+    },
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConfigError::NoNodes => write!(f, "nodes must be at least 1"),
+            ConfigError::NoShards => write!(f, "shards must be at least 1"),
+            ConfigError::TickHours(hours) => {
+                write!(f, "tick_hours must be finite and above 0, got {hours}")
+            }
+            ConfigError::EmptyDamageRange { min, max } => {
+                write!(f, "damage_min ({min}) must be below damage_max ({max})")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 impl FleetdConfig {
+    /// Checks the rules a runnable config must meet. [`crate::Coordinator::new`]
+    /// does not call it (it clamps `shards` instead), so front ends
+    /// validate first.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.nodes == 0 {
+            return Err(ConfigError::NoNodes);
+        }
+        if self.shards == 0 {
+            return Err(ConfigError::NoShards);
+        }
+        if !self.tick_hours.is_finite() || self.tick_hours <= 0.0 {
+            return Err(ConfigError::TickHours(self.tick_hours));
+        }
+        // `partial_cmp` rejects a NaN bound along with an empty range.
+        if self.damage_min.partial_cmp(&self.damage_max) != Some(Ordering::Less) {
+            return Err(ConfigError::EmptyDamageRange {
+                min: self.damage_min,
+                max: self.damage_max,
+            });
+        }
+        Ok(())
+    }
+
     /// The resolved validations-per-tick cap.
     pub fn validation_cap(&self) -> u32 {
         if self.validations_per_tick == 0 {
@@ -141,5 +203,69 @@ impl FleetdConfig {
             node_hours_per_job / (self.target_utilization.max(1e-3) * capacity_per_hour);
         cfg.seed = self.seed ^ 0x5eed_a110_c000_0001;
         cfg
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn default_config_is_valid() {
+        assert_eq!(FleetdConfig::default().validate(), Ok(()));
+    }
+
+    #[test]
+    fn zero_nodes_is_rejected() {
+        let cfg = FleetdConfig {
+            nodes: 0,
+            ..FleetdConfig::default()
+        };
+        assert_eq!(cfg.validate(), Err(ConfigError::NoNodes));
+    }
+
+    #[test]
+    fn zero_shards_is_rejected() {
+        let cfg = FleetdConfig {
+            shards: 0,
+            ..FleetdConfig::default()
+        };
+        assert_eq!(cfg.validate(), Err(ConfigError::NoShards));
+    }
+
+    #[test]
+    fn non_positive_or_non_finite_tick_hours_is_rejected() {
+        for hours in [0.0, -1.0, f64::INFINITY] {
+            let cfg = FleetdConfig {
+                tick_hours: hours,
+                ..FleetdConfig::default()
+            };
+            assert_eq!(cfg.validate(), Err(ConfigError::TickHours(hours)));
+        }
+        let nan = FleetdConfig {
+            tick_hours: f64::NAN,
+            ..FleetdConfig::default()
+        };
+        assert!(matches!(nan.validate(), Err(ConfigError::TickHours(h)) if h.is_nan()));
+    }
+
+    #[test]
+    fn empty_damage_range_is_rejected() {
+        let cfg = FleetdConfig {
+            damage_min: 0.25,
+            damage_max: 0.25,
+            ..FleetdConfig::default()
+        };
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::EmptyDamageRange {
+                min: 0.25,
+                max: 0.25
+            })
+        );
+        assert_eq!(
+            cfg.validate().map_err(|e| e.to_string()),
+            Err("damage_min (0.25) must be below damage_max (0.25)".to_owned())
+        );
     }
 }

@@ -240,8 +240,8 @@ impl Coordinator {
             .map(|r| ShardWorker::new(&cfg, r))
             .collect();
         let alloc = AllocationStream::new(&cfg.allocation());
+        let table = LifecycleTable::new(cfg.nodes as usize);
         Self {
-            table: LifecycleTable::new(cfg.nodes as usize),
             shards,
             alloc,
             pending: VecDeque::new(),
@@ -254,8 +254,11 @@ impl Coordinator {
             totals: FleetSummary {
                 nodes: cfg.nodes,
                 shards: cfg.shards.clamp(1, cfg.nodes.max(1)),
+                // The census is valid before the first tick, too.
+                final_counts: table.counts(),
                 ..FleetSummary::default()
             },
+            table,
             repaired_now: Vec::new(),
             arrivals: Vec::new(),
             free: Vec::new(),
@@ -563,5 +566,22 @@ impl Coordinator {
     /// The run totals so far.
     pub fn totals(&self) -> FleetSummary {
         self.totals
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fresh_coordinator_census_covers_the_fleet() {
+        let fleet = Coordinator::new(FleetdConfig {
+            nodes: 100,
+            shards: 4,
+            ..FleetdConfig::default()
+        });
+        let totals = fleet.totals();
+        assert_eq!(totals.final_counts.total(), 100);
+        assert_eq!(totals.final_counts.healthy, 100);
     }
 }

@@ -9,7 +9,8 @@
 //! control plane on the workspace's deterministic substrate:
 //!
 //! - [`FleetdConfig`] — every knob of a run; the full output is a pure
-//!   function of it.
+//!   function of it. [`FleetdConfig::validate`] rejects the configs the
+//!   service cannot run with a typed [`ConfigError`].
 //! - [`ShardWorker`] ([`shard`]) — owns a contiguous node range's data:
 //!   streaming incidents ([`anubis_traces::ShardIncidentSource`]), status
 //!   covariates, hidden degradation, benchmark noise, and the shard
@@ -41,6 +42,6 @@ pub mod config;
 pub mod coordinator;
 pub mod shard;
 
-pub use config::FleetdConfig;
+pub use config::{ConfigError, FleetdConfig};
 pub use coordinator::{Coordinator, FleetSummary, TickSummary};
 pub use shard::{ShardReport, ShardWorker, TickContext};

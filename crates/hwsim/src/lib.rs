@@ -22,10 +22,13 @@
 //! The entry point is [`NodeSim`]; [`spec`] holds SKU presets; [`fault`]
 //! the injectable defect library.
 
-// Panic-freedom: this crate runs in the fleet-facing validation path.
-// The xtask lint enforces the same invariant lexically; this makes the
-// compiler enforce it too (tests may unwrap freely).
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+// Panic-freedom: this crate runs in the fleet-facing validation path, so
+// clippy rejects unwrap/expect/panic! in its library code (tests may
+// unwrap freely).
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod fault;
 pub mod health;

@@ -27,7 +27,10 @@
 //! [`NodeLifecycle::apply`]; naming a `NodeState` variant anywhere else is
 //! an A005 finding.
 
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod machine;
 pub mod model;

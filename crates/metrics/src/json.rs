@@ -680,7 +680,7 @@ mod tests {
 
     #[test]
     fn float_keys_are_rejected() {
-        let mut map = std::collections::HashMap::new();
+        let mut map = std::collections::BTreeMap::new();
         map.insert(1.5f64.to_bits(), 1u8); // u64 keys fine
         assert!(to_json(&map).is_ok());
         // A map with an actual float key type fails.

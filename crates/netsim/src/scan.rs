@@ -113,14 +113,14 @@ pub fn find_conflicting_round(rounds: &[Vec<(usize, usize)>]) -> Option<usize> {
 mod tests {
     use super::*;
     use crate::topology::FatTreeConfig;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn full_scan_covers_all_pairs_exactly_once() {
         for n in [2usize, 4, 6, 8, 16, 24] {
             let rounds = full_scan_rounds(n);
             assert_eq!(rounds.len(), n - 1, "n = {n}");
-            let mut seen = HashSet::new();
+            let mut seen = BTreeSet::new();
             for round in &rounds {
                 assert_eq!(round.len(), n / 2, "perfect matching for n = {n}");
                 for &(a, b) in round {
@@ -149,7 +149,7 @@ mod tests {
         assert!(full_scan_rounds(1).is_empty());
         let rounds = full_scan_rounds(5);
         // Odd n: every pair still appears exactly once.
-        let mut seen = HashSet::new();
+        let mut seen = BTreeSet::new();
         for round in &rounds {
             for &(a, b) in round {
                 assert!(seen.insert((a, b)));

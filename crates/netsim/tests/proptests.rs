@@ -3,7 +3,7 @@
 use anubis_netsim::congestion::{max_min_rates, Flow};
 use anubis_netsim::{full_scan_rounds, quick_scan_rounds, FatTree, FatTreeConfig};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn tree_of(nodes: usize) -> FatTree {
     let mut config = FatTreeConfig::figure3_testbed();
@@ -58,7 +58,7 @@ proptest! {
         }
         let rates = max_min_rates(&flows, |e| tree.capacity_gbps(e));
         // Feasibility: per-edge load <= capacity.
-        let mut load: HashMap<_, f64> = HashMap::new();
+        let mut load: BTreeMap<_, f64> = BTreeMap::new();
         for (flow, &rate) in paths.iter().zip(&rates) {
             prop_assert!(rate > 0.0);
             for &edge in flow {
@@ -78,9 +78,9 @@ proptest! {
     #[test]
     fn full_scan_partitions_all_pairs(n in 2usize..80) {
         let rounds = full_scan_rounds(n);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = BTreeSet::new();
         for round in &rounds {
-            let mut used = std::collections::HashSet::new();
+            let mut used = BTreeSet::new();
             for &(a, b) in round {
                 prop_assert!(a < b && b < n);
                 prop_assert!(seen.insert((a, b)), "duplicate pair");
@@ -98,7 +98,7 @@ proptest! {
         let rounds = quick_scan_rounds(&tree).unwrap();
         prop_assert!(rounds.len() <= 3);
         for round in &rounds {
-            let mut used = std::collections::HashSet::new();
+            let mut used = BTreeSet::new();
             let hops = tree.hop_distance(round[0].0, round[0].1).unwrap();
             for &(a, b) in round {
                 prop_assert!(used.insert(a) && used.insert(b));

@@ -1,6 +1,9 @@
 //! Manual timing probe for the MLP hot paths (ignored by default; run
 //! with `cargo test -p anubis-nn --release -- --ignored --nocapture`).
 
+// A wall-clock probe by design; its readings are printed, never asserted.
+#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use anubis_nn::{Activation, BackwardScratch, Mlp};
 use std::time::Instant;
 

@@ -13,8 +13,8 @@
 //! * Records carry `(seq, vt)` only; wall-clock time never appears in a
 //!   trace. Wall-clock timing for operator-facing progress output lives
 //!   behind the `wallclock` cargo feature in [`wall`] and is the single
-//!   sanctioned `Instant` facade (xtask pass A004 exempts this crate and
-//!   flags direct `Instant`/`SystemTime` use everywhere else).
+//!   sanctioned `Instant` facade (the root `clippy.toml` disallows
+//!   `Instant`/`SystemTime` everywhere else).
 //! * State is thread-local and recording must be enabled per thread, so
 //!   worker threads spawned by `anubis-parallel` never record. The
 //!   executor's inline (single-worker) path additionally holds a

@@ -1,12 +1,15 @@
 //! Wall-clock timing, feature-gated behind `wallclock`.
 //!
 //! This module is the workspace's **only** sanctioned `std::time` facade:
-//! the textual determinism lint allowlists it, and the xtask A004 pass
-//! treats this crate as the timing facade while flagging direct
-//! `Instant`/`SystemTime` use anywhere else. Wall-clock readings are for
-//! operator-facing progress output only (e.g. the repro binary's
-//! per-experiment runtime header); they must never flow into results or
-//! trace records — traces carry virtual time exclusively.
+//! the root `clippy.toml` disallows `Instant`/`SystemTime` everywhere
+//! else. Wall-clock readings are for operator-facing progress output only
+//! (e.g. the repro binary's per-experiment runtime header); they must
+//! never flow into results or trace records — traces carry virtual time
+//! exclusively.
+
+// The sanctioned wall-clock facade: readings reach stderr and side
+// channels only.
+#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use std::time::Instant;
 

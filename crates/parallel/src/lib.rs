@@ -1,10 +1,10 @@
 //! Deterministic data-parallel executor.
 //!
 //! Every workspace simulation promises bit-for-bit reproducible output
-//! (see `anubis-xtask lint`), so parallelism must never change results —
-//! only wall-clock time. This crate is the one place allowed to touch
-//! `std::thread` (the `raw-threading` lint forbids it elsewhere) and it
-//! enforces a simple contract that makes thread count unobservable:
+//! (see the root `clippy.toml`), so parallelism must never change results
+//! — only wall-clock time. This crate is the one place allowed to touch
+//! `std::thread` (`clippy.toml` disallows it elsewhere) and it enforces a
+//! simple contract that makes thread count unobservable:
 //!
 //! 1. **Fixed-size chunking.** Work is split into chunks whose size is a
 //!    caller-chosen constant, *independent of the thread count*. A chunk
@@ -77,6 +77,8 @@ pub const SERIAL_CHUNK_CUTOFF: usize = 2;
 ///
 /// Only wall-clock time depends on this; every executor entry point is
 /// bit-deterministic across thread counts.
+// The executor owns the hardware thread-count probe.
+#[allow(clippy::disallowed_methods)]
 pub fn auto_threads() -> usize {
     let configured = anubis_config::parsed::<usize>(THREADS_ENV).unwrap_or(0);
     let threads = if configured == 0 {
@@ -101,6 +103,8 @@ pub fn resolve_threads(threads: usize) -> usize {
 /// task order. Tasks are assigned to workers cyclically (task `i` to
 /// worker `i mod workers`) — a static schedule, so no ordering decision
 /// ever depends on timing.
+// The executor is the one sanctioned `std::thread` user.
+#[allow(clippy::disallowed_methods)]
 fn execute<T, R, F>(tasks: Vec<T>, threads: usize, run: F) -> Vec<R>
 where
     T: Send,

@@ -250,14 +250,14 @@ mod tests {
 
     #[test]
     fn representatives_cover_families() {
-        use std::collections::HashSet;
-        let families: HashSet<ModelFamily> = ModelId::REPRESENTATIVES
-            .iter()
-            .map(|m| m.config().family)
-            .collect();
-        assert!(families.contains(&ModelFamily::Cnn));
-        assert!(families.contains(&ModelFamily::Rnn));
-        assert!(families.contains(&ModelFamily::Transformer));
+        for family in [ModelFamily::Cnn, ModelFamily::Rnn, ModelFamily::Transformer] {
+            assert!(
+                ModelId::REPRESENTATIVES
+                    .iter()
+                    .any(|m| m.config().family == family),
+                "{family:?} has no representative"
+            );
+        }
     }
 
     #[test]

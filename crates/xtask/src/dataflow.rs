@@ -1,100 +1,33 @@
-//! Interprocedural dataflow over the call graph: per-function summaries
-//! propagated to a fixpoint.
+//! Interprocedural dataflow over the call graph: per-function allocation
+//! summaries propagated to a fixpoint.
 //!
-//! The per-function passes (A003's direct allocation scan, A004's direct
-//! determinism scan) answer "does this function *itself* do X"; the
-//! summaries here answer "can this function *transitively* do X". Each
-//! function gets a summary per effect kind — the five nondeterminism
-//! [`Taint`]s plus allocation — holding:
+//! A per-function scan answers "does this function *itself* allocate";
+//! the summaries here answer "can this function *transitively*
+//! allocate". Each function gets:
 //!
-//! - the **direct site**, when the function's own tokens touch the effect
-//!   (at most one per taint kind, every site for allocations), and
+//! - its **direct sites**, every allocation its own tokens perform, each
+//!   with provenance and an escape class (see [`Escape`]), and
 //! - the **minimum call distance** to any function with a direct site:
 //!   `0` when the function has one itself, `1 + min over callees`
-//!   otherwise, `usize::MAX` when no call path reaches the effect.
+//!   otherwise, `usize::MAX` when no call path reaches an allocation.
 //!
 //! The distance lattice makes the fixpoint trivial: the equations are
 //! exactly single-source shortest paths over the *reversed* call graph
-//! (every direct-site function is a source), so one BFS per effect kind
-//! computes the unique least fixpoint — recursion and call cycles need no
-//! special casing, and the per-kind cost is `O(nodes + edges)`. Witness
-//! paths follow the BFS predecessor links, along which the distance
-//! strictly decreases, so a reported call path always terminates at a
-//! function with a direct site and is deterministic across runs (BFS
-//! visits sorted adjacency).
+//! (every direct-site function is a source), so one BFS computes the
+//! unique least fixpoint — recursion and call cycles need no special
+//! casing, and the cost is `O(nodes + edges)`.
 //!
 //! **Noise suppression** happens at *extraction*, not propagation: a crate
-//! sanctioned for an effect (the `anubis-config` env shim, the
-//! `anubis-obs` wall-clock facade, `anubis-parallel`'s thread-count probe)
-//! simply records no direct site, so nothing propagates to its callers.
-//! This is what lets every caller of `anubis_parallel::map_chunks` stay
-//! clean: the executor reads `ANUBIS_THREADS` through the shim, and the
-//! determinism contract makes the thread count unobservable in results.
+//! sanctioned as the arena implementation records no direct site, so
+//! nothing propagates to its callers.
 //!
-//! Consumers: A003 (allocation summaries replace its per-pass token
-//! scan), A006 (taint distances from deterministic roots), A007 (taint
-//! distances of functions called from `anubis-parallel` closures).
+//! Consumers: A003 (allocation reach from hot entries) and A008
+//! (arena-clean functions and the arena-able inventory).
 
 use crate::callgraph::{CallGraph, Reach};
 use crate::model::{CallKind, FnItem, Token, TokenKind, Workspace};
 use crate::passes::AnalysisConfig;
 use std::ops::Range;
-
-/// The nondeterminism effects tracked interprocedurally.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Taint {
-    /// `std::env::var`/`vars` outside the sanctioned config shim.
-    EnvRead,
-    /// `Instant`/`SystemTime` outside the observability facade.
-    TimeSource,
-    /// Iteration of a std hash container (randomized order).
-    HashIter,
-    /// `thread::current`/`available_parallelism` outside the executor.
-    ThreadId,
-    /// Float reduction (`.sum()`/`.product()`) over unordered iteration.
-    UnorderedReduce,
-}
-
-/// Every taint kind, in summary-array order.
-pub const TAINTS: [Taint; 5] = [
-    Taint::EnvRead,
-    Taint::TimeSource,
-    Taint::HashIter,
-    Taint::ThreadId,
-    Taint::UnorderedReduce,
-];
-
-impl Taint {
-    /// Stable finding-kind slug.
-    pub fn slug(self) -> &'static str {
-        match self {
-            Taint::EnvRead => "env-read",
-            Taint::TimeSource => "time-source",
-            Taint::HashIter => "hash-iteration",
-            Taint::ThreadId => "thread-id",
-            Taint::UnorderedReduce => "unordered-reduce",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            Taint::EnvRead => 0,
-            Taint::TimeSource => 1,
-            Taint::HashIter => 2,
-            Taint::ThreadId => 3,
-            Taint::UnorderedReduce => 4,
-        }
-    }
-}
-
-/// A direct taint site inside one function.
-#[derive(Debug, Clone)]
-pub struct TaintSite {
-    /// 1-based line of the evidence token.
-    pub line: usize,
-    /// What was touched (`std::env::var`, `Instant`, …).
-    pub what: String,
-}
 
 /// A direct allocation site inside one function (A003's vocabulary),
 /// carrying provenance: the token position, the enclosing-statement span,
@@ -160,13 +93,8 @@ impl Escape {
     }
 }
 
-/// Per-function effect summaries at their least fixpoint.
+/// Per-function allocation summaries at their least fixpoint.
 pub struct Summaries {
-    /// `taint_sites[f][Taint::index]`: the function's own direct site.
-    taint_sites: Vec<[Option<TaintSite>; 5]>,
-    /// Per-taint reverse reach: `dist[f]` is the minimum call distance
-    /// from `f` to a direct site, `prev` walks toward one.
-    taint_reach: Vec<Reach>,
     /// Every direct allocation site, per function.
     pub alloc_sites: Vec<Vec<AllocSite>>,
     /// Reverse reach onto allocating functions.
@@ -177,24 +105,15 @@ impl Summaries {
     /// Extracts direct sites for every non-test function and propagates
     /// them to the fixpoint described in the module docs.
     pub fn compute(ws: &Workspace, graph: &CallGraph, config: &AnalysisConfig) -> Self {
-        let mut taint_sites: Vec<[Option<TaintSite>; 5]> = Vec::with_capacity(ws.fns.len());
-        let mut alloc_sites: Vec<Vec<AllocSite>> = Vec::with_capacity(ws.fns.len());
-        for item in &ws.fns {
-            if item.in_test {
-                taint_sites.push(Default::default());
-                alloc_sites.push(Vec::new());
-                continue;
-            }
-            taint_sites.push(direct_taint_sites(ws, item, config));
-            alloc_sites.push(direct_alloc_sites(ws, item, config));
-        }
-        let taint_reach = TAINTS
+        let alloc_sites: Vec<Vec<AllocSite>> = ws
+            .fns
             .iter()
-            .map(|taint| {
-                let sources: Vec<usize> = (0..ws.fns.len())
-                    .filter(|&f| taint_sites[f][taint.index()].is_some())
-                    .collect();
-                graph.reach_reverse(&sources)
+            .map(|item| {
+                if item.in_test {
+                    Vec::new()
+                } else {
+                    direct_alloc_sites(ws, item, config)
+                }
             })
             .collect();
         let alloc_sources: Vec<usize> = (0..ws.fns.len())
@@ -202,132 +121,15 @@ impl Summaries {
             .collect();
         let alloc_reach = graph.reach_reverse(&alloc_sources);
         Self {
-            taint_sites,
-            taint_reach,
             alloc_sites,
             alloc_reach,
         }
-    }
-
-    /// The function's own direct site for `taint`, if any.
-    pub fn taint_site(&self, f: usize, taint: Taint) -> Option<&TaintSite> {
-        self.taint_sites[f][taint.index()].as_ref()
-    }
-
-    /// Minimum call distance from `f` to a direct `taint` site
-    /// (`usize::MAX` when unreachable, `0` when `f` has one itself).
-    pub fn taint_dist(&self, f: usize, taint: Taint) -> usize {
-        self.taint_reach[taint.index()].dist[f]
-    }
-
-    /// Witness call path `f -> … -> g` where `g` holds a direct site.
-    /// Empty when `f` cannot reach the taint.
-    pub fn taint_path(&self, f: usize, taint: Taint) -> Vec<usize> {
-        self.taint_reach[taint.index()].path_from(f)
     }
 
     /// Minimum call distance from `f` to an allocating function.
     pub fn alloc_dist(&self, f: usize) -> usize {
         self.alloc_reach.dist[f]
     }
-}
-
-/// Identifiers that read the environment through `std::env`.
-const ENV_READS: &[&str] = &["var", "var_os", "vars", "vars_os"];
-
-/// Method names that iterate a container (shared with A004's semantics).
-const ITERATION_METHODS: &[&str] = &["iter", "keys", "values", "into_iter", "drain", "iter_mut"];
-
-/// Scans one function's owned tokens for direct taint sites, applying the
-/// per-crate sanctions from `config` (the noise-suppression rules).
-fn direct_taint_sites(
-    ws: &Workspace,
-    item: &FnItem,
-    config: &AnalysisConfig,
-) -> [Option<TaintSite>; 5] {
-    let crate_name = &ws.files[item.file].crate_name;
-    let env_ok = config.env_shims.iter().any(|c| c == crate_name);
-    let time_ok = config.timing_facades.iter().any(|c| c == crate_name);
-    let thread_ok = config.parallel_crates.iter().any(|c| c == crate_name);
-
-    let mut sites: [Option<TaintSite>; 5] = Default::default();
-    let tokens = &ws.files[item.file].tokens;
-
-    // Hash-container evidence, shared by HashIter and UnorderedReduce:
-    // the container must be named in this function (body or params).
-    let mut hash_line = None;
-    let mut iterates = false;
-    let mut reduce_at = None;
-    for (i, token) in ws.body_tokens(item) {
-        if token.kind != TokenKind::Ident {
-            continue;
-        }
-        let prev = i.checked_sub(1).map(|p| tokens[p].text.as_str());
-        let prev2 = i.checked_sub(2).map(|p| tokens[p].text.as_str());
-        match token.text.as_str() {
-            "HashMap" | "HashSet" => {
-                hash_line.get_or_insert(ws.line_of(item, i));
-            }
-            "for" => iterates = true,
-            "Instant" | "SystemTime" if !time_ok && sites[Taint::TimeSource.index()].is_none() => {
-                sites[Taint::TimeSource.index()] = Some(TaintSite {
-                    line: ws.line_of(item, i),
-                    what: token.text.clone(),
-                });
-            }
-            name if ENV_READS.contains(&name)
-                && !env_ok
-                && prev == Some("::")
-                && prev2 == Some("env")
-                && sites[Taint::EnvRead.index()].is_none() =>
-            {
-                sites[Taint::EnvRead.index()] = Some(TaintSite {
-                    line: ws.line_of(item, i),
-                    what: format!("std::env::{name}"),
-                });
-            }
-            name @ ("current" | "available_parallelism")
-                if !thread_ok
-                    && prev == Some("::")
-                    && prev2 == Some("thread")
-                    && sites[Taint::ThreadId.index()].is_none() =>
-            {
-                sites[Taint::ThreadId.index()] = Some(TaintSite {
-                    line: ws.line_of(item, i),
-                    what: format!("thread::{name}"),
-                });
-            }
-            name @ ("sum" | "product") if prev == Some(".") => {
-                reduce_at.get_or_insert((ws.line_of(item, i), name.to_owned()));
-            }
-            _ => {}
-        }
-    }
-    let names_hash = hash_line.is_some()
-        || item
-            .params
-            .iter()
-            .any(|p| p.type_text.contains("HashMap") || p.type_text.contains("HashSet"));
-    iterates = iterates
-        || item
-            .calls
-            .iter()
-            .any(|c| c.kind == CallKind::Method && ITERATION_METHODS.contains(&c.name.as_str()));
-    if names_hash && iterates {
-        sites[Taint::HashIter.index()] = Some(TaintSite {
-            line: hash_line.unwrap_or(item.line),
-            what: "std hash container iteration".to_owned(),
-        });
-    }
-    if names_hash {
-        if let Some((line, method)) = reduce_at {
-            sites[Taint::UnorderedReduce.index()] = Some(TaintSite {
-                line,
-                what: format!("`.{method}()` over a std hash container"),
-            });
-        }
-    }
-    sites
 }
 
 /// Method names that allocate.
@@ -350,9 +152,9 @@ const ALLOC_QUALIFIED: &[(&str, &str)] = &[
 /// old per-pass scan. Call-form sites come first, then the turbofish
 /// token-scan sites, matching the old emission order. Each site carries
 /// its token index and escape class; crates sanctioned as arena
-/// implementations ([`AnalysisConfig::arena_crates`]) record no sites,
-/// exactly like the env shim for taint — pooled allocation inside the
-/// arena is the sanctioned mechanism, not a hot-path cost.
+/// implementations ([`AnalysisConfig::arena_crates`]) record no sites —
+/// pooled allocation inside the arena is the sanctioned mechanism, not a
+/// hot-path cost.
 fn direct_alloc_sites(ws: &Workspace, item: &FnItem, config: &AnalysisConfig) -> Vec<AllocSite> {
     let crate_name = &ws.files[item.file].crate_name;
     if config.arena_crates.iter().any(|c| c == crate_name) {
@@ -863,93 +665,6 @@ mod tests {
     }
 
     #[test]
-    fn env_read_propagates_two_calls_deep_with_path() {
-        let (ws, s) = summaries(&[(
-            "crates/bench/src/lib.rs",
-            "pub fn top() { mid(); }\n\
-             fn mid() { leaf(); }\n\
-             fn leaf() { let _ = std::env::var(\"X\"); }\n",
-        )]);
-        let top = find(&ws, "top");
-        let leaf = find(&ws, "leaf");
-        assert_eq!(s.taint_dist(top, Taint::EnvRead), 2);
-        assert_eq!(s.taint_dist(leaf, Taint::EnvRead), 0);
-        let path = s.taint_path(top, Taint::EnvRead);
-        assert_eq!(path.len(), 3);
-        assert_eq!(path[0], top);
-        assert_eq!(path[2], leaf);
-        assert_eq!(
-            s.taint_site(leaf, Taint::EnvRead).unwrap().what,
-            "std::env::var"
-        );
-    }
-
-    #[test]
-    fn sanctioned_crates_record_no_sites() {
-        let (ws, s) = summaries(&[
-            (
-                "crates/config/src/lib.rs",
-                "pub fn raw(name: &str) -> Option<String> { std::env::var(name).ok() }\n",
-            ),
-            (
-                "crates/obs/src/wall.rs",
-                "use std::time::Instant;\npub fn stamp() { let _t = Instant::now(); }\n",
-            ),
-            (
-                "crates/parallel/src/lib.rs",
-                "pub fn auto_threads() -> usize { std::thread::available_parallelism().map_or(1, usize::from) }\n",
-            ),
-            (
-                "crates/selector/src/lib.rs",
-                "pub fn uses_all() { anubis_config::raw(\"X\"); anubis_parallel::auto_threads(); }\n",
-            ),
-        ]);
-        let caller = find(&ws, "uses_all");
-        for taint in TAINTS {
-            assert_eq!(
-                s.taint_dist(caller, taint),
-                usize::MAX,
-                "taint {taint:?} leaked through a sanctioned crate"
-            );
-        }
-    }
-
-    #[test]
-    fn unsanctioned_time_source_and_thread_id_are_sites() {
-        let (ws, s) = summaries(&[(
-            "crates/metrics/src/lib.rs",
-            "pub fn stamp() { let _t = std::time::Instant::now(); }\n\
-             pub fn me() { let _id = std::thread::current(); }\n",
-        )]);
-        assert_eq!(s.taint_dist(find(&ws, "stamp"), Taint::TimeSource), 0);
-        assert_eq!(s.taint_dist(find(&ws, "me"), Taint::ThreadId), 0);
-    }
-
-    #[test]
-    fn hash_iteration_and_unordered_reduce_detected() {
-        let (ws, s) = summaries(&[(
-            "crates/cluster/src/lib.rs",
-            "use std::collections::HashMap;\n\
-             pub fn total(m: &HashMap<u32, f64>) -> f64 { m.values().sum::<f64>() }\n",
-        )]);
-        let total = find(&ws, "total");
-        assert_eq!(s.taint_dist(total, Taint::HashIter), 0);
-        assert_eq!(s.taint_dist(total, Taint::UnorderedReduce), 0);
-    }
-
-    #[test]
-    fn ordered_reduction_is_not_flagged() {
-        let (ws, s) = summaries(&[(
-            "crates/cluster/src/lib.rs",
-            "pub fn total(v: &[f64]) -> f64 { v.iter().sum::<f64>() }\n",
-        )]);
-        assert_eq!(
-            s.taint_dist(find(&ws, "total"), Taint::UnorderedReduce),
-            usize::MAX
-        );
-    }
-
-    #[test]
     fn alloc_distance_reaches_through_wrappers() {
         let (ws, s) = summaries(&[(
             "crates/nn/src/mlp.rs",
@@ -1099,12 +814,10 @@ mod tests {
     fn recursion_terminates_with_finite_distances() {
         let (ws, s) = summaries(&[(
             "crates/metrics/src/lib.rs",
-            "pub fn ping(n: usize) { pong(n); let _ = std::env::var(\"X\"); }\n\
+            "pub fn ping(n: usize) { pong(n); let _v = vec![n]; }\n\
              pub fn pong(n: usize) { ping(n); }\n",
         )]);
-        assert_eq!(s.taint_dist(find(&ws, "ping"), Taint::EnvRead), 0);
-        assert_eq!(s.taint_dist(find(&ws, "pong"), Taint::EnvRead), 1);
-        let path = s.taint_path(find(&ws, "pong"), Taint::EnvRead);
-        assert_eq!(path.len(), 2, "witness path must not cycle: {path:?}");
+        assert_eq!(s.alloc_dist(find(&ws, "ping")), 0);
+        assert_eq!(s.alloc_dist(find(&ws, "pong")), 1);
     }
 }

@@ -1,24 +1,23 @@
-//! Workspace invariant checker.
+//! Workspace analyzer.
 //!
-//! The ANUBIS workspace makes two promises that ordinary compilation does
-//! not verify: every simulation is **deterministic** (all randomness and
-//! time flow from explicit seeds, so paper figures reproduce bit-for-bit)
-//! and the fleet-facing crates are **panic-free** (a validation run on ten
-//! thousand nodes must degrade into `Result`s, not abort). This crate is
-//! the `cargo xtask`-style enforcement tool:
+//! The ANUBIS workspace makes promises that ordinary compilation does not
+//! verify. The line-level ones live in the toolchain: the root
+//! `clippy.toml` bans every ambient nondeterminism source (wall clock,
+//! raw threads, environment reads, hash containers) outside its
+//! sanctioned `#[allow]` sites, and the gated crates' `clippy::unwrap_used`
+//! / `expect_used` / `panic` headers keep fleet-facing library code
+//! panic-free. This crate checks what clippy cannot see — call paths,
+//! allocation reach, closure discipline and lifecycle ownership:
 //!
 //! ```text
-//! cargo run -p anubis-xtask -- lint
+//! cargo run -p anubis-xtask -- analyze
 //! ```
 //!
-//! walks every non-vendored `.rs` file and reports `file:line` diagnostics
-//! for four invariants — see [`checks`] for their definitions — exiting
-//! nonzero if any violation is not covered by the checked-in allowlist
-//! (`lint-allowlist.txt` at the workspace root, format in [`allowlist`]).
+//! runs the call-graph passes of [`passes`] against the committed
+//! `analysis-baseline.json`; `modelcheck`, `profile` and `perfgate` are
+//! the other subcommands (see the binary's docs).
 
-pub mod allowlist;
 pub mod callgraph;
-pub mod checks;
 pub mod dataflow;
 pub mod json;
 pub mod mask;
@@ -30,49 +29,3 @@ pub mod profile;
 pub mod report;
 pub mod spans;
 pub mod walk;
-
-pub use allowlist::Allowlist;
-pub use checks::{check_file, classify, Diagnostic, GATED_CRATES};
-
-use std::fs;
-use std::io;
-use std::path::Path;
-
-/// The result of a lint run: surviving diagnostics plus which allowlist
-/// entries actually exempted something (for stale-entry detection).
-#[derive(Debug)]
-pub struct LintOutcome {
-    /// Diagnostics not covered by the allowlist, sorted by path, line,
-    /// and check.
-    pub diagnostics: Vec<Diagnostic>,
-    /// `used[i]` is `true` when allowlist entry `i` exempted at least one
-    /// diagnostic this run.
-    pub used_entries: Vec<bool>,
-}
-
-/// Lints every workspace `.rs` file under `root`, filtering through
-/// `allowlist`, and returns the surviving diagnostics sorted by path,
-/// line, and check.
-pub fn run_lint(root: &Path, allowlist: &Allowlist) -> io::Result<Vec<Diagnostic>> {
-    run_lint_tracked(root, allowlist).map(|outcome| outcome.diagnostics)
-}
-
-/// [`run_lint`], additionally tracking allowlist entry usage.
-pub fn run_lint_tracked(root: &Path, allowlist: &Allowlist) -> io::Result<LintOutcome> {
-    let mut diagnostics = Vec::new();
-    let mut used_entries = vec![false; allowlist.len()];
-    for relative in walk::rust_files(root)? {
-        let source = fs::read_to_string(root.join(&relative))?;
-        for diagnostic in check_file(&relative, &source) {
-            match allowlist.permit_index(&diagnostic) {
-                Some(index) => used_entries[index] = true,
-                None => diagnostics.push(diagnostic),
-            }
-        }
-    }
-    diagnostics.sort_by(|a, b| (&a.path, a.line, a.check).cmp(&(&b.path, b.line, b.check)));
-    Ok(LintOutcome {
-        diagnostics,
-        used_entries,
-    })
-}

@@ -1,9 +1,9 @@
 //! Comment- and literal-masking lexer.
 //!
-//! The checks in this crate are lexical: they search for forbidden tokens
-//! (`.unwrap()`, `Instant`, float `==`, …). Searching raw source would
+//! The token model in this crate is lexical: the passes search for tokens
+//! (`.unwrap()`, `HashMap`, float `==`, …). Searching raw source would
 //! false-positive on every doc comment and string literal that *mentions*
-//! a forbidden construct, so all checks run over a masked copy of the file
+//! such a construct, so the model is built over a masked copy of the file
 //! in which comments, string/char literals, and raw strings are replaced
 //! byte-for-byte with spaces. Newlines are preserved, so byte offsets and
 //! line numbers in the masked text match the original exactly.
@@ -15,9 +15,6 @@ pub struct MaskedSource {
     pub masked: Vec<u8>,
     /// Byte offset where each line starts (index 0 = line 1).
     line_starts: Vec<usize>,
-    /// 1-based lines on which a doc comment (`///`, `//!`, `/**`, `/*!`)
-    /// begins. Used by the doc-coverage check.
-    pub doc_lines: Vec<bool>,
 }
 
 impl MaskedSource {
@@ -27,11 +24,6 @@ impl MaskedSource {
             Ok(index) => index + 1,
             Err(index) => index,
         }
-    }
-
-    /// Whether a doc comment begins on 1-based line `line`.
-    pub fn is_doc_line(&self, line: usize) -> bool {
-        self.doc_lines.get(line - 1).copied().unwrap_or(false)
     }
 }
 
@@ -56,8 +48,6 @@ pub fn mask(source: &str) -> MaskedSource {
     let bytes = source.as_bytes();
     let mut masked = Vec::with_capacity(bytes.len());
     let mut line_starts = vec![0usize];
-    let mut doc_lines = Vec::new();
-    let mut current_line_is_doc = false;
     let mut state = State::Code;
     let mut i = 0usize;
 
@@ -71,24 +61,14 @@ pub fn mask(source: &str) -> MaskedSource {
         let b = bytes[i];
         if b == b'\n' {
             line_starts.push(i + 1);
-            doc_lines.push(current_line_is_doc);
-            current_line_is_doc = false;
         }
         match state {
             State::Code => {
                 let next = bytes.get(i + 1).copied();
                 if b == b'/' && next == Some(b'/') {
-                    if matches!(bytes.get(i + 2), Some(b'/' | b'!')) {
-                        current_line_is_doc = true;
-                    }
                     state = State::LineComment;
                     emit_masked!(b);
                 } else if b == b'/' && next == Some(b'*') {
-                    if matches!(bytes.get(i + 2), Some(b'*' | b'!'))
-                        && bytes.get(i + 3) != Some(&b'/')
-                    {
-                        current_line_is_doc = true;
-                    }
                     state = State::BlockComment { depth: 1 };
                     emit_masked!(b);
                     emit_masked!(next.unwrap_or(b' '));
@@ -158,7 +138,6 @@ pub fn mask(source: &str) -> MaskedSource {
                     if let Some(&escaped) = bytes.get(i + 1) {
                         if escaped == b'\n' {
                             line_starts.push(i + 2);
-                            doc_lines.push(false);
                         }
                         emit_masked!(escaped);
                         i += 2;
@@ -206,12 +185,9 @@ pub fn mask(source: &str) -> MaskedSource {
         }
         i += 1;
     }
-    doc_lines.push(current_line_is_doc);
-
     MaskedSource {
         masked,
         line_starts,
-        doc_lines,
     }
 }
 
@@ -317,15 +293,6 @@ mod tests {
         let out = masked_str("x // é\ny");
         assert_eq!(out.len(), "x // é\ny".len());
         assert_eq!(out, "x      \ny"); // é is two bytes, so two spaces
-    }
-
-    #[test]
-    fn records_doc_lines() {
-        let m = mask("/// doc\npub fn f() {}\n// plain\n//! inner\n");
-        assert!(m.is_doc_line(1));
-        assert!(!m.is_doc_line(2));
-        assert!(!m.is_doc_line(3));
-        assert!(m.is_doc_line(4));
     }
 
     #[test]

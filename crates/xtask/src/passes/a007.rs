@@ -20,9 +20,10 @@
 //!   see through `Fn + Sync`. Completion order is timing-dependent, so
 //!   any cross-worker communication is a race on determinism even when it
 //!   is data-race-free.
-//! - **`tainted-call`** — the closure calls a function whose
-//!   [`crate::dataflow`] summary reaches an A006 taint source; the
-//!   message prints the call path from the closure into the source.
+//!
+//! Calls to nondeterminism sources (`thread::current`, `Instant::now`,
+//! `std::env::var`, hash-container types) need no pass: the root
+//! `clippy.toml` bans them everywhere, closures included.
 //!
 //! The executor crate itself ([`AnalysisConfig::parallel_crates`]) is
 //! exempt: its internals *implement* the slot protocol. Zero findings on
@@ -30,8 +31,6 @@
 //! a closure-discipline violation silently.
 
 use super::{AnalysisConfig, Finding};
-use crate::callgraph::{CallGraph, NameIndex};
-use crate::dataflow::{Summaries, TAINTS};
 use crate::model::{self, FnItem, TokenKind, Workspace};
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -55,15 +54,9 @@ fn is_cell_type(name: &str) -> bool {
 }
 
 /// Runs the pass.
-pub fn run(
-    ws: &Workspace,
-    _graph: &CallGraph,
-    summaries: &Summaries,
-    config: &AnalysisConfig,
-) -> Vec<Finding> {
-    let index = NameIndex::build(ws);
+pub fn run(ws: &Workspace, config: &AnalysisConfig) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for (caller, item) in ws.fns.iter().enumerate() {
+    for item in &ws.fns {
         if item.in_test {
             continue;
         }
@@ -89,16 +82,7 @@ pub fn run(
                     continue;
                 };
                 for closure in closures_in(tokens, i + 2, close) {
-                    check_closure(
-                        ws,
-                        caller,
-                        item,
-                        &t.text,
-                        &closure,
-                        summaries,
-                        &index,
-                        &mut findings,
-                    );
+                    check_closure(ws, item, &t.text, &closure, &mut findings);
                 }
             }
         }
@@ -202,17 +186,13 @@ fn closure_body(tokens: &[model::Token], b: usize, close: usize) -> Range<usize>
     b..j
 }
 
-/// Applies the three discipline checks to one closure, pushing at most
-/// one finding per kind.
-#[allow(clippy::too_many_arguments)]
+/// Applies the two discipline checks to one closure, pushing at most one
+/// finding per kind.
 fn check_closure(
     ws: &Workspace,
-    caller: usize,
     item: &FnItem,
     entry: &str,
     closure: &Closure,
-    summaries: &Summaries,
-    index: &NameIndex,
     findings: &mut Vec<Finding>,
 ) {
     let file = &ws.files[item.file];
@@ -309,50 +289,6 @@ fn check_closure(
             break;
         }
     }
-
-    // tainted-call: a called function whose summary reaches a taint
-    // source. One finding per taint kind.
-    let calls = model::extract_calls(tokens, &file.masked, std::slice::from_ref(&closure.body));
-    let mut reported: BTreeSet<&'static str> = BTreeSet::new();
-    for call in &calls {
-        for callee in index.resolve(ws, caller, call) {
-            for taint in TAINTS {
-                if reported.contains(taint.slug())
-                    || summaries.taint_dist(callee, taint) == usize::MAX
-                {
-                    continue;
-                }
-                let path = summaries.taint_path(callee, taint);
-                let &terminal = path.last().expect("reachable taint has a path");
-                let site = summaries
-                    .taint_site(terminal, taint)
-                    .expect("path terminal has a direct site");
-                let via = path
-                    .iter()
-                    .map(|&i| ws.fns[i].qual_name())
-                    .collect::<Vec<_>>()
-                    .join(" -> ");
-                findings.push(Finding {
-                    code: "A007",
-                    path: file_path.clone(),
-                    line: call.line,
-                    func: item.qual_name(),
-                    kind: "tainted-call".to_owned(),
-                    message: format!(
-                        "closure passed to `{entry}` in `{}` calls `{}`, which reaches \
-                         nondeterminism source `{}` ({}:{}) via {via}",
-                        item.qual_name(),
-                        call.name,
-                        site.what,
-                        ws.files[ws.fns[terminal].file].path,
-                        site.line
-                    ),
-                    enforced: false,
-                });
-                reported.insert(taint.slug());
-            }
-        }
-    }
 }
 
 /// Walks left from the assignment operator at `assign` to the base
@@ -403,15 +339,11 @@ fn place_base(tokens: &[model::Token], start: usize, assign: usize) -> Option<us
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::callgraph::CallGraph;
     use crate::model::Workspace;
 
     fn analyze(files: &[(&str, &str)]) -> Vec<Finding> {
         let ws = Workspace::from_sources(files.iter().copied());
-        let graph = CallGraph::build(&ws);
-        let config = AnalysisConfig::default();
-        let summaries = Summaries::compute(&ws, &graph, &config);
-        run(&ws, &graph, &summaries, &config)
+        run(&ws, &AnalysisConfig::default())
     }
 
     #[test]
@@ -480,24 +412,6 @@ mod tests {
             findings.iter().any(|f| f.kind == "interior-mutability"),
             "{findings:#?}"
         );
-    }
-
-    #[test]
-    fn tainted_callee_is_reported_with_path() {
-        let findings = analyze(&[(
-            "crates/traces/src/lib.rs",
-            "pub fn run(v: &[f64]) -> Vec<f64> {\n\
-                 anubis_parallel::map_chunks(v, 64, 0, |_idx, chunk| seed(chunk))\n\
-             }\n\
-             fn seed(chunk: &[f64]) -> f64 { let _ = std::env::var(\"SEED\"); chunk[0] }\n",
-        )]);
-        let tainted: Vec<_> = findings
-            .iter()
-            .filter(|f| f.kind == "tainted-call")
-            .collect();
-        assert_eq!(tainted.len(), 1, "{findings:#?}");
-        assert!(tainted[0].message.contains("std::env::var"));
-        assert!(tainted[0].message.contains("seed"));
     }
 
     #[test]

@@ -9,14 +9,15 @@
 //! | A001 | [`a001`] | Which public fleet-facing APIs can transitively panic? |
 //! | A002 | [`a002`] | Where are floats compared or ordered NaN-unsafely? |
 //! | A003 | [`a003`] | What allocates inside the measured hot paths? |
-//! | A004 | [`a004`] | Where can nondeterminism leak into results? |
 //! | A005 | [`a005`] | Who constructs or mutates a lifecycle state outside the machine? |
-//! | A006 | [`a006`] | Which deterministic roots can transitively reach a nondeterminism source? |
 //! | A007 | [`a007`] | Which `anubis-parallel` closures break the executor's determinism contract? |
 //! | A008 | [`a008`] | Which hot-path allocations are scope-local (arena-able), and do arena-clean functions stay clean? |
 //!
-//! A003/A006/A007/A008 consume the interprocedural effect summaries of
-//! [`crate::dataflow`]; the others scan per-function.
+//! A003/A008 consume the interprocedural allocation summaries of
+//! [`crate::dataflow`]; the others scan per-function or per-closure.
+//!
+//! Codes A004 and A006 are unused: the root `clippy.toml` bans the
+//! nondeterminism sources they traced, so no call chain to one can exist.
 //!
 //! Findings are keyed by *(code, file, function, kind)* — deliberately not
 //! by line — so the committed baseline survives unrelated edits to the
@@ -30,22 +31,34 @@
 pub mod a001;
 pub mod a002;
 pub mod a003;
-pub mod a004;
 pub mod a005;
-pub mod a006;
 pub mod a007;
 pub mod a008;
 
 use crate::callgraph::CallGraph;
-use crate::checks::GATED_CRATES;
 use crate::dataflow::Summaries;
 use crate::model::Workspace;
 use std::fmt;
 
+/// Crates whose library code must be panic-free: everything that runs in
+/// the validation path on fleet nodes. Their public APIs root A001, and
+/// each one's `lib.rs` carries the `clippy::unwrap_used` / `expect_used` /
+/// `panic` header.
+pub const GATED_CRATES: &[&str] = &[
+    "arena",
+    "benchsuite",
+    "validator",
+    "selector",
+    "cluster",
+    "hwsim",
+    "netsim",
+    "lifecycle",
+];
+
 /// One analysis finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable diagnostic code (`A001`…`A004`).
+    /// Stable diagnostic code (`A001`…`A008`).
     pub code: &'static str,
     /// Workspace-relative file of the flagged function.
     pub path: String,
@@ -54,7 +67,7 @@ pub struct Finding {
     /// Qualified name of the flagged function (`Type::name` or `name`).
     pub func: String,
     /// Short machine-readable slug for the finding flavor
-    /// (`panic-reach`, `float-eq`, `clone`, `time-source`, …).
+    /// (`panic-reach`, `float-eq`, `clone`, `mut-capture`, …).
     pub kind: String,
     /// Human-readable explanation, including the call path where the pass
     /// computes one.
@@ -122,15 +135,10 @@ impl HotEntry {
 /// the real workspace; fixtures construct custom configs.
 #[derive(Debug, Clone)]
 pub struct AnalysisConfig {
-    /// Crate directory names whose public APIs are A001/A004 roots.
+    /// Crate directory names whose public APIs are A001 roots.
     pub gated_crates: Vec<String>,
     /// Hot entry points for A003.
     pub hot_entries: Vec<HotEntry>,
-    /// Crate directory names sanctioned to read the wall clock — the
-    /// observability facade (`anubis-obs`, which confines `Instant` to a
-    /// feature-gated module). A004's time-source scan skips these; every
-    /// other crate must go through the facade.
-    pub timing_facades: Vec<String>,
     /// Crate directory names that own the node-lifecycle state machine.
     /// A005 exempts them; everywhere else, constructing or mutating a
     /// state type is a finding.
@@ -139,21 +147,11 @@ pub struct AnalysisConfig {
     /// construct or mutate (`NodeState`).
     pub state_types: Vec<String>,
     /// Crate directory names owning the deterministic executor
-    /// (`anubis-parallel`). Sanctioned to probe the thread count (results
-    /// never depend on it); A007 exempts their own internals.
+    /// (`anubis-parallel`). A007 exempts their own internals.
     pub parallel_crates: Vec<String>,
-    /// Executor entry points taking worker closures. A006 roots every
-    /// caller (the chunk body is owned by the calling fn); A007 audits the
+    /// Executor entry points taking worker closures; A007 audits the
     /// closure arguments at each call site.
     pub parallel_entries: Vec<String>,
-    /// Crate directory names sanctioned to read `std::env` — the config
-    /// shim (`anubis-config`). Env reads anywhere else are A006 taint
-    /// sources.
-    pub env_shims: Vec<String>,
-    /// Path substrings whose non-test fns are deterministic roots for
-    /// A006 beyond the parallel callers: experiment renderers and the obs
-    /// ring-buffer writers.
-    pub deterministic_root_paths: Vec<String>,
     /// Crate directory names implementing the sanctioned arena
     /// (`anubis-arena`). Their internal allocations record no sites —
     /// pooled growth inside the arena is the mechanism, not a hot-path
@@ -217,7 +215,6 @@ impl Default for AnalysisConfig {
         Self {
             gated_crates: GATED_CRATES.iter().map(|c| (*c).to_owned()).collect(),
             hot_entries: hot,
-            timing_facades: vec!["obs".to_owned()],
             lifecycle_crates: vec!["lifecycle".to_owned()],
             state_types: vec!["NodeState".to_owned()],
             parallel_crates: vec!["parallel".to_owned()],
@@ -227,11 +224,6 @@ impl Default for AnalysisConfig {
                 "map_items".to_owned(),
                 "map_indexed".to_owned(),
                 "reduce_chunks".to_owned(),
-            ],
-            env_shims: vec!["config".to_owned()],
-            deterministic_root_paths: vec![
-                "bench/src/experiments/".to_owned(),
-                "obs/src/".to_owned(),
             ],
             arena_crates: vec!["arena".to_owned()],
             // The converted zero-alloc hot loops (PR 9): per-call scratch
@@ -258,33 +250,28 @@ impl AnalysisConfig {
         Self {
             gated_crates: Vec::new(),
             hot_entries: Vec::new(),
-            timing_facades: Vec::new(),
             lifecycle_crates: Vec::new(),
             state_types: Vec::new(),
             parallel_crates: Vec::new(),
             parallel_entries: Vec::new(),
-            env_shims: Vec::new(),
-            deterministic_root_paths: Vec::new(),
             arena_crates: Vec::new(),
             arena_clean_entries: Vec::new(),
         }
     }
 }
 
-/// Runs all eight passes and returns findings sorted by (code, path,
-/// line, kind, func) — a deterministic order suitable for diffing. The
-/// call graph and the interprocedural summaries are computed once and
-/// shared by every summary-consuming pass.
+/// Runs all six passes and returns findings sorted by (code, path, line,
+/// kind, func) — a deterministic order suitable for diffing. The call
+/// graph and the interprocedural summaries are computed once and shared
+/// by every summary-consuming pass.
 pub fn run_analysis(ws: &Workspace, config: &AnalysisConfig) -> Vec<Finding> {
     let graph = CallGraph::build(ws);
     let summaries = Summaries::compute(ws, &graph, config);
     let mut findings = a001::run(ws, &graph, config);
     findings.extend(a002::run(ws));
     findings.extend(a003::run(ws, &graph, &summaries, config));
-    findings.extend(a004::run(ws, &graph, config));
     findings.extend(a005::run(ws, &graph, config));
-    findings.extend(a006::run(ws, &graph, &summaries, config));
-    findings.extend(a007::run(ws, &graph, &summaries, config));
+    findings.extend(a007::run(ws, config));
     findings.extend(a008::run(ws, &graph, &summaries, config));
     findings.sort_by(|a, b| {
         (a.code, &a.path, a.line, &a.kind, &a.func)

@@ -4,9 +4,9 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Directory names the lint never descends into: build output, vendored
+/// Directory names the walk never descends into: build output, vendored
 /// dependency stand-ins (which keep their own lint configuration), VCS
-/// metadata, and lint-test fixtures (which violate invariants on purpose).
+/// metadata, and test fixtures (which violate invariants on purpose).
 const SKIPPED_DIRS: &[&str] = &["target", "vendor", ".git", "fixtures"];
 
 /// Collects every `.rs` file under `root`, skipping [`SKIPPED_DIRS`],

@@ -1,4 +1,5 @@
-//! Fixture: NaN-safety violations (never compiled, scanned by tests).
+//! A002 fixture: a NaN-panicking sort key and a non-sentinel float literal
+//! comparison; the sentinel comparisons stay clean.
 
 /// Sorts with a NaN-propagating comparator.
 pub fn sort(values: &mut [f64]) {

@@ -1,4 +1,4 @@
-//! Fixture: determinism violations (never compiled, scanned by tests).
+//! Fixture: wall-clock reads.
 
 use std::time::{Instant, SystemTime};
 
@@ -6,7 +6,6 @@ use std::time::{Instant, SystemTime};
 pub fn elapsed() -> u64 {
     let start = Instant::now();
     let _ = SystemTime::now();
-    let mut rng = rand::thread_rng();
     start.elapsed().as_secs()
 }
 

@@ -5,4 +5,4 @@ pub struct Undocumented;
 /// Documented.
 pub struct Fine;
 
-pub fn also_undocumented() {}
+pub fn also_undocumented() -> impl Debug {}

@@ -1,4 +1,4 @@
-//! Fixture: panic-freedom violations (never compiled, scanned by tests).
+//! Fixture: panic-freedom violations.
 
 /// Panics four different ways.
 pub fn boom(x: Option<u8>) -> u8 {
