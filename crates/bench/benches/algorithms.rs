@@ -153,19 +153,16 @@ fn bench_coxtime(c: &mut Criterion) {
     )
     .expect("incident trace contains events");
     // One full training epoch (forward + backward + optimizer) over the
-    // trace, exercising the chunk-parallel gradient path end to end.
-    for threads in [1usize, 8] {
-        let config = CoxTimeConfig {
-            epochs: 1,
-            hidden: vec![32, 32],
-            baseline_buckets: 16,
-            threads,
-            ..Default::default()
-        };
-        c.bench_function(&format!("coxtime/fit-epoch/{threads}threads"), |bencher| {
-            bencher.iter(|| black_box(CoxTimeModel::fit(black_box(&samples), &config)));
-        });
-    }
+    // trace, then the Breslow baseline: the whole sequential training path.
+    let config = CoxTimeConfig {
+        epochs: 1,
+        hidden: vec![32, 32],
+        baseline_buckets: 16,
+        ..Default::default()
+    };
+    c.bench_function("coxtime/fit-epoch", |bencher| {
+        bencher.iter(|| black_box(CoxTimeModel::fit(black_box(&samples), &config)));
+    });
     // Warm-start refit: a trained trainer absorbs a small delta of new
     // intervals and runs one more epoch, vs re-fitting from scratch.
     let (base, delta) = samples.split_at(samples.len() - samples.len() / 16);

@@ -40,6 +40,7 @@
 //! assert_eq!(squares.len(), 8); // ceil(1000 / 128) chunk results, in chunk order
 //! ```
 
+use std::sync::{Mutex, PoisonError};
 use std::thread;
 
 /// Hard cap on worker threads; fleets of simulated nodes parallelize well
@@ -100,9 +101,11 @@ pub fn resolve_threads(threads: usize) -> usize {
 }
 
 /// Runs `tasks` on up to `threads` workers and returns their results in
-/// task order. Tasks are assigned to workers cyclically (task `i` to
-/// worker `i mod workers`) — a static schedule, so no ordering decision
-/// ever depends on timing.
+/// task order. Workers share one queue and each claims the next task
+/// whenever it goes idle, so one slow task never holds up tasks queued
+/// behind it on the same worker. Which worker runs a task depends on
+/// timing; the result does not, because every result is tagged with its
+/// task index and assembled in index order.
 // The executor is the one sanctioned `std::thread` user.
 #[allow(clippy::disallowed_methods)]
 fn execute<T, R, F>(tasks: Vec<T>, threads: usize, run: F) -> Vec<R>
@@ -125,22 +128,24 @@ where
             .map(|(i, t)| run(i, t))
             .collect();
     }
-    let mut buckets: Vec<Vec<(usize, T)>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, task) in tasks.into_iter().enumerate() {
-        buckets[i % workers].push((i, task));
-    }
+    let queue = Mutex::new(tasks.into_iter().enumerate());
+    // The lock guards only the claim, never a task's run, so a panicking
+    // task cannot poison it; recovering from poison anyway keeps the
+    // other workers draining the queue.
+    let claim = || queue.lock().unwrap_or_else(PoisonError::into_inner).next();
     let run = &run;
+    let claim = &claim;
     let mut tagged: Vec<(usize, R)> = Vec::new();
     let mut panic_payload = None;
     thread::scope(|scope| {
-        let handles: Vec<_> = buckets
-            .into_iter()
-            .map(|bucket| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
                 scope.spawn(move || {
-                    bucket
-                        .into_iter()
-                        .map(|(i, task)| (i, run(i, task)))
-                        .collect::<Vec<(usize, R)>>()
+                    let mut done = Vec::new();
+                    while let Some((i, task)) = claim() {
+                        done.push((i, run(i, task)));
+                    }
+                    done
                 })
             })
             .collect();
@@ -358,6 +363,37 @@ mod tests {
         std::env::set_var(INCREMENTAL_ENV, "1");
         assert!(incremental_enabled());
         std::env::remove_var(INCREMENTAL_ENV);
+    }
+
+    /// Deterministic busy work: `rounds` steps of an LCG.
+    fn spin(rounds: u64) -> u64 {
+        (0..rounds).fold(1u64, |x, r| {
+            std::hint::black_box(x.wrapping_mul(6_364_136_223_846_793_005) ^ r)
+        })
+    }
+
+    #[test]
+    fn skewed_costs_keep_slot_order_and_run_each_task_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        const TASKS: usize = 24;
+        for heavy in [0, TASKS / 2, TASKS - 1] {
+            let rounds = |i: usize| if i == heavy { 100_000 } else { 1_000 };
+            for threads in [1, 2, 3, 8] {
+                let runs: Vec<AtomicUsize> = (0..TASKS).map(|_| AtomicUsize::new(0)).collect();
+                let out = map_indexed(TASKS, threads, |i| {
+                    runs[i].fetch_add(1, Ordering::Relaxed);
+                    (i, spin(rounds(i)))
+                });
+                for (slot, &(i, value)) in out.iter().enumerate() {
+                    assert_eq!(slot, i, "heavy {heavy}, threads {threads}");
+                    assert_eq!(value, spin(rounds(i)));
+                }
+                assert!(
+                    runs.iter().all(|r| r.load(Ordering::Relaxed) == 1),
+                    "heavy {heavy}, threads {threads}: every task runs exactly once"
+                );
+            }
+        }
     }
 
     #[test]

@@ -87,4 +87,28 @@ proptest! {
         prop_assert_eq!(reference, run(8));
         prop_assert_eq!(reference.is_none(), items.is_empty());
     }
+
+    #[test]
+    fn uneven_task_costs_do_not_change_results(
+        costs in prop::collection::vec(prop_oneof![0u64..50, 2_000u64..20_000], 0..40),
+    ) {
+        // Workers claim tasks as they go idle, so with uneven costs the
+        // task-to-worker assignment varies run to run; the assembled
+        // output must not.
+        let spin = |rounds: u64| {
+            (0..rounds).fold(1u64, |x, r| {
+                std::hint::black_box(x.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ r)
+            })
+        };
+        let fold_chunk = |chunk: &[u64]| chunk.iter().fold(0u64, |a, &c| a.rotate_left(7) ^ spin(c));
+        let by_item: Vec<u64> = costs.iter().map(|&c| spin(c)).collect();
+        let by_chunk: Vec<u64> = costs.chunks(3).map(fold_chunk).collect();
+        for threads in [1usize, 2, 3, 8] {
+            prop_assert_eq!(&anubis_parallel::map_items(&costs, threads, |&c| spin(c)), &by_item);
+            prop_assert_eq!(
+                &anubis_parallel::map_chunks(&costs, 3, threads, |_, chunk| fold_chunk(chunk)),
+                &by_chunk
+            );
+        }
+    }
 }

@@ -43,9 +43,10 @@ pub struct CoxTimeConfig {
     pub weight_decay: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Worker threads for the epoch and Breslow loops (`0` = auto, see
-    /// [`anubis_parallel::auto_threads`]). The fitted model is bit-identical
-    /// at any thread count.
+    /// Worker threads for the Breslow baseline loop (`0` = auto, see
+    /// [`anubis_parallel::auto_threads`]); training always runs on the
+    /// calling thread. The fitted model is bit-identical at any thread
+    /// count.
     pub threads: usize,
 }
 
@@ -64,16 +65,6 @@ impl Default for CoxTimeConfig {
         }
     }
 }
-
-/// Events per parallel gradient chunk during training. Fixed (not derived
-/// from the thread count) so the chunking — and therefore every
-/// floating-point merge order — is identical at any parallelism.
-const EVENTS_PER_CHUNK: usize = 8;
-
-/// Parameters per parallel merge range. The per-parameter addition order
-/// is independent of how the parameter axis is partitioned, so this only
-/// affects scheduling granularity.
-const PARAMS_PER_RANGE: usize = 1024;
 
 /// A fitted Cox-Time model.
 #[derive(Debug, Clone)]
@@ -329,14 +320,9 @@ impl CoxTimeTrainer {
             input.extend_from_slice(x);
         };
 
-        let threads = config.threads;
-        let workers = anubis_parallel::resolve_threads(threads);
-        let p = net.parameter_count();
-        // Flat per-batch gradient accumulator (canonical parameter order),
-        // reused across batches.
-        let mut acc = vec![0.0f64; p];
-        // Scratch state for the single-worker fast path, reused across the
-        // whole fit.
+        // Flat per-batch gradient accumulator (canonical parameter order)
+        // and forward/backward scratch, all reused across the whole fit.
+        let mut acc = vec![0.0f64; net.parameter_count()];
         let mut scratch = BackwardScratch::default();
         let mut cache_i = net.empty_cache();
         let mut caches: Vec<ForwardCache> = Vec::new();
@@ -349,171 +335,55 @@ impl CoxTimeTrainer {
             order.extend_from_slice(&events);
             self.order_dirty = false;
         }
+        // Training runs on the calling thread. A 32-event minibatch is
+        // well under a millisecond of work, too fine a grain to fan out:
+        // splitting it needs one gradient buffer per backward call and a
+        // serial merge that costs as much as the backward pass itself.
         for _ in 0..epochs {
             order.shuffle(&mut *rng);
             for batch in order.chunks(config.batch_size.max(1)) {
-                let batch_events = if workers == 1 {
-                    // Single worker: accumulate each backward call straight
-                    // into `acc`. Every parameter receives exactly one
-                    // addition per call, applied in global call order — the
-                    // same addition sequence the chunked merge below
-                    // replays, so both paths are bit-identical. The RNG
-                    // draws interleave with the compute here, but consume
-                    // the stream in the same event order as the pre-draw
-                    // loop in the parallel branch.
-                    acc.fill(0.0);
-                    let mut batch_events = 0usize;
-                    for &i in batch {
-                        // Controls: uniform from the risk-set suffix.
-                        let suffix_start = rank_of[i];
-                        let suffix_len = samples.len() - suffix_start;
-                        if suffix_len < 2 {
-                            continue;
-                        }
-                        controls_buf.clear();
-                        for _ in 0..config.controls_per_event {
-                            let pick = by_duration[suffix_start + rng.random_range(0..suffix_len)];
-                            if pick != i {
-                                controls_buf.push(pick);
-                            }
-                        }
-                        if controls_buf.is_empty() {
-                            continue;
-                        }
-                        batch_events += 1;
-                        let t_i = samples[i].duration;
-                        fill_input(&mut input, t_i, &scaled[i]);
-                        net.forward_into(&input, &mut cache_i);
-                        let g_i = cache_i.output()[0];
-                        while caches.len() < controls_buf.len() {
-                            caches.push(net.empty_cache());
-                        }
-                        exps.clear();
-                        for (c, &j) in controls_buf.iter().enumerate() {
-                            fill_input(&mut input, t_i, &scaled[j]);
-                            net.forward_into(&input, &mut caches[c]);
-                            // Softplus-style loss: ln(1 + Σ exp(g_j − g_i)).
-                            exps.push((caches[c].output()[0] - g_i).exp());
-                        }
-                        let denom = 1.0 + exps.iter().sum::<f64>();
-                        net.backward_flat(
-                            &cache_i,
-                            &[-(denom - 1.0) / denom],
-                            &mut acc,
-                            &mut scratch,
-                        );
-                        for (c, &e) in exps.iter().enumerate() {
-                            net.backward_flat(&caches[c], &[e / denom], &mut acc, &mut scratch);
-                        }
-                    }
-                    batch_events
-                } else {
-                    // Draw every control index on this thread, in event
-                    // order: the RNG stream is exactly the sequential
-                    // loop's.
-                    let mut tasks: Vec<(usize, Vec<usize>)> = Vec::with_capacity(batch.len());
-                    for &i in batch {
-                        // Controls: uniform from the risk-set suffix.
-                        let suffix_start = rank_of[i];
-                        let suffix_len = samples.len() - suffix_start;
-                        if suffix_len < 2 {
-                            continue;
-                        }
-                        let mut controls = Vec::with_capacity(config.controls_per_event);
-                        for _ in 0..config.controls_per_event {
-                            let pick = by_duration[suffix_start + rng.random_range(0..suffix_len)];
-                            if pick != i {
-                                controls.push(pick);
-                            }
-                        }
-                        if controls.is_empty() {
-                            continue;
-                        }
-                        tasks.push((i, controls));
-                    }
-                    if tasks.is_empty() {
+                // Each backward call adds straight into `acc`, in event
+                // order; the RNG draws interleave with the compute.
+                acc.fill(0.0);
+                let mut batch_events = 0usize;
+                for &i in batch {
+                    // Controls: uniform from the risk-set suffix.
+                    let suffix_start = rank_of[i];
+                    let suffix_len = samples.len() - suffix_start;
+                    if suffix_len < 2 {
                         continue;
                     }
-                    // Forward/backward each fixed-size event chunk into flat
-                    // per-call contribution buffers. Within a backward call
-                    // every parameter receives exactly one addition, so
-                    // merging the calls in order below replays the
-                    // sequential accumulation addition-for-addition.
-                    let net_ref: &Mlp = net;
-                    let chunk_grads: Vec<Vec<f64>> = anubis_parallel::map_chunks(
-                        &tasks,
-                        EVENTS_PER_CHUNK,
-                        threads,
-                        |_, chunk| {
-                            let calls: usize = chunk.iter().map(|(_, c)| 1 + c.len()).sum();
-                            let mut flat = vec![0.0f64; calls * p];
-                            let mut scratch = BackwardScratch::default();
-                            let mut cache_i = net_ref.empty_cache();
-                            let mut caches: Vec<ForwardCache> = Vec::new();
-                            let mut input: Vec<f64> = Vec::new();
-                            let mut exps: Vec<f64> = Vec::new();
-                            let mut call = 0usize;
-                            for (i, controls) in chunk {
-                                let t_i = samples[*i].duration;
-                                fill_input(&mut input, t_i, &scaled[*i]);
-                                net_ref.forward_into(&input, &mut cache_i);
-                                let g_i = cache_i.output()[0];
-                                while caches.len() < controls.len() {
-                                    caches.push(net_ref.empty_cache());
-                                }
-                                exps.clear();
-                                for (c, &j) in controls.iter().enumerate() {
-                                    fill_input(&mut input, t_i, &scaled[j]);
-                                    net_ref.forward_into(&input, &mut caches[c]);
-                                    // Softplus-style loss: ln(1 + Σ exp(g_j − g_i)).
-                                    exps.push((caches[c].output()[0] - g_i).exp());
-                                }
-                                let denom = 1.0 + exps.iter().sum::<f64>();
-                                net_ref.backward_flat(
-                                    &cache_i,
-                                    &[-(denom - 1.0) / denom],
-                                    &mut flat[call * p..(call + 1) * p],
-                                    &mut scratch,
-                                );
-                                call += 1;
-                                for (c, &e) in exps.iter().enumerate() {
-                                    net_ref.backward_flat(
-                                        &caches[c],
-                                        &[e / denom],
-                                        &mut flat[call * p..(call + 1) * p],
-                                        &mut scratch,
-                                    );
-                                    call += 1;
-                                }
-                            }
-                            flat
-                        },
-                    );
-                    // Merge per-call contributions in global call order; the
-                    // parameter axis partitions freely because each
-                    // parameter's addition chain is independent of the
-                    // others.
-                    acc.fill(0.0);
-                    let chunk_grads_ref = &chunk_grads;
-                    anubis_parallel::map_chunks_mut(
-                        &mut acc,
-                        PARAMS_PER_RANGE,
-                        threads,
-                        |range_idx, acc_range| {
-                            let lo = range_idx * PARAMS_PER_RANGE;
-                            for buf in chunk_grads_ref {
-                                for call_base in (0..buf.len()).step_by(p) {
-                                    let base = call_base + lo;
-                                    let contrib = &buf[base..base + acc_range.len()];
-                                    for (a, &g) in acc_range.iter_mut().zip(contrib) {
-                                        *a += g;
-                                    }
-                                }
-                            }
-                        },
-                    );
-                    tasks.len()
-                };
+                    controls_buf.clear();
+                    for _ in 0..config.controls_per_event {
+                        let pick = by_duration[suffix_start + rng.random_range(0..suffix_len)];
+                        if pick != i {
+                            controls_buf.push(pick);
+                        }
+                    }
+                    if controls_buf.is_empty() {
+                        continue;
+                    }
+                    batch_events += 1;
+                    let t_i = samples[i].duration;
+                    fill_input(&mut input, t_i, &scaled[i]);
+                    net.forward_into(&input, &mut cache_i);
+                    let g_i = cache_i.output()[0];
+                    while caches.len() < controls_buf.len() {
+                        caches.push(net.empty_cache());
+                    }
+                    exps.clear();
+                    for (c, &j) in controls_buf.iter().enumerate() {
+                        fill_input(&mut input, t_i, &scaled[j]);
+                        net.forward_into(&input, &mut caches[c]);
+                        // Softplus-style loss: ln(1 + Σ exp(g_j − g_i)).
+                        exps.push((caches[c].output()[0] - g_i).exp());
+                    }
+                    let denom = 1.0 + exps.iter().sum::<f64>();
+                    net.backward_flat(&cache_i, &[-(denom - 1.0) / denom], &mut acc, &mut scratch);
+                    for (c, &e) in exps.iter().enumerate() {
+                        net.backward_flat(&caches[c], &[e / denom], &mut acc, &mut scratch);
+                    }
+                }
                 if batch_events == 0 {
                     continue;
                 }

@@ -171,8 +171,8 @@ pub struct AnalysisConfig {
 impl Default for AnalysisConfig {
     fn default() -> Self {
         let hot = vec![
-            // Cox-Time gradient accumulation (chunk closures are owned by
-            // `fit`, so scanning from it covers the chunk bodies too).
+            // Cox-Time training (scanning from `fit` reaches the minibatch
+            // loop in `train` and the Breslow bucket closure in `finish`).
             HotEntry::tracked("selector/src/coxtime.rs", "fit"),
             // CDF similarity matrix and its integration kernel. The
             // integration kernel is proven allocation-free (PR 2); keep it

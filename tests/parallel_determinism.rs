@@ -8,7 +8,7 @@ use anubis_bench::experiments::{fig9, table3, table6};
 #[test]
 fn rendered_experiment_output_is_identical_across_thread_counts() {
     // table3 drives Cox-Time training + evaluation through an explicit
-    // thread count, exercising the chunk-parallel gradient accumulation.
+    // thread count, which fans out the Breslow baseline buckets.
     let mut cfg = table3::Table3Config::quick();
     cfg.coxtime.threads = 1;
     let table3_seq = table3::run(&cfg).to_string();
