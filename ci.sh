@@ -8,7 +8,7 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> cargo clippy (denied warnings; enforces the clippy.toml determinism bans)"
+echo "==> cargo clippy (denied warnings; enforces the clippy.toml determinism and shared-mutable-type bans)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "==> call-graph analysis (anubis-xtask)"

@@ -58,6 +58,9 @@
     warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
 )]
 
+// The pool is the one sanctioned `Cell`/`RefCell` user: arenas are
+// per-thread (`!Sync`), so the cells never cross a worker boundary.
+#[allow(clippy::disallowed_types)]
 use std::cell::{Cell, RefCell};
 use std::ops::{Deref, DerefMut};
 
@@ -96,6 +99,7 @@ impl Scratch for String {
 /// lets several [`Scope`] guards from the same arena overlap; the type is
 /// deliberately `!Sync` — share arenas per thread, never across threads.
 #[derive(Debug, Default)]
+#[allow(clippy::disallowed_types)] // the sanctioned pool cells
 pub struct Arena<B: Scratch> {
     free: RefCell<Vec<B>>,
     live: Cell<usize>,
@@ -107,6 +111,7 @@ pub struct Arena<B: Scratch> {
 impl<B: Scratch> Arena<B> {
     /// An empty arena; the pool fills as buffers are given back.
     #[must_use]
+    #[allow(clippy::disallowed_types)] // the sanctioned pool cells
     pub fn new() -> Self {
         Self {
             free: RefCell::new(Vec::new()),

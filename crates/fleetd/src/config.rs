@@ -119,6 +119,9 @@ pub enum ConfigError {
     NoShards,
     /// `tick_hours` is not a finite number above zero.
     TickHours(f64),
+    /// `base_mtbi_hours` is not a finite number above zero. Zero or NaN
+    /// would make every node's hazard about 10⁹ incidents per hour.
+    BaseMtbiHours(f64),
     /// `damage_min` is not below `damage_max`, so an incident has no
     /// degradation range to sample from.
     EmptyDamageRange {
@@ -136,6 +139,9 @@ impl fmt::Display for ConfigError {
             ConfigError::NoShards => write!(f, "shards must be at least 1"),
             ConfigError::TickHours(hours) => {
                 write!(f, "tick_hours must be finite and above 0, got {hours}")
+            }
+            ConfigError::BaseMtbiHours(hours) => {
+                write!(f, "base_mtbi_hours must be finite and above 0, got {hours}")
             }
             ConfigError::EmptyDamageRange { min, max } => {
                 write!(f, "damage_min ({min}) must be below damage_max ({max})")
@@ -159,6 +165,9 @@ impl FleetdConfig {
         }
         if !self.tick_hours.is_finite() || self.tick_hours <= 0.0 {
             return Err(ConfigError::TickHours(self.tick_hours));
+        }
+        if !self.base_mtbi_hours.is_finite() || self.base_mtbi_hours <= 0.0 {
+            return Err(ConfigError::BaseMtbiHours(self.base_mtbi_hours));
         }
         // `partial_cmp` rejects a NaN bound along with an empty range.
         if self.damage_min.partial_cmp(&self.damage_max) != Some(Ordering::Less) {
@@ -247,6 +256,31 @@ mod tests {
             ..FleetdConfig::default()
         };
         assert!(matches!(nan.validate(), Err(ConfigError::TickHours(h)) if h.is_nan()));
+    }
+
+    #[test]
+    fn non_positive_or_nan_base_mtbi_is_rejected() {
+        for hours in [0.0, -0.0, -150.0, f64::INFINITY] {
+            let cfg = FleetdConfig {
+                base_mtbi_hours: hours,
+                ..FleetdConfig::default()
+            };
+            assert_eq!(cfg.validate(), Err(ConfigError::BaseMtbiHours(hours)));
+        }
+        let nan = FleetdConfig {
+            base_mtbi_hours: f64::NAN,
+            ..FleetdConfig::default()
+        };
+        assert!(matches!(nan.validate(), Err(ConfigError::BaseMtbiHours(h)) if h.is_nan()));
+        assert_eq!(
+            FleetdConfig {
+                base_mtbi_hours: 0.0,
+                ..FleetdConfig::default()
+            }
+            .validate()
+            .map_err(|e| e.to_string()),
+            Err("base_mtbi_hours must be finite and above 0, got 0".to_owned())
+        );
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //!
 //! - [`machine`] defines [`NodeState`], [`LifecycleEvent`], and the
 //!   **single** [`transition`] function every state change in the
-//!   workspace must route through. The `A005` analysis pass
-//!   (`cargo xtask analyze`) rejects any other crate that constructs or
-//!   mutates a `NodeState` directly.
+//!   workspace must route through. The compiler enforces that:
+//!   `NodeState` is opaque, so no other crate can construct or match a
+//!   state, only obtain one from the machine.
 //! - [`model`] is a small-model abstraction of the Selector/Validator
 //!   coordinator loop plus an exhaustive enumerator
 //!   ([`check_model`]) over bounded event interleavings. It verifies the
@@ -24,8 +24,9 @@
 //!
 //! Outside this crate, code interrogates state through the predicate
 //! methods ([`NodeState::is_healthy`] and friends) and changes it through
-//! [`NodeLifecycle::apply`]; naming a `NodeState` variant anywhere else is
-//! an A005 finding.
+//! [`NodeLifecycle::apply`] or [`LifecycleTable::apply`]; the variants
+//! cannot be named anywhere else, so `NodeState::Suspect` in another
+//! crate does not compile.
 
 #![cfg_attr(
     not(test),

@@ -13,20 +13,26 @@
 //!   threshold cannot be skipped.
 //!
 //! Everything else in the workspace must change node state exclusively
-//! through [`transition`] (usually via the [`NodeLifecycle`] wrapper);
-//! the `A005` analysis pass enforces that no other crate constructs or
-//! mutates a [`NodeState`].
+//! through [`transition`] (usually via the [`NodeLifecycle`] wrapper).
+//! The compiler enforces that: [`NodeState`] is opaque, its variants live
+//! in a crate-private enum, so no other crate can construct or match a
+//! state — it can only obtain one from [`NodeLifecycle`],
+//! [`LifecycleTable`](crate::LifecycleTable) or [`transition`].
 
 use std::error::Error;
 use std::fmt;
 
 /// Operational lifecycle state of one fleet node.
 ///
-/// Outside `anubis-lifecycle`, interrogate the state with the `is_*`
-/// predicates instead of naming variants: any `NodeState::<Variant>`
-/// token in another crate is an A005 finding.
+/// Opaque outside `anubis-lifecycle`: interrogate it with the `is_*`
+/// predicates; the variants cannot be named, so a state cannot be
+/// constructed except by the machine.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct NodeState(pub(crate) State);
+
+/// The variants behind [`NodeState`], private to this crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum NodeState {
+pub(crate) enum State {
     /// In service and idle; no elevated risk known.
     Healthy,
     /// In service, running a customer job.
@@ -43,53 +49,63 @@ pub enum NodeState {
 }
 
 impl NodeState {
+    /// The state every node starts in.
+    pub(crate) const HEALTHY: Self = Self(State::Healthy);
+
     /// Whether the node is `Healthy`.
     pub fn is_healthy(self) -> bool {
-        self == Self::Healthy
+        self.0 == State::Healthy
     }
 
     /// Whether the node is serving a job.
     pub fn is_busy(self) -> bool {
-        self == Self::Busy
+        self.0 == State::Busy
     }
 
     /// Whether the node awaits validation after a threshold crossing.
     pub fn is_suspect(self) -> bool {
-        self == Self::Suspect
+        self.0 == State::Suspect
     }
 
     /// Whether validation benchmarks are running on the node.
     pub fn is_validating(self) -> bool {
-        self == Self::Validating
+        self.0 == State::Validating
     }
 
     /// Whether the node is quarantined as confirmed-defective.
     pub fn is_quarantined(self) -> bool {
-        self == Self::Quarantined
+        self.0 == State::Quarantined
     }
 
     /// Whether the node finished repair but has not returned to service.
     pub fn is_repaired(self) -> bool {
-        self == Self::Repaired
+        self.0 == State::Repaired
     }
 
     /// Whether the node counts toward serving capacity: `Healthy`,
     /// `Busy`, or `Suspect` (a suspect node is still in the fleet — it
     /// only stops taking *new* work).
     pub fn in_service(self) -> bool {
-        matches!(self, Self::Healthy | Self::Busy | Self::Suspect)
+        matches!(self.0, State::Healthy | State::Busy | State::Suspect)
     }
 
     /// Stable lower-case name, for traces and logs.
     pub fn name(self) -> &'static str {
-        match self {
-            Self::Healthy => "healthy",
-            Self::Busy => "busy",
-            Self::Suspect => "suspect",
-            Self::Validating => "validating",
-            Self::Quarantined => "quarantined",
-            Self::Repaired => "repaired",
+        match self.0 {
+            State::Healthy => "healthy",
+            State::Busy => "busy",
+            State::Suspect => "suspect",
+            State::Validating => "validating",
+            State::Quarantined => "quarantined",
+            State::Repaired => "repaired",
         }
+    }
+}
+
+/// Prints the bare variant name (`Healthy`), like a derived enum `Debug`.
+impl fmt::Debug for NodeState {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.0, f)
     }
 }
 
@@ -184,17 +200,18 @@ impl Error for TransitionError {}
 /// # Examples
 ///
 /// ```
-/// use anubis_lifecycle::{transition, LifecycleEvent, NodeState};
+/// use anubis_lifecycle::{transition, LifecycleEvent, NodeLifecycle};
 ///
-/// let s = transition(NodeState::Healthy, LifecycleEvent::RiskCrossed).unwrap();
+/// let healthy = NodeLifecycle::new().state();
+/// let s = transition(healthy, LifecycleEvent::RiskCrossed).unwrap();
 /// assert!(s.is_suspect());
 /// // A suspect node cannot take a job before it was validated.
 /// assert!(transition(s, LifecycleEvent::JobAssigned).is_err());
 /// ```
 pub fn transition(state: NodeState, event: LifecycleEvent) -> Result<NodeState, TransitionError> {
     use LifecycleEvent as E;
-    use NodeState as S;
-    let next = match (state, event) {
+    use State as S;
+    let next = match (state.0, event) {
         // Risk assessment (the Selector).
         (S::Healthy, E::RiskCrossed) => S::Suspect,
         (S::Suspect, E::RiskCrossed) => S::Suspect, // idempotent re-flag
@@ -212,17 +229,17 @@ pub fn transition(state: NodeState, event: LifecycleEvent) -> Result<NodeState, 
         // Repair and return to service.
         (S::Quarantined, E::RepairCompleted) => S::Repaired,
         (S::Repaired, E::ReturnedToService) => S::Healthy,
-        (from, event) => return Err(TransitionError { from, event }),
+        (_, event) => return Err(TransitionError { from: state, event }),
     };
-    Ok(next)
+    Ok(NodeState(next))
 }
 
 /// Tracks one node's lifecycle, routing every change through
 /// [`transition`].
 ///
 /// The inner state is private on purpose: holders cannot bypass the
-/// machine, and the `A005` pass additionally rejects any crate that
-/// constructs a bare [`NodeState`] to sidestep it.
+/// machine, and no other crate can construct a bare [`NodeState`] to
+/// sidestep it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeLifecycle {
     state: NodeState,
@@ -238,7 +255,7 @@ impl NodeLifecycle {
     /// A fresh node, starting `Healthy`.
     pub fn new() -> Self {
         Self {
-            state: NodeState::Healthy,
+            state: NodeState::HEALTHY,
         }
     }
 
@@ -274,16 +291,15 @@ impl NodeLifecycle {
 mod tests {
     use super::*;
     use LifecycleEvent as E;
-    use NodeState as S;
 
-    const ALL_STATES: [NodeState; 6] = [
-        S::Healthy,
-        S::Busy,
-        S::Suspect,
-        S::Validating,
-        S::Quarantined,
-        S::Repaired,
-    ];
+    const HEALTHY: NodeState = NodeState(State::Healthy);
+    const BUSY: NodeState = NodeState(State::Busy);
+    const SUSPECT: NodeState = NodeState(State::Suspect);
+    const VALIDATING: NodeState = NodeState(State::Validating);
+    const QUARANTINED: NodeState = NodeState(State::Quarantined);
+    const REPAIRED: NodeState = NodeState(State::Repaired);
+
+    const ALL_STATES: [NodeState; 6] = [HEALTHY, BUSY, SUSPECT, VALIDATING, QUARANTINED, REPAIRED];
     const ALL_EVENTS: [LifecycleEvent; 10] = [
         E::RiskCrossed,
         E::RiskCleared,
@@ -301,28 +317,28 @@ mod tests {
     fn happy_path_through_the_whole_lifecycle() {
         let mut life = NodeLifecycle::new();
         assert!(life.state().is_healthy());
-        assert_eq!(life.apply(E::RiskCrossed).unwrap(), S::Suspect);
-        assert_eq!(life.apply(E::ValidationStarted).unwrap(), S::Validating);
-        assert_eq!(life.apply(E::DefectConfirmed).unwrap(), S::Quarantined);
-        assert_eq!(life.apply(E::RepairCompleted).unwrap(), S::Repaired);
-        assert_eq!(life.apply(E::ReturnedToService).unwrap(), S::Healthy);
-        assert_eq!(life.apply(E::JobAssigned).unwrap(), S::Busy);
-        assert_eq!(life.apply(E::JobCompleted).unwrap(), S::Healthy);
+        assert_eq!(life.apply(E::RiskCrossed).unwrap(), SUSPECT);
+        assert_eq!(life.apply(E::ValidationStarted).unwrap(), VALIDATING);
+        assert_eq!(life.apply(E::DefectConfirmed).unwrap(), QUARANTINED);
+        assert_eq!(life.apply(E::RepairCompleted).unwrap(), REPAIRED);
+        assert_eq!(life.apply(E::ReturnedToService).unwrap(), HEALTHY);
+        assert_eq!(life.apply(E::JobAssigned).unwrap(), BUSY);
+        assert_eq!(life.apply(E::JobCompleted).unwrap(), HEALTHY);
     }
 
     #[test]
     fn busy_node_never_starts_validation() {
-        assert!(transition(S::Busy, E::ValidationStarted).is_err());
+        assert!(transition(BUSY, E::ValidationStarted).is_err());
     }
 
     #[test]
     fn suspect_node_never_takes_a_job() {
-        assert!(transition(S::Suspect, E::JobAssigned).is_err());
+        assert!(transition(SUSPECT, E::JobAssigned).is_err());
     }
 
     #[test]
     fn validation_requires_a_crossed_threshold() {
-        assert!(transition(S::Healthy, E::ValidationStarted).is_err());
+        assert!(transition(HEALTHY, E::ValidationStarted).is_err());
     }
 
     #[test]
@@ -330,7 +346,7 @@ mod tests {
         let mut life = NodeLifecycle::new();
         life.apply(E::JobAssigned).unwrap();
         let err = life.apply(E::ValidationStarted).unwrap_err();
-        assert_eq!(err.from, S::Busy);
+        assert_eq!(err.from, BUSY);
         assert_eq!(err.event, E::ValidationStarted);
         assert!(life.state().is_busy());
     }
@@ -351,19 +367,19 @@ mod tests {
     #[test]
     fn in_service_matches_states() {
         for &state in &ALL_STATES {
-            let expected = matches!(state, S::Healthy | S::Busy | S::Suspect);
+            let expected = matches!(state.0, State::Healthy | State::Busy | State::Suspect);
             assert_eq!(state.in_service(), expected, "{state}");
         }
     }
 
     #[test]
     fn predicates_and_names_are_consistent() {
-        assert!(S::Healthy.is_healthy());
-        assert!(S::Busy.is_busy());
-        assert!(S::Suspect.is_suspect());
-        assert!(S::Validating.is_validating());
-        assert!(S::Quarantined.is_quarantined());
-        assert!(S::Repaired.is_repaired());
+        assert!(HEALTHY.is_healthy());
+        assert!(BUSY.is_busy());
+        assert!(SUSPECT.is_suspect());
+        assert!(VALIDATING.is_validating());
+        assert!(QUARANTINED.is_quarantined());
+        assert!(REPAIRED.is_repaired());
         let names: Vec<&str> = ALL_STATES.iter().map(|s| s.name()).collect();
         let mut dedup = names.clone();
         dedup.sort_unstable();
@@ -373,9 +389,66 @@ mod tests {
 
     #[test]
     fn error_display_names_state_and_event() {
-        let err = transition(S::Busy, E::ValidationStarted).unwrap_err();
+        let err = transition(BUSY, E::ValidationStarted).unwrap_err();
         let text = err.to_string();
         assert!(text.contains("validation-started"), "{text}");
         assert!(text.contains("busy"), "{text}");
+    }
+
+    // The state-enumerating properties: exhaustive over every state, so
+    // they live here, where the variants can be named.
+
+    /// Discipline property 2 at the machine level: `ValidationStarted`
+    /// succeeds from `Suspect` and from nowhere else — in particular never
+    /// from `Busy` (no validation on a node serving a job).
+    #[test]
+    fn validation_only_starts_on_suspects() {
+        for state in ALL_STATES {
+            let outcome = transition(state, E::ValidationStarted);
+            assert_eq!(outcome.is_ok(), state.is_suspect(), "{state}");
+        }
+    }
+
+    /// Jobs only land on healthy nodes: a crossed threshold (`Suspect`)
+    /// can never be skipped by scheduling work onto the node.
+    #[test]
+    fn jobs_only_land_on_healthy_nodes() {
+        for state in ALL_STATES {
+            let outcome = transition(state, E::JobAssigned);
+            assert_eq!(outcome.is_ok(), state.is_healthy(), "{state}");
+        }
+    }
+
+    /// `in_service` changes under legal transitions only where the
+    /// capacity property expects: only `ValidationStarted` and
+    /// `IncidentObserved` take a node out of service, and only
+    /// `ValidationPassed` and `ReturnedToService` bring one back.
+    #[test]
+    fn service_membership_changes_only_at_known_events() {
+        for state in ALL_STATES {
+            for event in ALL_EVENTS {
+                let Ok(next) = transition(state, event) else {
+                    continue;
+                };
+                if state.in_service() && !next.in_service() {
+                    assert!(
+                        matches!(event, E::ValidationStarted | E::IncidentObserved),
+                        "{state} --{event}--> {next}"
+                    );
+                }
+                if !state.in_service() && next.in_service() {
+                    assert!(
+                        matches!(event, E::ValidationPassed | E::ReturnedToService),
+                        "{state} --{event}--> {next}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn debug_prints_the_bare_variant() {
+        assert_eq!(format!("{HEALTHY:?}"), "Healthy");
+        assert_eq!(format!("{QUARANTINED:?}"), "Quarantined");
     }
 }

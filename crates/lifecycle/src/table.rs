@@ -1,17 +1,17 @@
 //! Bulk per-node lifecycle state tables for fleet-scale coordinators.
 //!
 //! A control plane over 100k+ nodes cannot afford a `BTreeMap<NodeId,
-//! NodeLifecycle>` on its hot loop, and it *must not* hold raw
-//! [`NodeState`]s it mutates by hand — the `A005` pass forbids that
-//! outside this crate. [`LifecycleTable`] is the sanctioned middle
-//! ground: a flat `Vec<NodeState>` indexed by node, where every change
+//! NodeLifecycle>` on its hot loop, and it *cannot* hold raw
+//! [`NodeState`]s it sets by hand — outside this crate the type is
+//! opaque and no state can be constructed. [`LifecycleTable`] is the
+//! sanctioned middle ground: a flat `Vec<NodeState>` indexed by node, where every change
 //! still routes through the one [`transition`] function, per-state
 //! population counts are maintained incrementally (`O(1)` snapshots for
 //! per-tick summaries), and an optional journal records every applied
 //! transition so tests can replay the whole history through
 //! [`transition`] and prove the discipline held.
 
-use crate::machine::{transition, LifecycleEvent, NodeState, TransitionError};
+use crate::machine::{transition, LifecycleEvent, NodeState, State, TransitionError};
 
 /// One applied transition, as recorded by the table's journal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,13 +77,13 @@ pub struct LifecycleTable {
 
 /// Adjusts one state's population count by `delta` (`+1`/`-1`).
 fn bump(counts: &mut StateCounts, state: NodeState, delta: isize) {
-    let slot = match state {
-        NodeState::Healthy => &mut counts.healthy,
-        NodeState::Busy => &mut counts.busy,
-        NodeState::Suspect => &mut counts.suspect,
-        NodeState::Validating => &mut counts.validating,
-        NodeState::Quarantined => &mut counts.quarantined,
-        NodeState::Repaired => &mut counts.repaired,
+    let slot = match state.0 {
+        State::Healthy => &mut counts.healthy,
+        State::Busy => &mut counts.busy,
+        State::Suspect => &mut counts.suspect,
+        State::Validating => &mut counts.validating,
+        State::Quarantined => &mut counts.quarantined,
+        State::Repaired => &mut counts.repaired,
     };
     *slot = slot.wrapping_add_signed(delta);
 }
@@ -92,7 +92,7 @@ impl LifecycleTable {
     /// A table of `nodes` fresh (healthy) nodes with the journal off.
     pub fn new(nodes: usize) -> Self {
         Self {
-            states: vec![NodeState::Healthy; nodes],
+            states: vec![NodeState::HEALTHY; nodes],
             counts: StateCounts {
                 healthy: nodes,
                 ..StateCounts::default()
@@ -141,7 +141,7 @@ impl LifecycleTable {
     ) -> Result<NodeState, TransitionError> {
         let Some(slot) = self.states.get_mut(node) else {
             return Err(TransitionError {
-                from: NodeState::Healthy,
+                from: NodeState::HEALTHY,
                 event,
             });
         };

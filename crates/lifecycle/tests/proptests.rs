@@ -4,22 +4,14 @@
 //! These complement the exhaustive enumerator in `model.rs`: the
 //! enumerator proves the three properties for small bounded models, and
 //! these proptests hammer the same invariants along random walks through
-//! larger configurations.
+//! larger configurations. The properties that enumerate every state live
+//! in `machine.rs`'s unit tests: `NodeState`'s variants cannot be named
+//! outside the crate.
 
 use anubis_lifecycle::{
-    check_model, transition, CoordinatorBugs, LifecycleEvent, ModelConfig, NodeLifecycle,
-    NodeState, Property,
+    check_model, transition, CoordinatorBugs, LifecycleEvent, ModelConfig, NodeLifecycle, Property,
 };
 use proptest::prelude::*;
-
-const ALL_STATES: [NodeState; 6] = [
-    NodeState::Healthy,
-    NodeState::Busy,
-    NodeState::Suspect,
-    NodeState::Validating,
-    NodeState::Quarantined,
-    NodeState::Repaired,
-];
 
 const ALL_EVENTS: [LifecycleEvent; 10] = [
     LifecycleEvent::RiskCrossed,
@@ -62,52 +54,6 @@ proptest! {
                     prop_assert_eq!(err.from, before);
                     prop_assert_eq!(err.event, event);
                 }
-            }
-        }
-    }
-
-    /// Discipline property 2 at the machine level: `ValidationStarted`
-    /// succeeds from `Suspect` and from nowhere else — in particular never
-    /// from `Busy` (no validation on a node serving a job).
-    #[test]
-    fn validation_only_starts_on_suspects(state_index in 0usize..6) {
-        let state = ALL_STATES[state_index];
-        let outcome = transition(state, LifecycleEvent::ValidationStarted);
-        prop_assert_eq!(outcome.is_ok(), state.is_suspect());
-    }
-
-    /// Jobs only land on healthy nodes: a crossed threshold (`Suspect`)
-    /// can never be skipped by scheduling work onto the node.
-    #[test]
-    fn jobs_only_land_on_healthy_nodes(state_index in 0usize..6) {
-        let state = ALL_STATES[state_index];
-        let outcome = transition(state, LifecycleEvent::JobAssigned);
-        prop_assert_eq!(outcome.is_ok(), state.is_healthy());
-    }
-
-    /// `in_service` is invariant under legal transitions in the sense the
-    /// capacity property needs: only `ValidationStarted` and
-    /// `IncidentObserved` take a node out of service, and only
-    /// `ValidationPassed` and `ReturnedToService` bring one back.
-    #[test]
-    fn service_membership_changes_only_at_known_events(
-        state_index in 0usize..6,
-        event_index in 0usize..10,
-    ) {
-        let state = ALL_STATES[state_index];
-        let event = ALL_EVENTS[event_index];
-        if let Ok(next) = transition(state, event) {
-            if state.in_service() && !next.in_service() {
-                prop_assert!(matches!(
-                    event,
-                    LifecycleEvent::ValidationStarted | LifecycleEvent::IncidentObserved
-                ));
-            }
-            if !state.in_service() && next.in_service() {
-                prop_assert!(matches!(
-                    event,
-                    LifecycleEvent::ValidationPassed | LifecycleEvent::ReturnedToService
-                ));
             }
         }
     }

@@ -48,6 +48,9 @@ pub mod wall;
 pub use hist::Histogram;
 pub use trace::{CounterTotal, HistogramSnapshot, Record, RecordKind, Trace};
 
+// The thread-local recorder is the one sanctioned `RefCell`: it is
+// per-thread and only ever enabled on the coordinating thread.
+#[allow(clippy::disallowed_types)]
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
@@ -156,6 +159,7 @@ impl Recorder {
 }
 
 thread_local! {
+    #[allow(clippy::disallowed_types)]
     static RECORDER: RefCell<Recorder> = RefCell::new(Recorder::new());
 }
 

@@ -40,7 +40,7 @@
 //! assert_eq!(squares.len(), 8); // ceil(1000 / 128) chunk results, in chunk order
 //! ```
 
-use std::sync::{Mutex, PoisonError};
+use std::sync::PoisonError;
 use std::thread;
 
 /// Hard cap on worker threads; fleets of simulated nodes parallelize well
@@ -106,8 +106,9 @@ pub fn resolve_threads(threads: usize) -> usize {
 /// behind it on the same worker. Which worker runs a task depends on
 /// timing; the result does not, because every result is tagged with its
 /// task index and assembled in index order.
-// The executor is the one sanctioned `std::thread` user.
-#[allow(clippy::disallowed_methods)]
+// The executor is the one sanctioned `std::thread` user, and its task
+// queue the one sanctioned `Mutex`: the lock orders claims, never results.
+#[allow(clippy::disallowed_methods, clippy::disallowed_types)]
 fn execute<T, R, F>(tasks: Vec<T>, threads: usize, run: F) -> Vec<R>
 where
     T: Send,
@@ -128,7 +129,7 @@ where
             .map(|(i, t)| run(i, t))
             .collect();
     }
-    let queue = Mutex::new(tasks.into_iter().enumerate());
+    let queue = std::sync::Mutex::new(tasks.into_iter().enumerate());
     // The lock guards only the claim, never a task's run, so a panicking
     // task cannot poison it; recovering from poison anyway keeps the
     // other workers draining the queue.
@@ -373,6 +374,8 @@ mod tests {
     }
 
     #[test]
+    // Counting runs per task needs shared counters across workers.
+    #[allow(clippy::disallowed_types)]
     fn skewed_costs_keep_slot_order_and_run_each_task_once() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         const TASKS: usize = 24;

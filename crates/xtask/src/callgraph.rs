@@ -194,9 +194,8 @@ impl Reach {
     }
 }
 
-/// Name-keyed lookup tables for call resolution. `pub(crate)` so the A007
-/// pass can resolve the calls of one closure body in isolation.
-pub(crate) struct NameIndex {
+/// Name-keyed lookup tables for call resolution.
+struct NameIndex {
     /// Method name → indices of fns taking `self` (or any impl fn).
     methods: BTreeMap<String, Vec<usize>>,
     /// Free name → indices of fns not taking `self` and outside impls.
@@ -209,7 +208,7 @@ pub(crate) struct NameIndex {
 }
 
 impl NameIndex {
-    pub(crate) fn build(ws: &Workspace) -> Self {
+    fn build(ws: &Workspace) -> Self {
         let mut methods: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         let mut free: BTreeMap<String, Vec<usize>> = BTreeMap::new();
         let mut qualified: BTreeMap<(String, String), Vec<usize>> = BTreeMap::new();
@@ -264,7 +263,7 @@ impl NameIndex {
         qualifier.strip_prefix("anubis_").map(str::to_owned)
     }
 
-    pub(crate) fn resolve(&self, ws: &Workspace, caller: usize, call: &Call) -> Vec<usize> {
+    fn resolve(&self, ws: &Workspace, caller: usize, call: &Call) -> Vec<usize> {
         match call.kind {
             CallKind::Macro => Vec::new(),
             CallKind::Method => {

@@ -3,11 +3,16 @@
 //! The ANUBIS workspace makes promises that ordinary compilation does not
 //! verify. The line-level ones live in the toolchain: the root
 //! `clippy.toml` bans every ambient nondeterminism source (wall clock,
-//! raw threads, environment reads, hash containers) outside its
-//! sanctioned `#[allow]` sites, and the gated crates' `clippy::unwrap_used`
-//! / `expect_used` / `panic` headers keep fleet-facing library code
-//! panic-free. This crate checks what clippy cannot see — call paths,
-//! allocation reach, closure discipline and lifecycle ownership:
+//! raw threads, environment reads, hash containers) and every
+//! shared-mutable type (`Mutex`, `RwLock`, atomics, `Cell`, `RefCell`)
+//! outside its sanctioned `#[allow]` sites, and the gated crates'
+//! `clippy::unwrap_used` / `expect_used` / `panic` headers keep
+//! fleet-facing library code panic-free. rustc itself enforces executor
+//! closure discipline (every `anubis-parallel` entry takes `Fn + Sync`)
+//! and lifecycle ownership (`NodeState` is opaque outside
+//! `anubis-lifecycle`). This crate checks what the compiler cannot see —
+//! panic reachability along call paths, NaN-unsafe float comparisons and
+//! allocation reach from hot entries:
 //!
 //! ```text
 //! cargo run -p anubis-xtask -- analyze

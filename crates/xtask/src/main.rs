@@ -13,7 +13,7 @@
 //! ```
 //!
 //! `analyze` runs the call-graph passes of [`anubis_xtask::passes`]
-//! (A001–A008) and compares the findings against the committed
+//! (A001, A002, A003 and A008) and compares the findings against the committed
 //! `analysis-baseline.json`: only *regressions* — new finding keys or
 //! grown counts — fail the build. `--write-baseline` regenerates the
 //! baseline after intentional changes; `--json` writes a SARIF-style

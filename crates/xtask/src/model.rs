@@ -694,13 +694,8 @@ fn compute_owned_ranges(fns: &mut [FnItem]) {
     }
 }
 
-/// Extracts call sites from the owned token ranges of one function. Also
-/// used by A007 to extract the calls of a single closure body sub-range.
-pub(crate) fn extract_calls(
-    tokens: &[Token],
-    masked: &MaskedSource,
-    owned: &[Range<usize>],
-) -> Vec<Call> {
+/// Extracts call sites from the owned token ranges of one function.
+fn extract_calls(tokens: &[Token], masked: &MaskedSource, owned: &[Range<usize>]) -> Vec<Call> {
     let mut calls = Vec::new();
     for range in owned {
         for i in range.clone() {

@@ -9,15 +9,18 @@
 //! | A001 | [`a001`] | Which public fleet-facing APIs can transitively panic? |
 //! | A002 | [`a002`] | Where are floats compared or ordered NaN-unsafely? |
 //! | A003 | [`a003`] | What allocates inside the measured hot paths? |
-//! | A005 | [`a005`] | Who constructs or mutates a lifecycle state outside the machine? |
-//! | A007 | [`a007`] | Which `anubis-parallel` closures break the executor's determinism contract? |
 //! | A008 | [`a008`] | Which hot-path allocations are scope-local (arena-able), and do arena-clean functions stay clean? |
 //!
 //! A003/A008 consume the interprocedural allocation summaries of
-//! [`crate::dataflow`]; the others scan per-function or per-closure.
+//! [`crate::dataflow`]; the others scan per-function.
 //!
-//! Codes A004 and A006 are unused: the root `clippy.toml` bans the
-//! nondeterminism sources they traced, so no call chain to one can exist.
+//! The numbering skips the codes between A003 and A008 on purpose: the
+//! toolchain enforces what they checked. The root `clippy.toml` bans the
+//! nondeterminism sources and the shared-mutable types (`Mutex`,
+//! atomics, `Cell`, `RefCell`); rustc rejects a worker closure that
+//! assigns through a capture, since every `anubis-parallel` entry takes
+//! `Fn + Sync`; and `NodeState` is opaque outside `anubis-lifecycle`, so
+//! no other crate can construct a lifecycle state.
 //!
 //! Findings are keyed by *(code, file, function, kind)* — deliberately not
 //! by line — so the committed baseline survives unrelated edits to the
@@ -31,8 +34,6 @@
 pub mod a001;
 pub mod a002;
 pub mod a003;
-pub mod a005;
-pub mod a007;
 pub mod a008;
 
 use crate::callgraph::CallGraph;
@@ -58,7 +59,7 @@ pub const GATED_CRATES: &[&str] = &[
 /// One analysis finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable diagnostic code (`A001`…`A008`).
+    /// Stable diagnostic code (`A001`, `A002`, `A003` or `A008`).
     pub code: &'static str,
     /// Workspace-relative file of the flagged function.
     pub path: String,
@@ -67,7 +68,7 @@ pub struct Finding {
     /// Qualified name of the flagged function (`Type::name` or `name`).
     pub func: String,
     /// Short machine-readable slug for the finding flavor
-    /// (`panic-reach`, `float-eq`, `clone`, `mut-capture`, …).
+    /// (`panic-reach`, `float-eq`, `clone`, `non-arena-alloc`, …).
     pub kind: String,
     /// Human-readable explanation, including the call path where the pass
     /// computes one.
@@ -139,19 +140,6 @@ pub struct AnalysisConfig {
     pub gated_crates: Vec<String>,
     /// Hot entry points for A003.
     pub hot_entries: Vec<HotEntry>,
-    /// Crate directory names that own the node-lifecycle state machine.
-    /// A005 exempts them; everywhere else, constructing or mutating a
-    /// state type is a finding.
-    pub lifecycle_crates: Vec<String>,
-    /// Type names whose variants/values only the lifecycle crates may
-    /// construct or mutate (`NodeState`).
-    pub state_types: Vec<String>,
-    /// Crate directory names owning the deterministic executor
-    /// (`anubis-parallel`). A007 exempts their own internals.
-    pub parallel_crates: Vec<String>,
-    /// Executor entry points taking worker closures; A007 audits the
-    /// closure arguments at each call site.
-    pub parallel_entries: Vec<String>,
     /// Crate directory names implementing the sanctioned arena
     /// (`anubis-arena`). Their internal allocations record no sites —
     /// pooled growth inside the arena is the mechanism, not a hot-path
@@ -215,16 +203,6 @@ impl Default for AnalysisConfig {
         Self {
             gated_crates: GATED_CRATES.iter().map(|c| (*c).to_owned()).collect(),
             hot_entries: hot,
-            lifecycle_crates: vec!["lifecycle".to_owned()],
-            state_types: vec!["NodeState".to_owned()],
-            parallel_crates: vec!["parallel".to_owned()],
-            parallel_entries: vec![
-                "map_chunks".to_owned(),
-                "map_chunks_mut".to_owned(),
-                "map_items".to_owned(),
-                "map_indexed".to_owned(),
-                "reduce_chunks".to_owned(),
-            ],
             arena_crates: vec!["arena".to_owned()],
             // The converted zero-alloc hot loops (PR 9): per-call scratch
             // comes from `anubis-arena` pools or caller-provided buffers;
@@ -250,17 +228,13 @@ impl AnalysisConfig {
         Self {
             gated_crates: Vec::new(),
             hot_entries: Vec::new(),
-            lifecycle_crates: Vec::new(),
-            state_types: Vec::new(),
-            parallel_crates: Vec::new(),
-            parallel_entries: Vec::new(),
             arena_crates: Vec::new(),
             arena_clean_entries: Vec::new(),
         }
     }
 }
 
-/// Runs all six passes and returns findings sorted by (code, path, line,
+/// Runs all four passes and returns findings sorted by (code, path, line,
 /// kind, func) — a deterministic order suitable for diffing. The call
 /// graph and the interprocedural summaries are computed once and shared
 /// by every summary-consuming pass.
@@ -270,8 +244,6 @@ pub fn run_analysis(ws: &Workspace, config: &AnalysisConfig) -> Vec<Finding> {
     let mut findings = a001::run(ws, &graph, config);
     findings.extend(a002::run(ws));
     findings.extend(a003::run(ws, &graph, &summaries, config));
-    findings.extend(a005::run(ws, &graph, config));
-    findings.extend(a007::run(ws, config));
     findings.extend(a008::run(ws, &graph, &summaries, config));
     findings.sort_by(|a, b| {
         (a.code, &a.path, a.line, &a.kind, &a.func)

@@ -199,14 +199,6 @@ const RULES: &[(&str, &str)] = &[
     ("A002", "NaN-unsafe float comparison or ordering"),
     ("A003", "Allocation reachable from a hot entry point"),
     (
-        "A005",
-        "Lifecycle state constructed or mutated outside the transition function",
-    ),
-    (
-        "A007",
-        "Parallel worker closure breaks the executor's determinism contract",
-    ),
-    (
         "A008",
         "Direct allocation in an arena-clean function bypasses anubis-arena",
     ),
@@ -377,14 +369,14 @@ mod tests {
         let make = |pairs: &[(&str, usize)]| Baseline {
             findings: pairs.iter().map(|(k, c)| ((*k).to_owned(), *c)).collect(),
         };
-        let old = make(&[("A005 f.rs g construct", 1), ("A001 f.rs h panic-reach", 3)]);
+        let old = make(&[("A003 f.rs g clone", 1), ("A001 f.rs h panic-reach", 3)]);
         let new = make(&[("A001 f.rs h panic-reach", 2), ("A002 f.rs i float-eq", 1)]);
         let lines = refresh_summary(&old, &new);
         assert_eq!(
             lines,
             vec![
                 "analyze: baseline ~ `A001 f.rs h panic-reach` (3 -> 2)".to_owned(),
-                "analyze: baseline - `A005 f.rs g construct` (fixed, was 1)".to_owned(),
+                "analyze: baseline - `A003 f.rs g clone` (fixed, was 1)".to_owned(),
                 "analyze: baseline + `A002 f.rs i float-eq` (new, now 1)".to_owned(),
             ]
         );
@@ -477,7 +469,7 @@ mod tests {
     fn sarif_driver_lists_rule_metadata_for_every_code() {
         let sarif = to_sarif(&[], &Baseline::default());
         assert!(sarif.contains("\"name\": \"anubis-xtask-analyze\""));
-        for code in ["A001", "A002", "A003", "A005", "A007", "A008"] {
+        for code in ["A001", "A002", "A003", "A008"] {
             assert!(
                 sarif.contains(&format!("{{\"id\": \"{code}\", \"shortDescription\"")),
                 "rule {code} missing from driver metadata"

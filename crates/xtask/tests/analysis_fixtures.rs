@@ -72,38 +72,6 @@ fn a003_fixture_reports_hot_path_allocation_with_call_path() {
 }
 
 #[test]
-fn a005_fixture_reports_out_of_band_state_construction() {
-    let findings = analyze_fixture("a005");
-    assert_eq!(findings.len(), 1, "findings: {findings:#?}");
-    let f = &findings[0];
-    assert_eq!(f.code, "A005");
-    assert_eq!(f.path, "crates/cluster/src/lib.rs");
-    assert_eq!(f.func, "mark_suspect");
-    assert_eq!(f.kind, "construct");
-    assert!(
-        f.message.contains("allocate -> mark_suspect"),
-        "call path from public entry missing: {}",
-        f.message
-    );
-}
-
-#[test]
-fn a007_fixture_reports_mut_capture_in_parallel_closure() {
-    let findings = analyze_fixture("a007");
-    assert_eq!(findings.len(), 1, "findings: {findings:#?}");
-    let f = &findings[0];
-    assert_eq!(f.code, "A007");
-    assert_eq!(f.path, "crates/traces/src/lib.rs");
-    assert_eq!(f.func, "total_len");
-    assert_eq!(f.kind, "mut-capture");
-    assert!(
-        f.message.contains("captured `total`"),
-        "captured variable missing: {}",
-        f.message
-    );
-}
-
-#[test]
 fn a008_fixture_reports_direct_allocation_in_arena_clean_fn() {
     let findings = analyze_fixture("a008");
     assert_eq!(findings.len(), 1, "findings: {findings:#?}");

@@ -11,3 +11,4 @@ pub mod determinism;
 pub mod docs;
 pub mod leaks;
 pub mod panics;
+pub mod shared;
