@@ -14,9 +14,6 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> call-graph analysis (anubis-xtask)"
 cargo run -p anubis-xtask --offline -- analyze --json target/analysis.sarif.json
 
-echo "==> lifecycle model checker (anubis-xtask)"
-cargo run -p anubis-xtask --offline -- modelcheck --out target/modelcheck-trace.txt
-
 echo "==> perf-regression gate (quick smoke benches vs BENCH_2.json)"
 # No `rm` of the results file here: `perfgate` rotates the consumed JSONL
 # aside itself after every gate run, so stale measurements cannot leak

@@ -131,9 +131,8 @@ struct SimNode {
 }
 
 /// Applies a lifecycle event to a node. The simulator's event sequences
-/// are legal by construction — `cargo xtask modelcheck` verifies the same
-/// discipline exhaustively on the abstract coordinator model — so an
-/// illegal transition here is a simulator bug, asserted in debug builds.
+/// are legal by construction, so an illegal transition here is a
+/// simulator bug, asserted in debug builds.
 fn drive(node: &mut SimNode, event: LifecycleEvent) {
     let applied = node.life.apply(event);
     debug_assert!(applied.is_ok(), "sim lifecycle violation: {applied:?}");

@@ -1,7 +1,6 @@
 //! Configuration of the fleetd control plane.
 
 use anubis_traces::{AllocationConfig, IncidentStreamConfig};
-use std::cmp::Ordering;
 use std::fmt;
 
 /// All knobs of a fleetd run. Every field is deterministic input: two
@@ -66,7 +65,8 @@ pub struct FleetdConfig {
     /// of the merged fleet distribution confirms a defect.
     pub defect_quantile: f64,
     /// Fleet samples required before criteria are applied (build-out
-    /// phase passes everything).
+    /// phase passes everything). `0` counts as 1: a quantile needs a
+    /// sample.
     pub min_criteria_samples: usize,
 
     /// Ticks a quarantined node spends in repair.
@@ -109,19 +109,26 @@ impl Default for FleetdConfig {
     }
 }
 
-/// A [`FleetdConfig`] the service cannot run, one variant per rule
-/// [`FleetdConfig::validate`] checks.
+/// A [`FleetdConfig`] the service cannot run, one variant per kind of
+/// rule [`FleetdConfig::validate`] checks.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConfigError {
     /// `nodes` is zero.
     NoNodes,
     /// `shards` is zero.
     NoShards,
-    /// `tick_hours` is not a finite number above zero.
-    TickHours(f64),
-    /// `base_mtbi_hours` is not a finite number above zero. Zero or NaN
-    /// would make every node's hazard about 10⁹ incidents per hour.
-    BaseMtbiHours(f64),
+    /// A float knob is outside its domain (NaN is outside every
+    /// domain). A zero or NaN `base_mtbi_hours`, for instance, would make
+    /// every node's hazard about 10⁹ incidents per hour, and a non-finite
+    /// `base_score` would put a non-number in the criteria sketch.
+    OutOfDomain {
+        /// The field, named as in [`FleetdConfig`].
+        field: &'static str,
+        /// The configured value.
+        value: f64,
+        /// The domain it must lie in, e.g. `"finite and above 0"`.
+        domain: &'static str,
+    },
     /// `damage_min` is not below `damage_max`, so an incident has no
     /// degradation range to sample from.
     EmptyDamageRange {
@@ -137,12 +144,11 @@ impl fmt::Display for ConfigError {
         match self {
             ConfigError::NoNodes => write!(f, "nodes must be at least 1"),
             ConfigError::NoShards => write!(f, "shards must be at least 1"),
-            ConfigError::TickHours(hours) => {
-                write!(f, "tick_hours must be finite and above 0, got {hours}")
-            }
-            ConfigError::BaseMtbiHours(hours) => {
-                write!(f, "base_mtbi_hours must be finite and above 0, got {hours}")
-            }
+            ConfigError::OutOfDomain {
+                field,
+                value,
+                domain,
+            } => write!(f, "{field} must be {domain}, got {value}"),
             ConfigError::EmptyDamageRange { min, max } => {
                 write!(f, "damage_min ({min}) must be below damage_max ({max})")
             }
@@ -151,6 +157,51 @@ impl fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
+
+/// `Ok` when `holds`, else [`ConfigError::OutOfDomain`].
+fn in_domain(
+    field: &'static str,
+    value: f64,
+    holds: bool,
+    domain: &'static str,
+) -> Result<(), ConfigError> {
+    if holds {
+        Ok(())
+    } else {
+        Err(ConfigError::OutOfDomain {
+            field,
+            value,
+            domain,
+        })
+    }
+}
+
+fn positive(field: &'static str, value: f64) -> Result<(), ConfigError> {
+    in_domain(
+        field,
+        value,
+        value.is_finite() && value > 0.0,
+        "finite and above 0",
+    )
+}
+
+fn non_negative(field: &'static str, value: f64) -> Result<(), ConfigError> {
+    in_domain(
+        field,
+        value,
+        value.is_finite() && value >= 0.0,
+        "finite and at least 0",
+    )
+}
+
+fn fraction(field: &'static str, value: f64) -> Result<(), ConfigError> {
+    in_domain(
+        field,
+        value,
+        (0.0..=1.0).contains(&value),
+        "between 0 and 1",
+    )
+}
 
 impl FleetdConfig {
     /// Checks the rules a runnable config must meet. [`crate::Coordinator::new`]
@@ -163,14 +214,16 @@ impl FleetdConfig {
         if self.shards == 0 {
             return Err(ConfigError::NoShards);
         }
-        if !self.tick_hours.is_finite() || self.tick_hours <= 0.0 {
-            return Err(ConfigError::TickHours(self.tick_hours));
-        }
-        if !self.base_mtbi_hours.is_finite() || self.base_mtbi_hours <= 0.0 {
-            return Err(ConfigError::BaseMtbiHours(self.base_mtbi_hours));
-        }
-        // `partial_cmp` rejects a NaN bound along with an empty range.
-        if self.damage_min.partial_cmp(&self.damage_max) != Some(Ordering::Less) {
+        positive("tick_hours", self.tick_hours)?;
+        positive("base_mtbi_hours", self.base_mtbi_hours)?;
+        positive("wear_factor", self.wear_factor)?;
+        non_negative("frailty_sigma", self.frailty_sigma)?;
+        positive("base_score", self.base_score)?;
+        non_negative("measurement_sigma", self.measurement_sigma)?;
+        fraction("damage_min", self.damage_min)?;
+        fraction("damage_max", self.damage_max)?;
+        non_negative("target_utilization", self.target_utilization)?;
+        if self.damage_min >= self.damage_max {
             return Err(ConfigError::EmptyDamageRange {
                 min: self.damage_min,
                 max: self.damage_max,
@@ -242,36 +295,51 @@ mod tests {
         assert_eq!(cfg.validate(), Err(ConfigError::NoShards));
     }
 
+    /// Asserts that `cfg` is rejected with exactly
+    /// `OutOfDomain { field, value, domain }`. A NaN `value` is matched
+    /// with `is_nan`, since NaN never equals itself.
+    fn assert_out_of_domain(cfg: &FleetdConfig, field: &str, value: f64, domain: &str) {
+        let got = cfg.validate();
+        let exact = match got {
+            Err(ConfigError::OutOfDomain {
+                field: f,
+                value: v,
+                domain: d,
+            }) => f == field && d == domain && (v == value || v.is_nan() && value.is_nan()),
+            _ => false,
+        };
+        assert!(exact, "{field} = {value}: {got:?}");
+    }
+
     #[test]
     fn non_positive_or_non_finite_tick_hours_is_rejected() {
-        for hours in [0.0, -1.0, f64::INFINITY] {
+        for hours in [0.0, -1.0, f64::INFINITY, f64::NAN] {
             let cfg = FleetdConfig {
                 tick_hours: hours,
                 ..FleetdConfig::default()
             };
-            assert_eq!(cfg.validate(), Err(ConfigError::TickHours(hours)));
+            assert_out_of_domain(&cfg, "tick_hours", hours, "finite and above 0");
         }
-        let nan = FleetdConfig {
-            tick_hours: f64::NAN,
-            ..FleetdConfig::default()
-        };
-        assert!(matches!(nan.validate(), Err(ConfigError::TickHours(h)) if h.is_nan()));
+        assert_eq!(
+            FleetdConfig {
+                tick_hours: -1.0,
+                ..FleetdConfig::default()
+            }
+            .validate()
+            .map_err(|e| e.to_string()),
+            Err("tick_hours must be finite and above 0, got -1".to_owned())
+        );
     }
 
     #[test]
     fn non_positive_or_nan_base_mtbi_is_rejected() {
-        for hours in [0.0, -0.0, -150.0, f64::INFINITY] {
+        for hours in [0.0, -0.0, -150.0, f64::INFINITY, f64::NAN] {
             let cfg = FleetdConfig {
                 base_mtbi_hours: hours,
                 ..FleetdConfig::default()
             };
-            assert_eq!(cfg.validate(), Err(ConfigError::BaseMtbiHours(hours)));
+            assert_out_of_domain(&cfg, "base_mtbi_hours", hours, "finite and above 0");
         }
-        let nan = FleetdConfig {
-            base_mtbi_hours: f64::NAN,
-            ..FleetdConfig::default()
-        };
-        assert!(matches!(nan.validate(), Err(ConfigError::BaseMtbiHours(h)) if h.is_nan()));
         assert_eq!(
             FleetdConfig {
                 base_mtbi_hours: 0.0,
@@ -281,6 +349,74 @@ mod tests {
             .map_err(|e| e.to_string()),
             Err("base_mtbi_hours must be finite and above 0, got 0".to_owned())
         );
+    }
+
+    #[test]
+    fn float_knobs_outside_their_domain_are_rejected() {
+        type Set = fn(&mut FleetdConfig, f64);
+        const POSITIVE: &str = "finite and above 0";
+        const NON_NEGATIVE: &str = "finite and at least 0";
+        const FRACTION: &str = "between 0 and 1";
+        let cases: [(&str, &str, Set, &[f64]); 7] = [
+            (
+                "wear_factor",
+                POSITIVE,
+                |c, v| c.wear_factor = v,
+                &[0.0, -1.3, f64::INFINITY],
+            ),
+            (
+                "frailty_sigma",
+                NON_NEGATIVE,
+                |c, v| c.frailty_sigma = v,
+                &[-0.8, f64::NAN],
+            ),
+            (
+                "base_score",
+                POSITIVE,
+                |c, v| c.base_score = v,
+                &[0.0, f64::NEG_INFINITY],
+            ),
+            (
+                "measurement_sigma",
+                NON_NEGATIVE,
+                |c, v| c.measurement_sigma = v,
+                &[-0.1, f64::INFINITY],
+            ),
+            (
+                "damage_min",
+                FRACTION,
+                |c, v| c.damage_min = v,
+                &[-0.1, f64::NEG_INFINITY],
+            ),
+            (
+                "damage_max",
+                FRACTION,
+                |c, v| c.damage_max = v,
+                &[1.5, f64::NAN],
+            ),
+            (
+                "target_utilization",
+                NON_NEGATIVE,
+                |c, v| c.target_utilization = v,
+                &[-0.9, f64::INFINITY],
+            ),
+        ];
+        for (field, domain, set, values) in cases {
+            for &value in values {
+                let mut cfg = FleetdConfig::default();
+                set(&mut cfg, value);
+                assert_out_of_domain(&cfg, field, value, domain);
+            }
+        }
+        // Zero spread, zero noise and zero utilization are legal:
+        // identical nodes, exact benchmarks, no jobs.
+        let zero = FleetdConfig {
+            frailty_sigma: 0.0,
+            measurement_sigma: 0.0,
+            target_utilization: 0.0,
+            ..FleetdConfig::default()
+        };
+        assert_eq!(zero.validate(), Ok(()));
     }
 
     #[test]

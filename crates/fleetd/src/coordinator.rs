@@ -24,6 +24,13 @@
 //! Because shard ranges are contiguous and ascending, "shard order" in
 //! step 5 equals global node order — which is why the service's output is
 //! byte-identical for any shard count and any `ANUBIS_THREADS`.
+//!
+//! `step` polls the arrival stream, runs phases 1–3 in `begin_tick`, runs
+//! the shard phase, hands each proposal to `apply_proposal`, and finishes
+//! with phases 6–7 in `end_tick`. The test-only model checker
+//! (`coordinator/modelcheck.rs`) calls the same three methods and
+//! replaces the poll and the shard phase with every stimulus they could
+//! produce on small fleets.
 
 use crate::config::FleetdConfig;
 use crate::shard::{ShardWorker, TickContext};
@@ -37,18 +44,9 @@ use std::fmt::Write as _;
 /// Sentinel for "node serves no job" in the node→job map.
 const NO_JOB: u32 = u32::MAX;
 
-/// An active (or finished) customer job.
-#[derive(Debug, Clone)]
-struct Job {
-    /// Nodes the job occupies, ascending.
-    nodes: Vec<u32>,
-    /// Cleared when the job completes or is killed by a quarantine.
-    alive: bool,
-}
-
 /// One tick's observable outcome, in both the live summary and the JSONL
 /// trace. All fields are deterministic functions of the config.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TickSummary {
     /// Tick index.
     pub tick: u32,
@@ -217,7 +215,10 @@ pub struct Coordinator {
     shards: Vec<ShardWorker>,
     alloc: AllocationStream,
     pending: VecDeque<JobArrival>,
-    jobs: Vec<Job>,
+    /// Each job's member nodes, ascending, indexed by job id. A job is
+    /// live while its list is non-empty: completing or killing it takes
+    /// (and frees) the list.
+    jobs: Vec<Vec<u32>>,
     job_of: Vec<u32>,
     due: BTreeMap<u32, Vec<u32>>,
     repair_queue: VecDeque<(u32, u32)>,
@@ -298,18 +299,61 @@ impl Coordinator {
     }
 
     /// Executes one tick and returns its summary.
-    #[allow(clippy::too_many_lines)]
     pub fn step(&mut self) -> TickSummary {
-        let tick = self.tick;
-        let t0 = f64::from(tick) * self.cfg.tick_hours;
-        let t1 = f64::from(tick + 1) * self.cfg.tick_hours;
+        let t0 = f64::from(self.tick) * self.cfg.tick_hours;
+        let t1 = f64::from(self.tick + 1) * self.cfg.tick_hours;
         anubis_obs::set_time(t0);
         let _span = anubis_obs::span!("fleetd.tick");
+        self.alloc.poll(t1, &mut self.arrivals);
+        let mut summary = self.begin_tick();
+
+        // 4. The parallel shard phase (the only one). The snapshot the
+        // shards see includes this tick's placements and repairs.
+        let ctx = TickContext {
+            tick: summary.tick,
+            t0,
+            t1,
+            horizon_hours: self.cfg.horizon_hours,
+            risk_threshold: self.cfg.risk_threshold,
+            criteria_threshold: self.criteria_threshold,
+            cooldown_ticks: self.cfg.cooldown_ticks,
+        };
+        let states = self.table.states();
+        let repaired = self.repaired_now.as_slice();
+        map_chunks_mut(&mut self.shards, 1, self.cfg.threads, |_, chunk| {
+            for shard in chunk {
+                shard.tick(&ctx, states, repaired);
+            }
+        });
+
+        // 5. Apply proposals in fixed shard order (= global node order).
+        for shard_id in 0..self.shards.len() {
+            let report = self.shards[shard_id].report();
+            summary.incidents += report.incidents;
+            summary.samples += report.samples;
+            summary.proposals += report.proposals.len();
+            for i in 0..report.proposals.len() {
+                let (node, event) = self.shards[shard_id].report().proposals[i];
+                self.apply_proposal(&mut summary, node, event);
+            }
+        }
+        self.end_tick(summary)
+    }
+
+    /// Phases 1–3 of a tick: finish due repairs, complete due jobs, then
+    /// queue `self.arrivals` (drained) and place the pending queue.
+    /// Returns the tick's summary with those phases' counts filled in.
+    fn begin_tick(&mut self) -> TickSummary {
+        let tick = self.tick;
+        let mut summary = TickSummary {
+            tick,
+            hour: f64::from(tick + 1) * self.cfg.tick_hours,
+            ..TickSummary::default()
+        };
 
         // 1. Repairs that came due: Quarantined -> Repaired -> Healthy,
         // and tell the shards to rejuvenate the hardware.
         self.repaired_now.clear();
-        let mut repairs_completed = 0usize;
         while let Some(&(ready, node)) = self.repair_queue.front() {
             if ready > tick {
                 break;
@@ -323,39 +367,32 @@ impl Coordinator {
                     .apply_if_legal(node as usize, LifecycleEvent::ReturnedToService)
             {
                 self.repaired_now.push(node);
-                repairs_completed += 1;
+                summary.repairs_completed += 1;
             }
         }
         self.repaired_now.sort_unstable();
 
-        // 2. Jobs whose duration elapsed.
-        let mut jobs_completed = 0usize;
-        if let Some(due_jobs) = self.due.remove(&tick) {
-            for job_id in due_jobs {
-                let job = &mut self.jobs[job_id as usize];
-                if !job.alive {
-                    continue;
-                }
-                job.alive = false;
-                jobs_completed += 1;
-                for i in 0..self.jobs[job_id as usize].nodes.len() {
-                    let node = self.jobs[job_id as usize].nodes[i];
-                    if self.job_of[node as usize] == job_id {
-                        self.table
-                            .apply_if_legal(node as usize, LifecycleEvent::JobCompleted);
-                        self.job_of[node as usize] = NO_JOB;
-                    }
+        // 2. Jobs whose duration elapsed. A killed job's list is already
+        // empty.
+        for job_id in self.due.remove(&tick).unwrap_or_default() {
+            let members = self.take_members(job_id);
+            if members.is_empty() {
+                continue;
+            }
+            summary.jobs_completed += 1;
+            for node in members {
+                if self.job_of[node as usize] == job_id {
+                    self.table
+                        .apply_if_legal(node as usize, LifecycleEvent::JobCompleted);
+                    self.job_of[node as usize] = NO_JOB;
                 }
             }
         }
 
         // 3. Arrivals and FIFO placement onto healthy nodes.
-        self.arrivals.clear();
-        self.alloc.poll(t1, &mut self.arrivals);
-        let mut jobs_dropped = 0usize;
         for arrival in self.arrivals.drain(..) {
             if self.pending.len() >= self.cfg.max_pending_jobs {
-                jobs_dropped += 1;
+                summary.jobs_dropped += 1;
             } else {
                 self.pending.push_back(arrival);
             }
@@ -366,7 +403,6 @@ impl Coordinator {
                 self.free.push(node as u32);
             }
         }
-        let mut jobs_started = 0usize;
         let mut next_free = 0usize;
         while let Some(front) = self.pending.front() {
             let want = front.nodes as usize;
@@ -388,10 +424,7 @@ impl Coordinator {
                     .apply_if_legal(node as usize, LifecycleEvent::JobAssigned);
                 self.job_of[node as usize] = job_id;
             }
-            self.jobs.push(Job {
-                nodes: members.to_vec(),
-                alive: true,
-            });
+            self.jobs.push(members.to_vec());
             let duration_ticks =
                 ((arrival.duration_hours / self.cfg.tick_hours).ceil() as u32).max(1);
             self.due
@@ -399,151 +432,109 @@ impl Coordinator {
                 .or_default()
                 .push(job_id);
             next_free += want;
-            jobs_started += 1;
+            summary.jobs_started += 1;
         }
+        summary
+    }
 
-        // 4. The parallel shard phase (the only one). The snapshot the
-        // shards see includes this tick's placements and repairs.
-        let ctx = TickContext {
-            tick,
-            t0,
-            t1,
-            horizon_hours: self.cfg.horizon_hours,
-            risk_threshold: self.cfg.risk_threshold,
-            criteria_threshold: self.criteria_threshold,
-            cooldown_ticks: self.cfg.cooldown_ticks,
-        };
-        let states = self.table.states();
-        let repaired = self.repaired_now.as_slice();
-        map_chunks_mut(&mut self.shards, 1, self.cfg.threads, |_, chunk| {
-            for shard in chunk {
-                shard.tick(&ctx, states, repaired);
-            }
-        });
-
-        // 5. Apply proposals in fixed shard order (= global node order).
-        let mut incidents = 0usize;
-        let mut samples = 0usize;
-        let mut proposals = 0usize;
-        let mut defects_confirmed = 0usize;
-        let mut incident_quarantines = 0usize;
-        let mut jobs_killed = 0usize;
-        for shard_id in 0..self.shards.len() {
-            let report = self.shards[shard_id].report();
-            incidents += report.incidents;
-            samples += report.samples;
-            proposals += report.proposals.len();
-            for i in 0..self.shards[shard_id].report().proposals.len() {
-                let (node, event) = self.shards[shard_id].report().proposals[i];
-                if !self.table.apply_if_legal(node as usize, event) {
-                    continue;
-                }
-                match event {
-                    LifecycleEvent::IncidentObserved => {
-                        incident_quarantines += 1;
-                        if self.kill_job_of(node) {
-                            jobs_killed += 1;
-                        }
-                        self.repair_queue
-                            .push_back((tick + self.cfg.repair_ticks, node));
-                    }
-                    LifecycleEvent::DefectConfirmed => {
-                        defects_confirmed += 1;
-                        self.repair_queue
-                            .push_back((tick + self.cfg.repair_ticks, node));
-                    }
-                    _ => {}
+    /// Phase 5 for one shard proposal: applies `event` to `node` when it
+    /// is legal, and turns a quarantine into a killed job and a queued
+    /// repair.
+    fn apply_proposal(&mut self, summary: &mut TickSummary, node: u32, event: LifecycleEvent) {
+        if !self.table.apply_if_legal(node as usize, event) {
+            return;
+        }
+        match event {
+            LifecycleEvent::IncidentObserved => {
+                summary.incident_quarantines += 1;
+                if self.kill_job_of(node) {
+                    summary.jobs_killed += 1;
                 }
             }
+            LifecycleEvent::DefectConfirmed => summary.defects_confirmed += 1,
+            _ => return,
         }
+        self.repair_queue
+            .push_back((self.tick + self.cfg.repair_ticks, node));
+    }
 
+    /// Phases 6–7 of a tick: start validations, refresh the criteria,
+    /// and fold the finished `summary` into the run totals.
+    fn end_tick(&mut self, mut summary: TickSummary) -> TickSummary {
         // 6. Start validations on suspects, ascending, up to the budget.
         // `ValidationStarted` is only legal from suspect, so attempting
         // it *is* the suspect check.
         let cap = self.cfg.validation_cap();
-        let mut validations_started = 0u32;
         for node in 0..self.cfg.nodes {
-            if validations_started >= cap {
+            if summary.validations_started >= cap {
                 break;
             }
             if self
                 .table
                 .apply_if_legal(node as usize, LifecycleEvent::ValidationStarted)
             {
-                validations_started += 1;
+                summary.validations_started += 1;
             }
         }
 
         // 7. Periodic criteria refresh from the merged fleet sketch.
-        if (tick + 1).is_multiple_of(self.cfg.merge_every_ticks.max(1)) {
+        if (self.tick + 1).is_multiple_of(self.cfg.merge_every_ticks.max(1)) {
             let _merge = anubis_obs::span!("fleetd.merge");
             let merged = EcdfSketch::merged(self.shards.iter().map(ShardWorker::sketch));
-            if merged.len() >= self.cfg.min_criteria_samples {
+            if merged.len() >= self.cfg.min_criteria_samples.max(1) {
                 self.criteria_threshold = Some(merged.quantile(self.cfg.defect_quantile));
             }
         }
 
-        let counts = self.table.counts();
-        anubis_obs::set_time(t1); // the open tick span covers [t0, t1]
-        anubis_obs::counter!("fleetd.incidents", incidents as i64);
-        anubis_obs::counter!("fleetd.samples", samples as i64);
-        anubis_obs::counter!("fleetd.validations", i64::from(validations_started));
+        summary.counts = self.table.counts();
+        summary.pending_jobs = self.pending.len();
+        summary.criteria_threshold = self.criteria_threshold;
+        anubis_obs::set_time(summary.hour); // the open tick span covers [t0, t1]
+        anubis_obs::counter!("fleetd.incidents", summary.incidents as i64);
+        anubis_obs::counter!("fleetd.samples", summary.samples as i64);
+        anubis_obs::counter!("fleetd.validations", i64::from(summary.validations_started));
         anubis_obs::counter!(
             "fleetd.quarantines",
-            (defects_confirmed + incident_quarantines) as i64
+            (summary.defects_confirmed + summary.incident_quarantines) as i64
         );
 
         self.tick += 1;
-        self.totals.ticks = self.tick;
-        self.totals.incidents += incidents as u64;
-        self.totals.samples += samples as u64;
-        self.totals.validations += u64::from(validations_started);
-        self.totals.defects_confirmed += defects_confirmed as u64;
-        self.totals.incident_quarantines += incident_quarantines as u64;
-        self.totals.repairs += repairs_completed as u64;
-        self.totals.jobs_started += jobs_started as u64;
-        self.totals.jobs_completed += jobs_completed as u64;
-        self.totals.jobs_killed += jobs_killed as u64;
-        self.totals.jobs_dropped += jobs_dropped as u64;
-        self.totals.final_counts = counts;
-        self.totals.criteria_threshold = self.criteria_threshold;
+        let totals = &mut self.totals;
+        totals.ticks = self.tick;
+        totals.incidents += summary.incidents as u64;
+        totals.samples += summary.samples as u64;
+        totals.validations += u64::from(summary.validations_started);
+        totals.defects_confirmed += summary.defects_confirmed as u64;
+        totals.incident_quarantines += summary.incident_quarantines as u64;
+        totals.repairs += summary.repairs_completed as u64;
+        totals.jobs_started += summary.jobs_started as u64;
+        totals.jobs_completed += summary.jobs_completed as u64;
+        totals.jobs_killed += summary.jobs_killed as u64;
+        totals.jobs_dropped += summary.jobs_dropped as u64;
+        totals.final_counts = summary.counts;
+        totals.criteria_threshold = self.criteria_threshold;
+        summary
+    }
 
-        TickSummary {
-            tick,
-            hour: t1,
-            incidents,
-            samples,
-            proposals,
-            validations_started,
-            defects_confirmed,
-            incident_quarantines,
-            repairs_completed,
-            jobs_started,
-            jobs_completed,
-            jobs_killed,
-            jobs_dropped,
-            pending_jobs: self.pending.len(),
-            counts,
-            criteria_threshold: self.criteria_threshold,
-        }
+    /// Takes job `job_id`'s member list, leaving it empty (the job is no
+    /// longer live). Empty for a dead job or [`NO_JOB`].
+    fn take_members(&mut self, job_id: u32) -> Vec<u32> {
+        self.jobs
+            .get_mut(job_id as usize)
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 
     /// Kills the job occupying `node` (the node itself was just
     /// quarantined): surviving members return to healthy, the job's due
     /// entry is left to lapse. Returns whether a live job was killed.
     fn kill_job_of(&mut self, node: u32) -> bool {
-        let job_id = self.job_of[node as usize];
-        self.job_of[node as usize] = NO_JOB;
-        if job_id == NO_JOB {
+        let job_id = std::mem::replace(&mut self.job_of[node as usize], NO_JOB);
+        let members = self.take_members(job_id);
+        if members.is_empty() {
             return false;
         }
-        let job = &mut self.jobs[job_id as usize];
-        if !job.alive {
-            return false;
-        }
-        job.alive = false;
-        for i in 0..self.jobs[job_id as usize].nodes.len() {
-            let member = self.jobs[job_id as usize].nodes[i];
+        for member in members {
             if member != node && self.job_of[member as usize] == job_id {
                 self.table
                     .apply_if_legal(member as usize, LifecycleEvent::JobCompleted);
@@ -568,6 +559,9 @@ impl Coordinator {
         self.totals
     }
 }
+
+#[cfg(test)]
+mod modelcheck;
 
 #[cfg(test)]
 mod tests {

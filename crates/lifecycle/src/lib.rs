@@ -11,16 +11,15 @@
 //!   workspace must route through. The compiler enforces that:
 //!   `NodeState` is opaque, so no other crate can construct or match a
 //!   state, only obtain one from the machine.
-//! - [`model`] is a small-model abstraction of the Selector/Validator
-//!   coordinator loop plus an exhaustive enumerator
-//!   ([`check_model`]) over bounded event interleavings. It verifies the
-//!   three ROADMAP safety/liveness properties — every threshold crossing
-//!   is eventually validated, no validation is scheduled on a node
-//!   serving a job, and coordinator-initiated quarantine never drops the
-//!   fleet below its capacity floor — and produces a printable
-//!   counterexample trace when a (deliberately injected) coordinator bug
-//!   violates one. `cargo xtask modelcheck` drives a grid of model
-//!   configurations through it on the deterministic executor.
+//! - [`table`] holds a fleet's states in one flat [`LifecycleTable`]
+//!   with incremental per-state counts and an optional journal.
+//!
+//! The coordinator that drives this machine in the service,
+//! `anubis_fleetd::Coordinator`, is model-checked where it lives: a test
+//! module in `anubis-fleetd` runs its real tick exhaustively over small
+//! fleets and bounded stimuli, and checks that every suspect is
+//! eventually validated, no node validates while serving a job, job
+//! members are freed, and repairs and the validation cap are kept.
 //!
 //! Outside this crate, code interrogates state through the predicate
 //! methods ([`NodeState::is_healthy`] and friends) and changes it through
@@ -34,11 +33,7 @@
 )]
 
 pub mod machine;
-pub mod model;
 pub mod table;
 
 pub use machine::{transition, LifecycleEvent, NodeLifecycle, NodeState, TransitionError};
-pub use model::{
-    check_model, CheckOutcome, CoordinatorBugs, ModelConfig, Property, Stimulus, Violation,
-};
 pub use table::{LifecycleTable, StateCounts, TransitionRecord};

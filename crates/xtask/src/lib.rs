@@ -19,15 +19,14 @@
 //! ```
 //!
 //! runs the call-graph passes of [`passes`] against the committed
-//! `analysis-baseline.json`; `modelcheck`, `profile` and `perfgate` are
-//! the other subcommands (see the binary's docs).
+//! `analysis-baseline.json`; `profile` and `perfgate` are the other
+//! subcommands (see the binary's docs).
 
 pub mod callgraph;
 pub mod dataflow;
 pub mod json;
 pub mod mask;
 pub mod model;
-pub mod modelcheck;
 pub mod passes;
 pub mod perf;
 pub mod profile;

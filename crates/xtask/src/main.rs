@@ -1,12 +1,10 @@
 //! `anubis-xtask` — workspace maintenance commands.
 //!
-//! Four subcommands:
+//! Three subcommands:
 //!
 //! ```text
 //! cargo xtask analyze    [--root <dir>] [--baseline <file>] [--json <file>] [--write-baseline]
 //!                        [--arena-report]
-//! cargo xtask modelcheck [--out <file>] [--threads <n>]
-//!                        [--bug <forget-risk|validate-busy|ignore-floor>]
 //! cargo xtask profile    [<trace.jsonl>] [--top <n>]
 //! cargo xtask perfgate   [--root <dir>] [--baseline <file>] [--current <file>] [--out <file>]
 //!                        [--print-baseline]
@@ -22,13 +20,6 @@
 //! A008 inventory of scope-local (arena-able) allocations in hot-entry
 //! reach — conversion candidates, not findings.
 //!
-//! `modelcheck` exhaustively enumerates the Selector/Validator
-//! coordination loop over small fleet models (see
-//! [`anubis_xtask::modelcheck`]) and exits `1` with a printed
-//! counterexample trace when a liveness/safety property is violated; the
-//! trace is also written to `--out` for CI artifacts. `--bug` injects a
-//! known coordinator defect to demonstrate the failure path.
-//!
 //! `profile` summarizes an `anubis-obs` trace (the repro binary's
 //! `--trace` output, default `target/trace.jsonl`): top-k hot spans by
 //! exclusive virtual time, a per-crate rollup, counter totals and
@@ -40,9 +31,7 @@
 //! `BENCH_2.json`, writes `target/BENCH_CURRENT.json` for CI artifacts,
 //! and exits `1` when a tracked kernel regressed beyond the tolerance.
 
-use anubis_lifecycle::CoordinatorBugs;
 use anubis_xtask::model::Workspace;
-use anubis_xtask::modelcheck as mc;
 use anubis_xtask::passes::{run_analysis, AnalysisConfig};
 use anubis_xtask::perf;
 use anubis_xtask::profile::Profile;
@@ -50,17 +39,15 @@ use anubis_xtask::report::{to_sarif, Baseline};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: cargo xtask <analyze|modelcheck|profile|perfgate>\n  \
-analyze    [--root <dir>] [--baseline <file>] [--json <file>] [--write-baseline] [--arena-report]\n  \
-modelcheck [--out <file>] [--threads <n>] [--bug <forget-risk|validate-busy|ignore-floor>]\n  \
-profile    [<trace.jsonl>] [--top <n>]\n  \
-perfgate   [--root <dir>] [--baseline <file>] [--current <file>] [--out <file>] [--print-baseline]";
+const USAGE: &str = "usage: cargo xtask <analyze|profile|perfgate>\n  \
+analyze  [--root <dir>] [--baseline <file>] [--json <file>] [--write-baseline] [--arena-report]\n  \
+profile  [<trace.jsonl>] [--top <n>]\n  \
+perfgate [--root <dir>] [--baseline <file>] [--current <file>] [--out <file>] [--print-baseline]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("analyze") => analyze(&args[1..]),
-        Some("modelcheck") => modelcheck(&args[1..]),
         Some("profile") => profile(&args[1..]),
         Some("perfgate") => perfgate(&args[1..]),
         Some(other) => {
@@ -231,67 +218,6 @@ fn analyze(args: &[String]) -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
-}
-
-fn modelcheck(args: &[String]) -> ExitCode {
-    let mut out_path: Option<PathBuf> = None;
-    let mut threads = anubis_parallel::auto_threads();
-    let mut bugs = CoordinatorBugs::default();
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        match flag.as_str() {
-            "--out" => match iter.next() {
-                Some(value) => out_path = Some(PathBuf::from(value)),
-                None => return usage_error(flag),
-            },
-            "--threads" => match iter.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(value) if value > 0 => threads = value,
-                _ => return usage_error(flag),
-            },
-            "--bug" => match iter.next().map(String::as_str) {
-                Some("forget-risk") => bugs.forget_pending_risk = true,
-                Some("validate-busy") => bugs.validate_while_busy = true,
-                Some("ignore-floor") => bugs.ignore_capacity_floor = true,
-                _ => return usage_error(flag),
-            },
-            _ => return usage_error(flag),
-        }
-    }
-    let out_path =
-        out_path.unwrap_or_else(|| default_root().join("target").join("modelcheck-trace.txt"));
-
-    let grid = mc::default_grid();
-    let results = match mc::check_grid(&grid, bugs, threads) {
-        Ok(results) => results,
-        Err(error) => {
-            eprintln!("modelcheck failed: {error}");
-            return ExitCode::from(2);
-        }
-    };
-    let report = mc::render(&results);
-    print!("{report}");
-    let states: usize = results.iter().map(|r| r.outcome.states_explored).sum();
-    let transitions: usize = results.iter().map(|r| r.outcome.transitions).sum();
-    println!(
-        "modelcheck: {} configuration(s), {states} state(s), {transitions} transition(s) total",
-        results.len()
-    );
-    if mc::first_violation(&results).is_some() {
-        if let Some(parent) = out_path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        if let Err(error) = std::fs::write(&out_path, &report) {
-            eprintln!("cannot write {}: {error}", out_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "modelcheck: counterexample written to {}",
-            out_path.display()
-        );
-        return ExitCode::FAILURE;
-    }
-    println!("modelcheck: all properties hold on every configuration");
-    ExitCode::SUCCESS
 }
 
 fn profile(args: &[String]) -> ExitCode {
