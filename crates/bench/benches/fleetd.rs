@@ -1,5 +1,7 @@
-//! Criterion kernels for the fleetd service loop, enforced by
-//! `cargo xtask perfgate` (`fleetd/tick`, `fleetd/merge`).
+//! Local Criterion kernels for the fleetd service loop (`fleetd/tick`,
+//! `fleetd/merge`). CI checks the loop's work through the exact counters
+//! in `tests/work_counters.expected` and its wall time through perfbench's
+//! fleetd-soak workload; these medians are for profiling by hand.
 
 use anubis_fleetd::{Coordinator, FleetdConfig};
 use anubis_metrics::EcdfSketch;

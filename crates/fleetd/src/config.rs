@@ -109,6 +109,11 @@ impl Default for FleetdConfig {
     }
 }
 
+/// The most events one tick may expect per node: incidents at the wear
+/// cap plus job arrivals (see [`ConfigError::TickWorkUnbounded`]). The
+/// default config expects about 0.22.
+pub const MAX_EVENTS_PER_NODE_TICK: f64 = 100.0;
+
 /// A [`FleetdConfig`] the service cannot run, one variant per kind of
 /// rule [`FleetdConfig::validate`] checks.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -137,6 +142,16 @@ pub enum ConfigError {
         /// The configured `damage_max`.
         max: f64,
     },
+    /// Finite knobs that make a tick expect more than
+    /// [`MAX_EVENTS_PER_NODE_TICK`] events per node, so one tick's work
+    /// grows with a float (a 10¹²-hour tick, say) instead of the fleet.
+    TickWorkUnbounded {
+        /// Expected incidents per node per tick at the wear cap, for a
+        /// node of mean frailty.
+        incidents: f64,
+        /// Expected job arrivals per node per tick.
+        arrivals: f64,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -152,6 +167,14 @@ impl fmt::Display for ConfigError {
             ConfigError::EmptyDamageRange { min, max } => {
                 write!(f, "damage_min ({min}) must be below damage_max ({max})")
             }
+            ConfigError::TickWorkUnbounded {
+                incidents,
+                arrivals,
+            } => write!(
+                f,
+                "a tick must expect at most {MAX_EVENTS_PER_NODE_TICK} events per node, \
+                 got {incidents} incidents and {arrivals} job arrivals"
+            ),
         }
     }
 }
@@ -227,6 +250,23 @@ impl FleetdConfig {
             return Err(ConfigError::EmptyDamageRange {
                 min: self.damage_min,
                 max: self.damage_max,
+            });
+        }
+        // The knobs above are finite and in domain, so these rates are
+        // never NaN (a huge knob makes them infinite, which fails).
+        let peak_wear = if self.wear_factor > 1.0 {
+            self.wear_factor.powf(f64::from(self.wear_cap))
+        } else {
+            1.0
+        };
+        let mean_frailty = (self.frailty_sigma * self.frailty_sigma / 2.0).exp();
+        let incidents = self.tick_hours * mean_frailty * peak_wear / self.base_mtbi_hours;
+        let arrivals =
+            self.tick_hours / self.allocation().mean_interarrival_hours / f64::from(self.nodes);
+        if incidents + arrivals > MAX_EVENTS_PER_NODE_TICK {
+            return Err(ConfigError::TickWorkUnbounded {
+                incidents,
+                arrivals,
             });
         }
         Ok(())
@@ -417,6 +457,45 @@ mod tests {
             ..FleetdConfig::default()
         };
         assert_eq!(zero.validate(), Ok(()));
+    }
+
+    #[test]
+    fn finite_knobs_that_unbound_a_ticks_work_are_rejected() {
+        let knobs: [fn(&mut FleetdConfig); 4] = [
+            |c| c.tick_hours = 1e12,
+            |c| c.wear_factor = 1e12,
+            |c| c.target_utilization = 1e12,
+            |c| c.frailty_sigma = 1e12,
+        ];
+        for (knob, set) in knobs.iter().enumerate() {
+            let mut cfg = FleetdConfig::default();
+            set(&mut cfg);
+            let got = cfg.validate();
+            assert!(
+                matches!(got, Err(ConfigError::TickWorkUnbounded { .. })),
+                "knob {knob}: {got:?}"
+            );
+        }
+        let long_tick = FleetdConfig {
+            tick_hours: 1e4,
+            ..FleetdConfig::default()
+        };
+        let message = long_tick.validate().map_err(|e| e.to_string());
+        assert!(
+            message.as_ref().is_err_and(
+                |m| m.starts_with("a tick must expect at most 100 events per node, got 2138.")
+            ),
+            "{message:?}"
+        );
+        // Without wear growth a huge factor never applies. The bound is
+        // per node, so `default_config_is_valid` covers every fleet size
+        // on default knobs (`repro fleetd`, perfbench's soak, the bench).
+        let no_wear = FleetdConfig {
+            wear_factor: 1e12,
+            wear_cap: 0,
+            ..FleetdConfig::default()
+        };
+        assert_eq!(no_wear.validate(), Ok(()));
     }
 
     #[test]

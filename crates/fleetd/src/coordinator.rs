@@ -327,8 +327,12 @@ impl Coordinator {
         });
 
         // 5. Apply proposals in fixed shard order (= global node order).
+        // Shard-side counters are suppressed under the executor, so the
+        // node-tick work count is summed here, on the coordinating thread.
+        let mut node_ticks = 0usize;
         for shard_id in 0..self.shards.len() {
             let report = self.shards[shard_id].report();
+            node_ticks += report.node_ticks;
             summary.incidents += report.incidents;
             summary.samples += report.samples;
             summary.proposals += report.proposals.len();
@@ -337,6 +341,7 @@ impl Coordinator {
                 self.apply_proposal(&mut summary, node, event);
             }
         }
+        anubis_obs::counter!("fleetd.node_ticks", node_ticks as i64);
         self.end_tick(summary)
     }
 
@@ -481,6 +486,7 @@ impl Coordinator {
         if (self.tick + 1).is_multiple_of(self.cfg.merge_every_ticks.max(1)) {
             let _merge = anubis_obs::span!("fleetd.merge");
             let merged = EcdfSketch::merged(self.shards.iter().map(ShardWorker::sketch));
+            anubis_obs::counter!("fleetd.sketch_elements_merged", merged.len() as i64);
             if merged.len() >= self.cfg.min_criteria_samples.max(1) {
                 self.criteria_threshold = Some(merged.quantile(self.cfg.defect_quantile));
             }

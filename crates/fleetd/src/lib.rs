@@ -10,7 +10,10 @@
 //!
 //! - [`FleetdConfig`] — every knob of a run; the full output is a pure
 //!   function of it. [`FleetdConfig::validate`] rejects the configs the
-//!   service cannot run with a typed [`ConfigError`].
+//!   service cannot run with a typed [`ConfigError`], including finite
+//!   knobs that would make a tick expect more than
+//!   [`config::MAX_EVENTS_PER_NODE_TICK`] incidents and job arrivals per
+//!   node.
 //! - [`ShardWorker`] ([`shard`]) — owns a contiguous node range's data:
 //!   streaming incidents ([`anubis_traces::ShardIncidentSource`]), status
 //!   covariates, hidden degradation, benchmark noise, and the shard

@@ -41,6 +41,8 @@ pub struct ShardReport {
     pub incidents: usize,
     /// Benchmark samples appended to the shard sketch this tick.
     pub samples: usize,
+    /// Nodes the shard loop visited this tick.
+    pub node_ticks: usize,
 }
 
 impl ShardReport {
@@ -49,6 +51,7 @@ impl ShardReport {
         self.proposals.clear();
         self.incidents = 0;
         self.samples = 0;
+        self.node_ticks = 0;
     }
 }
 
@@ -214,6 +217,7 @@ impl ShardWorker {
         let mut events = self.events_pool.scope();
         for node in self.lo..self.hi {
             let i = (node - self.lo) as usize;
+            self.report.node_ticks += 1;
             events.clear();
             self.incidents.poll_node(node, ctx.t1, &mut events);
             let state = states[node as usize];
@@ -267,8 +271,6 @@ impl ShardWorker {
                     .push((node, LifecycleEvent::RiskCrossed));
             }
         }
-        anubis_obs::counter!("fleetd.shard.incidents", self.report.incidents as i64);
-        anubis_obs::counter!("fleetd.shard.samples", self.report.samples as i64);
     }
 }
 

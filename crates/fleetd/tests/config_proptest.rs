@@ -22,14 +22,13 @@ const FLOAT_FIELDS: [fn(&mut FleetdConfig, f64); 13] = [
     |c, v| c.target_utilization = v,
 ];
 
-/// Floats no range check expects. Finite but huge magnitudes (a
-/// 10¹²-hour tick) are not generated: the run's work grows with them and
-/// no rule bounds it yet.
-const ODD_FLOATS: [f64; 7] = [
+/// Floats no range check expects.
+const ODD_FLOATS: [f64; 8] = [
     0.0,
     -0.0,
     -1.0,
     2.0,
+    1e12,
     f64::NAN,
     f64::INFINITY,
     f64::NEG_INFINITY,

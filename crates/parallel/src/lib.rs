@@ -67,8 +67,7 @@ pub fn incremental_enabled() -> bool {
 
 /// Workloads at or below this many chunks bypass the thread pool: on a
 /// 1–2 chunk workload the spawn/join overhead costs more than the
-/// parallelism buys (the fig4 run-time regression recorded in
-/// BENCH_2.json). Routing them through the inline path changes nothing
+/// parallelism buys. Routing them through the inline path changes nothing
 /// but wall-clock time — the executor is bit-deterministic at any worker
 /// count, including 1.
 pub const SERIAL_CHUNK_CUTOFF: usize = 2;

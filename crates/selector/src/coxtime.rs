@@ -335,6 +335,9 @@ impl CoxTimeTrainer {
             order.extend_from_slice(&events);
             self.order_dirty = false;
         }
+        // Events that ran a forward and backward pass, summed per
+        // minibatch: the exact training work, published once at the end.
+        let mut sample_epochs = 0usize;
         // Training runs on the calling thread. A 32-event minibatch is
         // well under a millisecond of work, too fine a grain to fan out:
         // splitting it needs one gradient buffer per backward call and a
@@ -384,6 +387,7 @@ impl CoxTimeTrainer {
                         net.backward_flat(&caches[c], &[e / denom], &mut acc, &mut scratch);
                     }
                 }
+                sample_epochs += batch_events;
                 if batch_events == 0 {
                     continue;
                 }
@@ -394,6 +398,7 @@ impl CoxTimeTrainer {
                 adam.step_flat(&mut *net, &acc);
             }
         }
+        anubis_obs::counter!("coxtime.trainer.sample_epochs", sample_epochs as i64);
         self.epochs_trained += epochs;
         Ok(())
     }

@@ -1,7 +1,7 @@
-//! Perf-gate kernel for the analyzer itself: the interprocedural
-//! fixpoint engine runs on every CI push, so its wall-time is tracked in
-//! BENCH_2.json like any hot kernel — a summary-propagation change that
-//! blows up analysis time fails `cargo xtask perfgate` before it lands.
+//! Local Criterion kernels for the analyzer itself: the interprocedural
+//! fixpoint engine runs on every CI push, so a summary-propagation change
+//! that blows up analysis time shows here. Run with
+//! `cargo bench -p anubis-xtask`; no CI step reads the medians.
 
 use anubis_xtask::model::Workspace;
 use anubis_xtask::passes::{arena_able_report, run_analysis, AnalysisConfig};

@@ -19,8 +19,8 @@
 //! ```
 //!
 //! runs the call-graph passes of [`passes`] against the committed
-//! `analysis-baseline.json`; `profile` and `perfgate` are the other
-//! subcommands (see the binary's docs).
+//! `analysis-baseline.json`; `profile` is the other subcommand (see the
+//! binary's docs).
 
 pub mod callgraph;
 pub mod dataflow;
@@ -28,7 +28,6 @@ pub mod json;
 pub mod mask;
 pub mod model;
 pub mod passes;
-pub mod perf;
 pub mod profile;
 pub mod report;
 pub mod spans;

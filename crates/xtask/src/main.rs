@@ -1,13 +1,11 @@
 //! `anubis-xtask` — workspace maintenance commands.
 //!
-//! Three subcommands:
+//! Two subcommands:
 //!
 //! ```text
 //! cargo xtask analyze    [--root <dir>] [--baseline <file>] [--json <file>] [--write-baseline]
 //!                        [--arena-report]
 //! cargo xtask profile    [<trace.jsonl>] [--top <n>]
-//! cargo xtask perfgate   [--root <dir>] [--baseline <file>] [--current <file>] [--out <file>]
-//!                        [--print-baseline]
 //! ```
 //!
 //! `analyze` runs the call-graph passes of [`anubis_xtask::passes`]
@@ -24,32 +22,23 @@
 //! `--trace` output, default `target/trace.jsonl`): top-k hot spans by
 //! exclusive virtual time, a per-crate rollup, counter totals and
 //! histograms.
-//!
-//! `perfgate` compares this run's bench medians
-//! (`target/bench-current.jsonl`, written by the vendored Criterion
-//! harness under `ANUBIS_BENCH_JSON`) against the `"kernels"` baseline in
-//! `BENCH_2.json`, writes `target/BENCH_CURRENT.json` for CI artifacts,
-//! and exits `1` when a tracked kernel regressed beyond the tolerance.
 
 use anubis_xtask::model::Workspace;
 use anubis_xtask::passes::{run_analysis, AnalysisConfig};
-use anubis_xtask::perf;
 use anubis_xtask::profile::Profile;
 use anubis_xtask::report::{to_sarif, Baseline};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: cargo xtask <analyze|profile|perfgate>\n  \
-analyze  [--root <dir>] [--baseline <file>] [--json <file>] [--write-baseline] [--arena-report]\n  \
-profile  [<trace.jsonl>] [--top <n>]\n  \
-perfgate [--root <dir>] [--baseline <file>] [--current <file>] [--out <file>] [--print-baseline]";
+const USAGE: &str = "usage: cargo xtask <analyze|profile>\n  \
+analyze [--root <dir>] [--baseline <file>] [--json <file>] [--write-baseline] [--arena-report]\n  \
+profile [<trace.jsonl>] [--top <n>]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("analyze") => analyze(&args[1..]),
         Some("profile") => profile(&args[1..]),
-        Some("perfgate") => perfgate(&args[1..]),
         Some(other) => {
             eprintln!("unknown subcommand `{other}`\n{USAGE}");
             ExitCode::from(2)
@@ -260,121 +249,6 @@ fn profile(args: &[String]) -> ExitCode {
             eprintln!("{}: {error}", trace_path.display());
             ExitCode::from(2)
         }
-    }
-}
-
-fn perfgate(args: &[String]) -> ExitCode {
-    let mut root = default_root();
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut current_path: Option<PathBuf> = None;
-    let mut out_path: Option<PathBuf> = None;
-    let mut print_baseline = false;
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        match flag.as_str() {
-            "--print-baseline" => {
-                print_baseline = true;
-                continue;
-            }
-            "--root" => match iter.next() {
-                Some(value) => root = PathBuf::from(value),
-                None => return usage_error(flag),
-            },
-            "--baseline" => match iter.next() {
-                Some(value) => baseline_path = Some(PathBuf::from(value)),
-                None => return usage_error(flag),
-            },
-            "--current" => match iter.next() {
-                Some(value) => current_path = Some(PathBuf::from(value)),
-                None => return usage_error(flag),
-            },
-            "--out" => match iter.next() {
-                Some(value) => out_path = Some(PathBuf::from(value)),
-                None => return usage_error(flag),
-            },
-            _ => return usage_error(flag),
-        }
-    }
-    let baseline_path = baseline_path.unwrap_or_else(|| root.join("BENCH_2.json"));
-    let current_path =
-        current_path.unwrap_or_else(|| root.join("target").join("bench-current.jsonl"));
-    let out_path = out_path.unwrap_or_else(|| root.join("target").join("BENCH_CURRENT.json"));
-
-    let current_text = match std::fs::read_to_string(&current_path) {
-        Ok(text) => text,
-        Err(error) => {
-            eprintln!(
-                "cannot read {}: {error}\n(run the smoke benches first: \
-                 ANUBIS_BENCH_QUICK=1 ANUBIS_BENCH_JSON={} cargo bench -p anubis-bench)",
-                current_path.display(),
-                current_path.display()
-            );
-            return ExitCode::from(2);
-        }
-    };
-    let current = match perf::parse_current(&current_text) {
-        Ok(current) => current,
-        Err(error) => {
-            eprintln!("{}: {error}", current_path.display());
-            return ExitCode::from(2);
-        }
-    };
-
-    if print_baseline {
-        print!("{}", perf::baseline_snippet(&current));
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline_text = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => text,
-        Err(error) => {
-            eprintln!("cannot read {}: {error}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-    };
-    let baseline = match perf::parse_baseline(&baseline_text) {
-        Ok(baseline) => baseline,
-        Err(error) => {
-            eprintln!("{}: {error}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-    };
-    let tolerance = match perf::tolerance_from_env() {
-        Ok(tolerance) => tolerance,
-        Err(error) => {
-            eprintln!("perfgate: {error}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let report = perf::compare(&baseline, &current, tolerance);
-    print!("{}", report.render());
-    if let Some(parent) = out_path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    if let Err(error) = std::fs::write(&out_path, report.to_json()) {
-        eprintln!("cannot write {}: {error}", out_path.display());
-        return ExitCode::from(2);
-    }
-    println!("perfgate: wrote {}", out_path.display());
-    // Rotate the consumed measurements aside so a later gate run cannot
-    // silently compare against this run's (now stale) numbers. Gate mode
-    // only: `--print-baseline` is a read-only inspection.
-    match perf::rotate_consumed(&current_path) {
-        Ok(rotated) => println!(
-            "perfgate: rotated {} -> {}",
-            current_path.display(),
-            rotated.display()
-        ),
-        Err(error) => {
-            eprintln!("perfgate: {error}");
-            return ExitCode::from(2);
-        }
-    }
-    if report.failed() {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
     }
 }
 
