@@ -15,15 +15,15 @@
 //! Recycling is invisible to results by construction: a taken buffer is
 //! always empty, so the only thing reuse changes is *capacity* — never
 //! contents. Code converted to the arena produces byte-identical output
-//! to its allocating form at any `ANUBIS_THREADS` / `ANUBIS_INCREMENTAL`
-//! setting (the arena is single-threaded; parallel workers own one arena
-//! each, mirroring the `anubis-parallel` chunk contract).
+//! to its allocating form at any `ANUBIS_THREADS` setting (the arena is
+//! single-threaded; parallel workers own one arena each, mirroring the
+//! `anubis-parallel` chunk contract).
 //!
 //! # Discipline
 //!
-//! Functions converted to arena scratch are registered in the analyzer's
-//! `arena_clean_entries`; any direct allocation reappearing in them is an
-//! *enforced* A008 finding the baseline never absorbs. Calls into this
+//! Functions converted to arena scratch are registered `ArenaClean` in
+//! the analyzer's `alloc_entries`; any direct allocation reappearing in
+//! them is an *enforced* A008 finding the baseline never absorbs. Calls into this
 //! crate are sanctioned — pooled growth inside the arena does not count
 //! against the caller.
 //!

@@ -2,9 +2,8 @@
 
 use crate::table::{pct, render_table};
 use anubis_selector::{
-    concordance_index, model_accuracy, CoxTimeConfig, CoxTimeModel, CoxTimeTrainer,
-    ExponentialModel, ExponentialPerCountModel, ExponentialPerHourModel, SurvivalModel,
-    SurvivalSample,
+    concordance_index, model_accuracy, CoxTimeConfig, CoxTimeTrainer, ExponentialModel,
+    ExponentialPerCountModel, ExponentialPerHourModel, SurvivalModel, SurvivalSample,
 };
 use anubis_traces::{generate_incident_trace, IncidentTraceConfig};
 use std::fmt;
@@ -124,23 +123,18 @@ pub fn run(config: &Table3Config) -> Table3Result {
     let exponential = ExponentialModel::fit(&train);
     let per_count = ExponentialPerCountModel::fit(&train);
     let per_hour = ExponentialPerHourModel::fit(&train);
-    let coxtime = if anubis_parallel::incremental_enabled() {
-        // Exercise the incremental machinery end to end: stage the
-        // training set through the warm-start trainer in two ingestions.
-        // Staged ingestion reconstructs the cold fit's derived state
-        // exactly (see `CoxTimeTrainer`), so the rendered table is
-        // byte-identical with the toggle on or off.
-        let mut trainer = CoxTimeTrainer::new(config.coxtime.clone());
-        let mid = cox_train.len() / 2;
-        trainer.ingest(&cox_train[..mid]);
-        trainer.ingest(&cox_train[mid..]);
-        trainer
-            .train(config.coxtime.epochs)
-            .expect("incident trace contains events");
-        trainer.finish().expect("incident trace contains events")
-    } else {
-        CoxTimeModel::fit(&cox_train, &config.coxtime).expect("incident trace contains events")
-    };
+    // Exercise the incremental machinery end to end: stage the training
+    // set through the warm-start trainer in two ingestions. Staged
+    // ingestion reconstructs the cold fit's derived state exactly (see
+    // `CoxTimeTrainer`), so the table matches a `CoxTimeModel::fit`.
+    let mut trainer = CoxTimeTrainer::new(config.coxtime.clone());
+    let mid = cox_train.len() / 2;
+    trainer.ingest(&cox_train[..mid]);
+    trainer.ingest(&cox_train[mid..]);
+    trainer
+        .train(config.coxtime.epochs)
+        .expect("incident trace contains events");
+    let coxtime = trainer.finish().expect("incident trace contains events");
 
     // The full C-index is O(events²); subsample the test events to keep
     // it cheap while staying statistically stable.

@@ -2,12 +2,11 @@
 //!
 //! ANUBIS promises bit-identical outputs for identical seeds, so the root
 //! `clippy.toml` disallows `std::env::var` and friends — a run's result
-//! must never depend on ambient process state. [`raw`] is the one
+//! must never depend on ambient process state. [`parsed`] is the one
 //! sanctioned reader: every knob this crate serves is *performance-shaped
-//! only* — thread counts, incremental-path toggles, perf-gate tolerances
-//! — values that change wall-clock time or gate strictness but never a
-//! computed number. Routing all env reads through here keeps that
-//! contract auditable: a `std::env` read anywhere else fails clippy, and
+//! only* — today the worker-thread count — a value that changes
+//! wall-clock time but never a computed number. Routing all env reads
+//! through here keeps that contract auditable: a `std::env` read anywhere else fails clippy, and
 //! a reviewer approving a new call-site *in this crate* is consciously
 //! asserting the knob is determinism-neutral.
 //!
@@ -18,22 +17,11 @@
 use std::str::FromStr;
 
 /// The raw value of environment variable `name`, if set and valid
-/// Unicode. Use when the caller must distinguish *unset* from *invalid*
-/// (the perf gate reports a typo in its tolerance override instead of
-/// silently falling back).
-#[must_use]
+/// Unicode.
 // The workspace's one sanctioned environment reader.
 #[allow(clippy::disallowed_methods)]
-pub fn raw(name: &str) -> Option<String> {
+fn raw(name: &str) -> Option<String> {
     std::env::var(name).ok()
-}
-
-/// Boolean knob: `default` when `name` is unset, `false` when its
-/// trimmed value is `"0"`, `true` otherwise. This is the fleet-script
-/// convention (`ANUBIS_INCREMENTAL=0` disables, anything else enables).
-#[must_use]
-pub fn enabled(name: &str, default: bool) -> bool {
-    raw(name).map_or(default, |v| v.trim() != "0")
 }
 
 /// Parses the trimmed value of `name`, returning `None` when the
@@ -50,22 +38,6 @@ mod tests {
 
     // Process-global state: each test uses its own variable name so
     // parallel test threads never race on a shared key.
-
-    #[test]
-    fn enabled_honors_default_and_zero() {
-        let name = "ANUBIS_CONFIG_TEST_ENABLED";
-        assert!(enabled(name, true));
-        assert!(!enabled(name, false));
-        std::env::set_var(name, "0");
-        assert!(!enabled(name, true));
-        std::env::set_var(name, " 0 ");
-        assert!(!enabled(name, true));
-        std::env::set_var(name, "1");
-        assert!(enabled(name, false));
-        std::env::set_var(name, "yes");
-        assert!(enabled(name, false));
-        std::env::remove_var(name);
-    }
 
     #[test]
     fn parsed_trims_and_rejects_garbage() {

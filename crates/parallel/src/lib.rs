@@ -51,19 +51,9 @@ const MAX_THREADS: usize = 16;
 /// selects the hardware default). Results never depend on this value.
 pub const THREADS_ENV: &str = "ANUBIS_THREADS";
 
-/// Environment variable toggling the incremental statistical paths —
-/// CELF benchmark selection, the criteria cache, and the Cox-Time
-/// warm-start split. Unset or any value other than `0` enables them; set
-/// to `0` to force the batch reference paths. Both settings produce
-/// bit-identical outputs (the incremental paths are proven equivalent);
-/// only wall-clock time changes, exactly like [`THREADS_ENV`].
+/// Former toggle of the incremental statistical paths, which now always
+/// run. Read by nothing; `perfbench/src/main.rs` still sets it.
 pub const INCREMENTAL_ENV: &str = "ANUBIS_INCREMENTAL";
-
-/// Whether the incremental statistical paths are enabled (the default).
-/// See [`INCREMENTAL_ENV`].
-pub fn incremental_enabled() -> bool {
-    anubis_config::enabled(INCREMENTAL_ENV, true)
-}
 
 /// Workloads at or below this many chunks bypass the thread pool: on a
 /// 1–2 chunk workload the spawn/join overhead costs more than the
@@ -350,19 +340,6 @@ mod tests {
         }
         assert_eq!(serial_below_cutoff(SERIAL_CHUNK_CUTOFF, 8), 1);
         assert_eq!(serial_below_cutoff(SERIAL_CHUNK_CUTOFF + 1, 8), 8);
-    }
-
-    #[test]
-    fn incremental_toggle_reads_env() {
-        // No other test in this binary touches the variable, so the
-        // process-global mutation cannot race.
-        std::env::remove_var(INCREMENTAL_ENV);
-        assert!(incremental_enabled());
-        std::env::set_var(INCREMENTAL_ENV, "0");
-        assert!(!incremental_enabled());
-        std::env::set_var(INCREMENTAL_ENV, "1");
-        assert!(incremental_enabled());
-        std::env::remove_var(INCREMENTAL_ENV);
     }
 
     /// Deterministic busy work: `rounds` steps of an LCG.

@@ -39,10 +39,9 @@ pub fn residual_probability(
 /// Returns the selected subset in selection order. An empty return means
 /// validation can be skipped entirely (`p ≤ p0` with no benchmarks).
 ///
-/// Dispatches to the lazy-greedy (CELF) implementation unless
-/// [`anubis_parallel::INCREMENTAL_ENV`] is set to `0`; both paths return
-/// the same benchmark sequence (see [`celf_core`] for the argument, and
-/// the property tests for the evidence).
+/// Runs the lazy-greedy (CELF) implementation, which returns the same
+/// benchmark sequence as [`select_benchmarks_eager`] (see [`celf_core`]
+/// for the argument, and the property tests for the evidence).
 pub fn select_benchmarks(
     model: &dyn SurvivalModel,
     statuses: &[NodeStatus],
@@ -51,11 +50,7 @@ pub fn select_benchmarks(
     candidates: &[BenchmarkId],
     p0: f64,
 ) -> Vec<BenchmarkId> {
-    if anubis_parallel::incremental_enabled() {
-        select_benchmarks_celf(model, statuses, horizon, coverage, candidates, p0)
-    } else {
-        select_benchmarks_eager(model, statuses, horizon, coverage, candidates, p0)
-    }
+    select_benchmarks_celf(model, statuses, horizon, coverage, candidates, p0)
 }
 
 /// The eager reference implementation of Algorithm 1: every round rescans
@@ -240,7 +235,7 @@ fn celf_efficiency(
 ///
 /// Swaps are spelled out manually: `<[T]>::swap` would add a
 /// name-collision edge to every workspace `swap` method in the
-/// over-approximating A003 call graph, and `celf_core` is an enforced
+/// over-approximating A008 call graph, and `celf_core` is an enforced
 /// allocation-free entry.
 #[allow(clippy::manual_swap)]
 fn celf_sift_down(heap: &mut [CelfEntry], mut i: usize) {
@@ -279,7 +274,7 @@ fn celf_heapify(heap: &mut [CelfEntry]) {
 
 /// Pops the max-priority entry.
 ///
-/// Manual swap for the same A003 reason as [`celf_sift_down`].
+/// Manual swap for the same A008 reason as [`celf_sift_down`].
 #[allow(clippy::manual_swap)]
 fn celf_pop_top(heap: &mut Vec<CelfEntry>) -> Option<CelfEntry> {
     if heap.len() > 1 {

@@ -17,7 +17,7 @@
 //!   `crate::helper(..)`) resolve to the free functions of that crate
 //!   directory sharing the name (`anubis` itself maps to `crates/core`,
 //!   `crate` to the caller's own crate). Without this rule, cross-crate
-//!   calls — exactly the ones A001's panic reach and A003's allocation
+//!   calls — exactly the ones A001's panic reach and A008's allocation
 //!   reach must follow — would produce no edges at all.
 //! - **Method calls** (`recv.f(..)`) resolve to every workspace function
 //!   named `f` that takes `self` — the receiver's type is unknown at the

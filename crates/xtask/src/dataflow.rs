@@ -1,36 +1,19 @@
-//! Interprocedural dataflow over the call graph: per-function allocation
-//! summaries propagated to a fixpoint.
+//! Per-function allocation sites with provenance and an escape class.
 //!
-//! A per-function scan answers "does this function *itself* allocate";
-//! the summaries here answer "can this function *transitively*
-//! allocate". Each function gets:
+//! Every non-test function gets its **direct sites**: each allocation its
+//! own tokens perform, with the line, the enclosing-statement span and an
+//! escape class (see [`Escape`]). Nothing is propagated here: the A008
+//! pass walks the call graph forward from its registered entries and
+//! reads the sites of every function it reaches.
 //!
-//! - its **direct sites**, every allocation its own tokens perform, each
-//!   with provenance and an escape class (see [`Escape`]), and
-//! - the **minimum call distance** to any function with a direct site:
-//!   `0` when the function has one itself, `1 + min over callees`
-//!   otherwise, `usize::MAX` when no call path reaches an allocation.
-//!
-//! The distance lattice makes the fixpoint trivial: the equations are
-//! exactly single-source shortest paths over the *reversed* call graph
-//! (every direct-site function is a source), so one BFS computes the
-//! unique least fixpoint — recursion and call cycles need no special
-//! casing, and the cost is `O(nodes + edges)`.
-//!
-//! **Noise suppression** happens at *extraction*, not propagation: a crate
-//! sanctioned as the arena implementation records no direct site, so
-//! nothing propagates to its callers.
-//!
-//! Consumers: A003 (allocation reach from hot entries) and A008
-//! (arena-clean functions and the arena-able inventory).
+//! **Noise suppression** happens at *extraction*: a crate sanctioned as
+//! the arena implementation records no direct site.
 
-use crate::callgraph::{CallGraph, Reach};
 use crate::model::{CallKind, FnItem, Token, TokenKind, Workspace};
 use crate::passes::AnalysisConfig;
 use std::ops::Range;
 
-/// A direct allocation site inside one function (A003's vocabulary),
-/// carrying provenance: the token position, the enclosing-statement span,
+/// A direct allocation site inside one function, carrying provenance: the token position, the enclosing-statement span,
 /// and the site's escape class.
 #[derive(Debug, Clone)]
 pub struct AllocSite {
@@ -38,9 +21,6 @@ pub struct AllocSite {
     pub line: usize,
     /// Finding kind (`to_vec`, `vec!`, `Vec::new`, `Vec::turbofish`).
     pub kind: String,
-    /// `Some(type)` for the turbofish-constructor form
-    /// (`Vec::<T>::new()`), which renders a different message.
-    pub ctor: Option<String>,
     /// Token index of the allocating identifier in the file's stream.
     pub at: usize,
     /// Approximate span: first and last 1-based line of the enclosing
@@ -93,43 +73,19 @@ impl Escape {
     }
 }
 
-/// Per-function allocation summaries at their least fixpoint.
-pub struct Summaries {
-    /// Every direct allocation site, per function.
-    pub alloc_sites: Vec<Vec<AllocSite>>,
-    /// Reverse reach onto allocating functions.
-    alloc_reach: Reach,
-}
-
-impl Summaries {
-    /// Extracts direct sites for every non-test function and propagates
-    /// them to the fixpoint described in the module docs.
-    pub fn compute(ws: &Workspace, graph: &CallGraph, config: &AnalysisConfig) -> Self {
-        let alloc_sites: Vec<Vec<AllocSite>> = ws
-            .fns
-            .iter()
-            .map(|item| {
-                if item.in_test {
-                    Vec::new()
-                } else {
-                    direct_alloc_sites(ws, item, config)
-                }
-            })
-            .collect();
-        let alloc_sources: Vec<usize> = (0..ws.fns.len())
-            .filter(|&f| !alloc_sites[f].is_empty())
-            .collect();
-        let alloc_reach = graph.reach_reverse(&alloc_sources);
-        Self {
-            alloc_sites,
-            alloc_reach,
-        }
-    }
-
-    /// Minimum call distance from `f` to an allocating function.
-    pub fn alloc_dist(&self, f: usize) -> usize {
-        self.alloc_reach.dist[f]
-    }
+/// The direct allocation sites of every function, indexed like
+/// [`Workspace::fns`]; test functions record none.
+pub fn alloc_sites(ws: &Workspace, config: &AnalysisConfig) -> Vec<Vec<AllocSite>> {
+    ws.fns
+        .iter()
+        .map(|item| {
+            if item.in_test {
+                Vec::new()
+            } else {
+                direct_alloc_sites(ws, item, config)
+            }
+        })
+        .collect()
 }
 
 /// Method names that allocate.
@@ -147,10 +103,8 @@ const ALLOC_QUALIFIED: &[(&str, &str)] = &[
     ("String", "with_capacity"),
 ];
 
-/// Scans one function for direct allocation sites — A003's exact
-/// vocabulary, so baseline keys and counts survive the migration from the
-/// old per-pass scan. Call-form sites come first, then the turbofish
-/// token-scan sites, matching the old emission order. Each site carries
+/// Scans one function for direct allocation sites. Call-form sites come
+/// first, then the turbofish token-scan sites. Each site carries
 /// its token index and escape class; crates sanctioned as arena
 /// implementations ([`AnalysisConfig::arena_crates`]) record no sites —
 /// pooled allocation inside the arena is the sanctioned mechanism, not a
@@ -181,7 +135,6 @@ fn direct_alloc_sites(ws: &Workspace, item: &FnItem, config: &AnalysisConfig) ->
             sites.push(AllocSite {
                 line: call.line,
                 kind,
-                ctor: None,
                 at: call.at,
                 span: (0, 0),
                 escape: Escape::Unknown,
@@ -204,7 +157,6 @@ fn direct_alloc_sites(ws: &Workspace, item: &FnItem, config: &AnalysisConfig) ->
             sites.push(AllocSite {
                 line: ws.line_of(item, i),
                 kind: token.text.clone(),
-                ctor: None,
                 at: i,
                 span: (0, 0),
                 escape: Escape::Unknown,
@@ -218,7 +170,6 @@ fn direct_alloc_sites(ws: &Workspace, item: &FnItem, config: &AnalysisConfig) ->
             sites.push(AllocSite {
                 line: ws.line_of(item, i),
                 kind: format!("{}::turbofish", token.text),
-                ctor: Some(token.text.clone()),
                 at: i,
                 span: (0, 0),
                 escape: Escape::Unknown,
@@ -646,15 +597,11 @@ pub(crate) fn classify_escape(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::callgraph::CallGraph;
-    use crate::model::Workspace;
-    use crate::passes::AnalysisConfig;
 
-    fn summaries(files: &[(&str, &str)]) -> (Workspace, Summaries) {
+    fn extract(files: &[(&str, &str)]) -> (Workspace, Vec<Vec<AllocSite>>) {
         let ws = Workspace::from_sources(files.iter().copied());
-        let graph = CallGraph::build(&ws);
-        let s = Summaries::compute(&ws, &graph, &AnalysisConfig::default());
-        (ws, s)
+        let sites = alloc_sites(&ws, &AnalysisConfig::default());
+        (ws, sites)
     }
 
     fn find(ws: &Workspace, name: &str) -> usize {
@@ -664,28 +611,10 @@ mod tests {
             .unwrap_or_else(|| panic!("no fn {name}"))
     }
 
-    #[test]
-    fn alloc_distance_reaches_through_wrappers() {
-        let (ws, s) = summaries(&[(
-            "crates/nn/src/mlp.rs",
-            "pub fn entry() { wrapper(); }\n\
-             fn wrapper() { worker(); }\n\
-             fn worker(x: &[f64]) { let _y = x.to_vec(); }\n\
-             pub fn clean(x: f64) -> f64 { x * 2.0 }\n",
-        )]);
-        assert_eq!(s.alloc_dist(find(&ws, "entry")), 2);
-        assert_eq!(s.alloc_dist(find(&ws, "clean")), usize::MAX);
-        assert_eq!(s.alloc_sites[find(&ws, "worker")].len(), 1);
-        assert_eq!(s.alloc_sites[find(&ws, "worker")][0].kind, "to_vec");
-    }
-
     fn escapes_of(src: &str, fn_name: &str) -> Vec<(String, Escape)> {
-        let (ws, s) = summaries(&[("crates/demo/src/lib.rs", src)]);
+        let (ws, s) = extract(&[("crates/demo/src/lib.rs", src)]);
         let f = find(&ws, fn_name);
-        s.alloc_sites[f]
-            .iter()
-            .map(|a| (a.kind.clone(), a.escape))
-            .collect()
+        s[f].iter().map(|a| (a.kind.clone(), a.escape)).collect()
     }
 
     #[test]
@@ -795,7 +724,7 @@ mod tests {
 
     #[test]
     fn collected_local_buffer_is_local_with_statement_span() {
-        let (ws, s) = summaries(&[(
+        let (ws, s) = extract(&[(
             "crates/demo/src/lib.rs",
             "pub fn f(x: &[u32]) -> usize {\n\
                  let v: Vec<u32> = x.iter().map(|a| a + 1).collect();\n\
@@ -803,21 +732,10 @@ mod tests {
              }\n",
         )]);
         let f = find(&ws, "f");
-        assert_eq!(s.alloc_sites[f].len(), 1);
-        let site = &s.alloc_sites[f][0];
+        assert_eq!(s[f].len(), 1);
+        let site = &s[f][0];
         assert_eq!(site.kind, "collect");
         assert_eq!(site.escape, Escape::Local);
         assert_eq!(site.span, (2, 2), "statement span covers the let");
-    }
-
-    #[test]
-    fn recursion_terminates_with_finite_distances() {
-        let (ws, s) = summaries(&[(
-            "crates/metrics/src/lib.rs",
-            "pub fn ping(n: usize) { pong(n); let _v = vec![n]; }\n\
-             pub fn pong(n: usize) { ping(n); }\n",
-        )]);
-        assert_eq!(s.alloc_dist(find(&ws, "ping")), 0);
-        assert_eq!(s.alloc_dist(find(&ws, "pong")), 1);
     }
 }

@@ -4,19 +4,18 @@
 //!
 //! ```text
 //! cargo xtask analyze    [--root <dir>] [--baseline <file>] [--json <file>] [--write-baseline]
-//!                        [--arena-report]
 //! cargo xtask profile    [<trace.jsonl>] [--top <n>]
 //! ```
 //!
 //! `analyze` runs the call-graph passes of [`anubis_xtask::passes`]
-//! (A001, A002, A003 and A008) and compares the findings against the committed
+//! (A001, A002 and A008) and compares the findings against the committed
 //! `analysis-baseline.json`: only *regressions* — new finding keys or
 //! grown counts — fail the build. `--write-baseline` regenerates the
 //! baseline after intentional changes; `--json` writes a SARIF-style
-//! report for CI artifacts. Findings under an *enforced* hot entry are
-//! hard failures the baseline never absorbs. `--arena-report` prints the
-//! A008 inventory of scope-local (arena-able) allocations in hot-entry
-//! reach — conversion candidates, not findings.
+//! report for CI artifacts. Enforced findings (an alloc-free entry's reach,
+//! an arena-clean entry's body) are hard failures the baseline never
+//! absorbs. The summary line counts the arena-able A008 findings — the
+//! `escape: local` allocations, candidates for pooled scratch.
 //!
 //! `profile` summarizes an `anubis-obs` trace (the repro binary's
 //! `--trace` output, default `target/trace.jsonl`): top-k hot spans by
@@ -31,7 +30,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: cargo xtask <analyze|profile>\n  \
-analyze [--root <dir>] [--baseline <file>] [--json <file>] [--write-baseline] [--arena-report]\n  \
+analyze [--root <dir>] [--baseline <file>] [--json <file>] [--write-baseline]\n  \
 profile [<trace.jsonl>] [--top <n>]";
 
 fn main() -> ExitCode {
@@ -62,16 +61,11 @@ fn analyze(args: &[String]) -> ExitCode {
     let mut baseline_path: Option<PathBuf> = None;
     let mut json_path: Option<PathBuf> = None;
     let mut write_baseline = false;
-    let mut arena_report = false;
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
         match flag.as_str() {
             "--write-baseline" => {
                 write_baseline = true;
-                continue;
-            }
-            "--arena-report" => {
-                arena_report = true;
                 continue;
             }
             "--root" => match iter.next() {
@@ -99,22 +93,8 @@ fn analyze(args: &[String]) -> ExitCode {
         }
     };
     let findings = run_analysis(&ws, &AnalysisConfig::default());
-    if arena_report {
-        let sites = anubis_xtask::passes::arena_able_report(&ws, &AnalysisConfig::default());
-        for site in &sites {
-            println!(
-                "{}:{}: A008(arena-able): `{}` in `{}` is scope-local (lines {}-{}), via {}",
-                site.path, site.line, site.kind, site.func, site.span.0, site.span.1, site.via
-            );
-        }
-        println!(
-            "analyze: {} arena-able site(s) in hot-entry reach",
-            sites.len()
-        );
-    }
     let current = Baseline::from_findings(&findings);
-    // Enforced findings (allocations under an enforced hot entry) are
-    // hard failures: the baseline excludes them by construction, so not
+    // Enforced findings are hard failures: the baseline excludes them by construction, so not
     // even --write-baseline can absorb one.
     let enforced: Vec<_> = findings.iter().filter(|f| f.enforced).collect();
     for finding in &enforced {
@@ -195,8 +175,12 @@ fn analyze(args: &[String]) -> ExitCode {
             stale.key, stale.current, stale.baselined
         );
     }
+    let arena_able = findings
+        .iter()
+        .filter(|f| f.message.contains("escape: local"))
+        .count();
     println!(
-        "analyze: {} finding(s), {} baselined key(s), {} new, {} enforced",
+        "analyze: {} finding(s) ({arena_able} arena-able), {} baselined key(s), {} new, {} enforced",
         findings.len(),
         baseline.findings.len(),
         regressions.len(),

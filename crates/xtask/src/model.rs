@@ -1,7 +1,7 @@
 //! Token-level model of the workspace's Rust source.
 //!
-//! The analysis passes (`A001`–`A008`, see [`crate::passes`]) need to
-//! answer questions a line-oriented lint cannot: *which functions call
+//! The analysis passes (`A001`, `A002` and `A008`, see [`crate::passes`])
+//! need to answer questions a line-oriented lint cannot: *which functions call
 //! which*, *what does a function's body actually do*, *is this `==`
 //! comparing floats*. A full parser (`syn`) is off the table — the xtask
 //! crate is std-only — so this module builds a deliberately lightweight

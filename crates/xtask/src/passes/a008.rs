@@ -1,176 +1,262 @@
-//! A008 — allocation-escape analysis and arena discipline.
+//! A008 — hot-path allocation, escape and arena discipline.
 //!
-//! A003 answers "what allocates inside the measured hot paths"; this pass
-//! answers the two follow-up questions that make the report actionable:
+//! Hoisting allocations out of the Cox-Time gradient loop, the CDF
+//! similarity matrix and the MLP forward/backward kernels made training
+//! 5.9× faster, and the converted hot loops take their per-call scratch
+//! from `anubis-arena`. This pass guards both over one registry,
+//! [`AnalysisConfig::alloc_entries`], in the entry's [`AllocMode`]:
 //!
-//! 1. **Which of those allocations are per-call temporaries?** Every
-//!    direct allocation site carries an escape class from the token-level
-//!    lattice in [`crate::dataflow`] ([`Escape`](crate::dataflow::Escape)).
-//!    A site that provably dies inside its function — never returned,
-//!    stored into a place, or captured by a closure — is *arena-able*:
-//!    it can be replaced by a pooled buffer from `anubis-arena` without
-//!    changing any output byte. [`arena_able`] inventories these for
-//!    every A003 hot entry's reach; the `analyze` command prints the
-//!    inventory as an informational report (not findings — the committed
-//!    baseline stays at zero A008 entries).
+//! - **Tracked** and **AllocFree** entries root one forward walk of the
+//!   call graph, and every allocation site of every reachable function is
+//!   a finding of the site's kind (`Vec::new`/`with_capacity`, `vec!`,
+//!   `to_vec`, `clone`, `collect`, `format!`, `Box::new`, `to_owned`,
+//!   `to_string`). A site in an AllocFree entry's reach is enforced:
+//!   moving it one wrapper deeper changes its call path, never the
+//!   verdict. The pass cannot tell a one-time setup allocation from a
+//!   per-iteration one, so deliberate tracked allocations live in the
+//!   baseline, and the gate fires only when *new* ones appear.
+//! - **ArenaClean** entries promise no *direct* allocation in their own
+//!   body (closures included); each site is an enforced
+//!   `non-arena-alloc` finding. Direct sites only, deliberately:
+//!   enforcement through the over-approximate name-based call graph would
+//!   import collision noise (`decide` resolves to every `decide` in the
+//!   workspace). Calls into the sanctioned arena crates record no sites
+//!   ([`AnalysisConfig::arena_crates`]), so `arena.take()` and friends
+//!   are free by construction.
 //!
-//! 2. **Do the converted functions stay clean?** Functions registered in
-//!    [`AnalysisConfig::arena_clean_entries`] have been converted to
-//!    arena/pooled scratch; any *direct* allocation site in their own
-//!    body (closures included) is an enforced finding the baseline never
-//!    absorbs. Direct sites only, deliberately: enforcement through the
-//!    over-approximate name-based call graph would import collision
-//!    noise (`decide` resolves to every `decide` in the workspace), and
-//!    the transitive allocation budget is already A003's job. Calls into
-//!    the sanctioned arena crates record no sites at extraction
-//!    ([`AnalysisConfig::arena_crates`]), so `arena.take()` and friends
-//!    are free by construction.
+//! Every message carries the call path from the nearest entry and the
+//! site's escape class ([`Escape`](crate::dataflow::Escape)). The
+//! `escape: local` findings are the arena-able inventory: allocations that
+//! provably die inside their function, so a pooled buffer could replace
+//! them without changing an output byte. `analyze` prints their count,
+//! and the `--json` report lists them.
 
-use super::{path_string, AnalysisConfig, Finding};
+use super::{path_string, AllocMode, AnalysisConfig, Finding};
 use crate::callgraph::CallGraph;
-use crate::dataflow::Summaries;
+use crate::dataflow::{alloc_sites, AllocSite};
 use crate::model::Workspace;
 
-/// Runs the enforcement half of the pass: every direct allocation site
-/// inside an arena-clean-registered function is an enforced finding.
-pub fn run(
-    ws: &Workspace,
-    _graph: &CallGraph,
-    summaries: &Summaries,
-    config: &AnalysisConfig,
-) -> Vec<Finding> {
+/// Runs the pass over every registered entry.
+pub fn run(ws: &Workspace, graph: &CallGraph, config: &AnalysisConfig) -> Vec<Finding> {
+    let entries = |modes: &[AllocMode]| -> Vec<usize> {
+        (0..ws.fns.len())
+            .filter(|&i| {
+                let item = &ws.fns[i];
+                !item.in_test
+                    && config.alloc_entries.iter().any(|entry| {
+                        modes.contains(&entry.mode)
+                            && item.name == entry.func
+                            && ws.files[item.file].path.contains(entry.path.as_str())
+                    })
+            })
+            .collect()
+    };
+    let reach = graph.reach(&entries(&[AllocMode::Tracked, AllocMode::AllocFree]));
+    let enforced_reach = graph.reach(&entries(&[AllocMode::AllocFree]));
+    let arena_clean = entries(&[AllocMode::ArenaClean]);
+    let sites = alloc_sites(ws, config);
+
     let mut findings = Vec::new();
     for (index, item) in ws.fns.iter().enumerate() {
-        if item.in_test {
+        if sites[index].is_empty() {
             continue;
         }
-        let file_path = &ws.files[item.file].path;
-        let registered = config
-            .arena_clean_entries
-            .iter()
-            .any(|e| item.name == e.func && file_path.contains(e.path.as_str()));
-        if !registered {
-            continue;
-        }
-        for site in &summaries.alloc_sites[index] {
-            let message = format!(
-                "`{}` allocates directly in arena-clean `{}` (lines {}-{}, escape: {}); \
-                 per-call scratch must come from `anubis-arena` or a caller-provided buffer",
-                site.kind,
-                item.qual_name(),
-                site.span.0,
-                site.span.1,
-                site.escape.slug(),
-            );
+        let func = item.qual_name();
+        let mut push = |site: &AllocSite, kind: &str, context: &str, enforced| {
             findings.push(Finding {
                 code: "A008",
-                path: file_path.clone(),
+                path: ws.files[item.file].path.clone(),
                 line: site.line,
-                func: item.qual_name(),
-                kind: "non-arena-alloc".to_owned(),
-                message,
-                enforced: true,
+                func: func.clone(),
+                kind: kind.to_owned(),
+                message: format!(
+                    "`{}` allocates in `{func}` (lines {}-{}, escape: {}), {context}",
+                    site.kind,
+                    site.span.0,
+                    site.span.1,
+                    site.escape.slug(),
+                ),
+                enforced,
             });
+        };
+        if reach.dist[index] != usize::MAX {
+            let mut entry_path = reach.path_from(index);
+            entry_path.reverse();
+            let via = path_string(ws, &entry_path);
+            let context = format!("reachable from hot entry via {via}");
+            let enforced = enforced_reach.dist[index] != usize::MAX;
+            for site in &sites[index] {
+                push(site, &site.kind, &context, enforced);
+            }
+        }
+        if arena_clean.contains(&index) {
+            let context = "directly in an arena-clean entry; per-call scratch must come \
+                           from `anubis-arena` or a caller-provided buffer";
+            for site in &sites[index] {
+                push(site, "non-arena-alloc", context, true);
+            }
         }
     }
     findings
 }
 
-/// One arena-able site: a scope-local allocation in a function reachable
-/// from an A003 hot entry. These are candidates for conversion, reported
-/// informationally by `cargo xtask analyze`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArenaAble {
-    /// Workspace-relative file of the site.
-    pub path: String,
-    /// Qualified name of the containing function.
-    pub func: String,
-    /// 1-based line of the allocating construct.
-    pub line: usize,
-    /// First and last line of the enclosing statement.
-    pub span: (usize, usize),
-    /// Allocation kind (`vec!`, `collect`, `Vec::with_capacity`, …).
-    pub kind: String,
-    /// Call path from the nearest hot entry.
-    pub via: String,
-}
-
-/// The reporting half: every non-escaping ([`Escape::Local`]
-/// (crate::dataflow::Escape::Local)) allocation site reachable from an
-/// A003 hot entry, sorted by (path, line, kind) for stable output.
-pub fn arena_able(
-    ws: &Workspace,
-    graph: &CallGraph,
-    summaries: &Summaries,
-    config: &AnalysisConfig,
-) -> Vec<ArenaAble> {
-    let roots: Vec<usize> = ws
-        .fns
-        .iter()
-        .enumerate()
-        .filter(|(_, item)| {
-            !item.in_test
-                && config.hot_entries.iter().any(|entry| {
-                    item.name == entry.func
-                        && ws.files[item.file].path.contains(entry.path.as_str())
-                })
-        })
-        .map(|(i, _)| i)
-        .collect();
-    let reach = graph.reach(&roots);
-
-    let mut out = Vec::new();
-    for (index, item) in ws.fns.iter().enumerate() {
-        if item.in_test || reach.dist[index] == usize::MAX {
-            continue;
-        }
-        let mut entry_path = reach.path_from(index);
-        entry_path.reverse();
-        let via = path_string(ws, &entry_path);
-        for site in &summaries.alloc_sites[index] {
-            if site.escape.escapes() {
-                continue;
-            }
-            out.push(ArenaAble {
-                path: ws.files[item.file].path.clone(),
-                func: item.qual_name(),
-                line: site.line,
-                span: site.span,
-                kind: site.kind.clone(),
-                via: via.clone(),
-            });
-        }
-    }
-    out.sort_by(|a, b| (&a.path, a.line, &a.kind).cmp(&(&b.path, b.line, &b.kind)));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::callgraph::CallGraph;
-    use crate::model::Workspace;
-    use crate::passes::HotEntry;
+    use crate::passes::AllocEntry;
+    use AllocMode::{AllocFree, ArenaClean, Tracked};
 
-    fn setup(files: &[(&str, &str)], config: AnalysisConfig) -> (Vec<Finding>, Vec<ArenaAble>) {
+    fn analyze(files: &[(&str, &str)], entries: &[(&str, &str, AllocMode)]) -> Vec<Finding> {
         let ws = Workspace::from_sources(files.iter().copied());
-        let graph = CallGraph::build(&ws);
-        let summaries = Summaries::compute(&ws, &graph, &config);
-        let findings = run(&ws, &graph, &summaries, &config);
-        let report = arena_able(&ws, &graph, &summaries, &config);
-        (findings, report)
+        let mut config = AnalysisConfig::bare();
+        config.arena_crates = vec!["arena".to_owned()];
+        config.alloc_entries = entries
+            .iter()
+            .map(|&(path, func, mode)| AllocEntry::new(path, func, mode))
+            .collect();
+        run(&ws, &CallGraph::build(&ws), &config)
+    }
+
+    #[test]
+    fn allocation_in_callee_of_hot_entry_is_flagged_with_path_and_escape() {
+        let findings = analyze(
+            &[(
+                "crates/nn/src/mlp.rs",
+                "pub fn forward_into(x: &[f64]) { helper(x); }\n\
+                 fn helper(x: &[f64]) { let _y = x.to_vec(); }\n",
+            )],
+            &[("nn/src/mlp.rs", "forward_into", Tracked)],
+        );
+        assert_eq!(findings.len(), 1, "{findings:#?}");
+        let f = &findings[0];
+        assert_eq!(
+            (f.code, f.kind.as_str(), f.func.as_str()),
+            ("A008", "to_vec", "helper")
+        );
+        assert!(!f.enforced);
+        assert!(
+            f.message.contains("forward_into -> helper"),
+            "{}",
+            f.message
+        );
+        assert!(f.message.contains("escape: local"), "{}", f.message);
+    }
+
+    #[test]
+    fn returned_buffer_reports_escape_returned() {
+        let findings = analyze(
+            &[(
+                "crates/nn/src/mlp.rs",
+                "pub fn forward_into(x: &[u32]) -> Vec<u32> { x.to_vec() }\n",
+            )],
+            &[("nn/src/mlp.rs", "forward_into", Tracked)],
+        );
+        assert_eq!(findings.len(), 1, "{findings:#?}");
+        assert!(
+            findings[0].message.contains("escape: returned"),
+            "{}",
+            findings[0].message
+        );
+    }
+
+    #[test]
+    fn allocation_outside_hot_reachability_is_not_flagged() {
+        let findings = analyze(
+            &[(
+                "crates/nn/src/mlp.rs",
+                "pub fn forward_into(x: &[f64]) -> f64 { x[0] }\n\
+                 pub fn cold() { let _v: Vec<f64> = Vec::new(); }\n",
+            )],
+            &[("nn/src/mlp.rs", "forward_into", Tracked)],
+        );
+        assert!(findings.is_empty(), "{findings:#?}");
+    }
+
+    #[test]
+    fn enforced_entries_mark_their_reach_enforced() {
+        let files = [(
+            "crates/nn/src/mlp.rs",
+            "pub fn forward_into(x: &[f64]) { helper(x); }\n\
+             pub fn cold_path(x: &[f64]) { helper(x); }\n\
+             fn helper(x: &[f64]) { let _y = x.to_vec(); }\n",
+        )];
+        // Tracked entry only: finding is not enforced.
+        let tracked = analyze(&files, &[("nn/src/mlp.rs", "cold_path", Tracked)]);
+        assert_eq!(tracked.len(), 1);
+        assert!(!tracked[0].enforced);
+        // An alloc-free entry sharing the callee upgrades the finding.
+        let findings = analyze(
+            &files,
+            &[
+                ("nn/src/mlp.rs", "cold_path", Tracked),
+                ("nn/src/mlp.rs", "forward_into", AllocFree),
+            ],
+        );
+        assert_eq!(findings.len(), 1);
+        assert!(findings[0].enforced, "{findings:#?}");
+    }
+
+    #[test]
+    fn vec_new_and_macros_in_entry_itself_are_flagged() {
+        let findings = analyze(
+            &[(
+                "crates/metrics/src/distance.rs",
+                "pub fn integrate_ecdf() { let mut v = Vec::new(); v.push(format!(\"x\")); }\n",
+            )],
+            &[("metrics/src/distance.rs", "integrate_ecdf", Tracked)],
+        );
+        let kinds: Vec<&str> = findings.iter().map(|f| f.kind.as_str()).collect();
+        assert!(kinds.contains(&"Vec::new"));
+        assert!(kinds.contains(&"format!"));
+    }
+
+    #[test]
+    fn wrapper_shuffle_cannot_dodge_enforcement() {
+        // The allocation sits two wrappers deep; the forward reach still
+        // gets there, so the enforced verdict is unchanged.
+        let findings = analyze(
+            &[(
+                "crates/metrics/src/distance.rs",
+                "pub fn integrate_ecdf(x: &[f64]) { shim(x); }\n\
+                 fn shim(x: &[f64]) { deep(x); }\n\
+                 fn deep(x: &[f64]) { let _v = x.to_vec(); }\n",
+            )],
+            &[("metrics/src/distance.rs", "integrate_ecdf", AllocFree)],
+        );
+        assert_eq!(findings.len(), 1);
+        assert!(findings[0].enforced);
+        assert!(findings[0]
+            .message
+            .contains("integrate_ecdf -> shim -> deep"));
+    }
+
+    #[test]
+    fn reach_over_a_call_cycle_terminates() {
+        let findings = analyze(
+            &[(
+                "crates/metrics/src/lib.rs",
+                "pub fn ping(n: usize) { pong(n); let _v = vec![n]; }\n\
+                 pub fn pong(n: usize) { ping(n); }\n",
+            )],
+            &[("metrics/src/lib.rs", "pong", Tracked)],
+        );
+        assert_eq!(findings.len(), 1, "{findings:#?}");
+        assert_eq!(findings[0].func, "ping");
+        assert!(
+            findings[0].message.contains("via pong -> ping"),
+            "{}",
+            findings[0].message
+        );
     }
 
     #[test]
     fn allocation_in_arena_clean_fn_is_enforced() {
-        let mut config = AnalysisConfig::bare();
-        config.arena_clean_entries = vec![HotEntry::enforced("cluster/src/sim.rs", "step")];
-        let (findings, _) = setup(
+        let findings = analyze(
             &[(
                 "crates/cluster/src/sim.rs",
                 "pub fn step(n: usize) -> usize { let v = vec![0u32; n]; v.len() }\n",
             )],
-            config,
+            &[("cluster/src/sim.rs", "step", ArenaClean)],
         );
         assert_eq!(findings.len(), 1, "{findings:#?}");
         let f = &findings[0];
@@ -183,24 +269,19 @@ mod tests {
 
     #[test]
     fn clean_registered_fn_reports_nothing() {
-        let mut config = AnalysisConfig::bare();
-        config.arena_clean_entries = vec![HotEntry::enforced("cluster/src/sim.rs", "step")];
-        let (findings, _) = setup(
+        let findings = analyze(
             &[(
                 "crates/cluster/src/sim.rs",
                 "pub fn step(buf: &mut Vec<u32>, n: usize) { buf.clear(); buf.push(n as u32); }\n",
             )],
-            config,
+            &[("cluster/src/sim.rs", "step", ArenaClean)],
         );
         assert!(findings.is_empty(), "{findings:#?}");
     }
 
     #[test]
     fn arena_crate_allocations_are_sanctioned() {
-        let mut config = AnalysisConfig::bare();
-        config.arena_crates = vec!["arena".to_owned()];
-        config.arena_clean_entries = vec![HotEntry::enforced("cluster/src/sim.rs", "step")];
-        let (findings, _) = setup(
+        let findings = analyze(
             &[
                 (
                     "crates/arena/src/lib.rs",
@@ -211,7 +292,7 @@ mod tests {
                     "pub fn step(n: usize) -> usize { let v = anubis_arena::take(n); v.len() }\n",
                 ),
             ],
-            config,
+            &[("cluster/src/sim.rs", "step", ArenaClean)],
         );
         assert!(
             findings.is_empty(),
@@ -221,65 +302,29 @@ mod tests {
 
     #[test]
     fn only_direct_sites_count_against_arena_clean() {
-        // The callee allocates, but enforcement is direct-site only —
-        // transitive budgets belong to A003.
-        let mut config = AnalysisConfig::bare();
-        config.arena_clean_entries = vec![HotEntry::enforced("cluster/src/sim.rs", "step")];
-        let (findings, _) = setup(
+        // The callee allocates, but arena-clean enforcement is direct-site
+        // only — transitive budgets belong to the hot-entry modes.
+        let findings = analyze(
             &[(
                 "crates/cluster/src/sim.rs",
                 "pub fn step(x: &[u32]) -> usize { helper(x) }\n\
                  fn helper(x: &[u32]) -> usize { x.to_vec().len() }\n",
             )],
-            config,
+            &[("cluster/src/sim.rs", "step", ArenaClean)],
         );
         assert!(findings.is_empty(), "{findings:#?}");
     }
 
     #[test]
     fn closure_sites_inside_registered_fn_are_direct() {
-        let mut config = AnalysisConfig::bare();
-        config.arena_clean_entries = vec![HotEntry::enforced("cluster/src/sim.rs", "step")];
-        let (findings, _) = setup(
+        let findings = analyze(
             &[(
                 "crates/cluster/src/sim.rs",
                 "pub fn step(xs: &[u32]) -> usize { xs.iter().map(|x| vec![*x].len()).sum() }\n",
             )],
-            config,
+            &[("cluster/src/sim.rs", "step", ArenaClean)],
         );
         assert_eq!(findings.len(), 1, "{findings:#?}");
         assert_eq!(findings[0].func, "step");
-    }
-
-    #[test]
-    fn arena_able_reports_local_sites_in_hot_reach_with_path() {
-        let mut config = AnalysisConfig::bare();
-        config.hot_entries = vec![HotEntry::tracked("nn/src/mlp.rs", "forward_into")];
-        let (_, report) = setup(
-            &[(
-                "crates/nn/src/mlp.rs",
-                "pub fn forward_into(x: &[u32]) -> usize { helper(x) }\n\
-                 fn helper(x: &[u32]) -> usize { let v = x.to_vec(); v.len() }\n",
-            )],
-            config,
-        );
-        assert_eq!(report.len(), 1, "{report:#?}");
-        assert_eq!(report[0].kind, "to_vec");
-        assert_eq!(report[0].func, "helper");
-        assert!(report[0].via.contains("forward_into -> helper"));
-    }
-
-    #[test]
-    fn escaping_sites_are_not_arena_able() {
-        let mut config = AnalysisConfig::bare();
-        config.hot_entries = vec![HotEntry::tracked("nn/src/mlp.rs", "forward_into")];
-        let (_, report) = setup(
-            &[(
-                "crates/nn/src/mlp.rs",
-                "pub fn forward_into(x: &[u32]) -> Vec<u32> { x.to_vec() }\n",
-            )],
-            config,
-        );
-        assert!(report.is_empty(), "returned value escapes: {report:#?}");
     }
 }

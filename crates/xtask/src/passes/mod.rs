@@ -8,15 +8,15 @@
 //! |------|------|-------------------|
 //! | A001 | [`a001`] | Which public fleet-facing APIs can transitively panic? |
 //! | A002 | [`a002`] | Where are floats compared or ordered NaN-unsafely? |
-//! | A003 | [`a003`] | What allocates inside the measured hot paths? |
-//! | A008 | [`a008`] | Which hot-path allocations are scope-local (arena-able), and do arena-clean functions stay clean? |
+//! | A008 | [`a008`] | What allocates inside the registered hot paths, does it escape, and do arena-clean functions stay clean? |
 //!
-//! A003/A008 consume the interprocedural allocation summaries of
-//! [`crate::dataflow`]; the others scan per-function.
+//! A008 consumes the per-function allocation sites of [`crate::dataflow`];
+//! the others scan per-function.
 //!
-//! The numbering skips the codes between A003 and A008 on purpose: the
-//! toolchain enforces what they checked. The root `clippy.toml` bans the
-//! nondeterminism sources and the shared-mutable types (`Mutex`,
+//! The numbering skips A003–A007 on purpose. A003's allocation reach is
+//! A008's [`AllocMode::Tracked`] and [`AllocMode::AllocFree`] modes, and
+//! the toolchain enforces what the rest checked. The root `clippy.toml`
+//! bans the nondeterminism sources and the shared-mutable types (`Mutex`,
 //! atomics, `Cell`, `RefCell`); rustc rejects a worker closure that
 //! assigns through a capture, since every `anubis-parallel` entry takes
 //! `Fn + Sync`; and `NodeState` is opaque outside `anubis-lifecycle`, so
@@ -26,18 +26,16 @@
 //! by line — so the committed baseline survives unrelated edits to the
 //! same file. Identical keys are aggregated by count in the baseline.
 //!
-//! Findings reachable from an *enforced* hot entry
-//! ([`HotEntry::enforced`]) are marked [`Finding::enforced`]; those are
-//! hard failures — the baseline never absorbs them (see
-//! [`crate::report::Baseline::from_findings`]).
+//! Findings in the reach of an [`AllocMode::AllocFree`] entry or in the
+//! body of an [`AllocMode::ArenaClean`] entry are marked
+//! [`Finding::enforced`]; those are hard failures — the baseline never
+//! absorbs them (see [`crate::report::Baseline::from_findings`]).
 
 pub mod a001;
 pub mod a002;
-pub mod a003;
 pub mod a008;
 
 use crate::callgraph::CallGraph;
-use crate::dataflow::Summaries;
 use crate::model::Workspace;
 use std::fmt;
 
@@ -59,7 +57,7 @@ pub const GATED_CRATES: &[&str] = &[
 /// One analysis finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable diagnostic code (`A001`, `A002`, `A003` or `A008`).
+    /// Stable diagnostic code (`A001`, `A002` or `A008`).
     pub code: &'static str,
     /// Workspace-relative file of the flagged function.
     pub path: String,
@@ -73,8 +71,9 @@ pub struct Finding {
     /// Human-readable explanation, including the call path where the pass
     /// computes one.
     pub message: String,
-    /// `true` when the finding sits on an enforced hot entry's reach: it
-    /// is a hard failure the baseline never absorbs.
+    /// `true` for an [`AllocMode::AllocFree`] reach or an
+    /// [`AllocMode::ArenaClean`] body: a hard failure the baseline never
+    /// absorbs.
     pub enforced: bool,
 }
 
@@ -96,38 +95,39 @@ impl fmt::Display for Finding {
     }
 }
 
-/// One A003 hot entry point: the function whose forward reach is scanned
-/// for allocations, plus whether its findings are enforced (hard failure)
-/// or merely tracked against the baseline.
+/// What an [`AllocEntry`] promises about allocation (see [`a008`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AllocMode {
+    /// Every site in the entry's forward reach is a finding the baseline
+    /// can absorb: new allocations regress it, existing ones are tolerated.
+    Tracked,
+    /// Every site in the entry's forward reach is an enforced finding.
+    /// Reserve for kernels already proven allocation-free.
+    AllocFree,
+    /// Every *direct* site in the entry's own body (closures included) is
+    /// an enforced `non-arena-alloc` finding: per-call scratch must come
+    /// from `anubis-arena` or a caller-provided buffer.
+    ArenaClean,
+}
+
+/// One function registered with the allocation pass.
 #[derive(Debug, Clone)]
-pub struct HotEntry {
+pub struct AllocEntry {
     /// Path substring selecting the file (`nn/src/mlp.rs`).
     pub path: String,
     /// Function name (`forward_into`).
     pub func: String,
-    /// `true` makes every allocation reachable from this entry a hard
-    /// failure instead of a baseline-tracked finding.
-    pub enforce: bool,
+    /// What the entry promises.
+    pub mode: AllocMode,
 }
 
-impl HotEntry {
-    /// A baseline-tracked entry: new allocations regress the baseline but
-    /// existing ones are tolerated.
-    pub fn tracked(path: &str, func: &str) -> Self {
+impl AllocEntry {
+    /// An entry for function `func` in the file matching `path`.
+    pub fn new(path: &str, func: &str, mode: AllocMode) -> Self {
         Self {
             path: path.to_owned(),
             func: func.to_owned(),
-            enforce: false,
-        }
-    }
-
-    /// An enforced entry: *any* allocation in its reach fails the run,
-    /// baseline or not. Reserve for kernels already proven allocation-free.
-    pub fn enforced(path: &str, func: &str) -> Self {
-        Self {
-            path: path.to_owned(),
-            func: func.to_owned(),
-            enforce: true,
+            mode,
         }
     }
 }
@@ -138,49 +138,51 @@ impl HotEntry {
 pub struct AnalysisConfig {
     /// Crate directory names whose public APIs are A001 roots.
     pub gated_crates: Vec<String>,
-    /// Hot entry points for A003.
-    pub hot_entries: Vec<HotEntry>,
+    /// The A008 registry: hot entries and arena-clean functions.
+    pub alloc_entries: Vec<AllocEntry>,
     /// Crate directory names implementing the sanctioned arena
     /// (`anubis-arena`). Their internal allocations record no sites —
     /// pooled growth inside the arena is the mechanism, not a hot-path
     /// cost — and calls into them never count against arena-clean
     /// functions.
     pub arena_crates: Vec<String>,
-    /// Functions registered **arena-clean**: every *direct* allocation in
-    /// their own body (closures included) is an enforced A008 failure —
-    /// per-call scratch must come from `anubis-arena` instead. Direct
-    /// sites only, deliberately: transitive reach through the
-    /// over-approximate name-based call graph would import collision
-    /// noise, and the transitive budget is A003's job. The `enforce` flag
-    /// is ignored; registration itself is the enforcement.
-    pub arena_clean_entries: Vec<HotEntry>,
 }
 
 impl Default for AnalysisConfig {
     fn default() -> Self {
-        let hot = vec![
+        use AllocMode::{AllocFree, ArenaClean, Tracked};
+        let alloc_entries = [
             // Cox-Time training (scanning from `fit` reaches the minibatch
             // loop in `train` and the Breslow bucket closure in `finish`).
-            HotEntry::tracked("selector/src/coxtime.rs", "fit"),
+            ("selector/src/coxtime.rs", "fit", Tracked),
             // CDF similarity matrix and its integration kernel. The
             // integration kernel is proven allocation-free (PR 2); keep it
             // that way unconditionally.
-            HotEntry::tracked("metrics/src/distance.rs", "pairwise_similarity_matrix"),
-            HotEntry::tracked(
+            (
+                "metrics/src/distance.rs",
+                "pairwise_similarity_matrix",
+                Tracked,
+            ),
+            (
                 "metrics/src/distance.rs",
                 "pairwise_similarity_matrix_threads",
+                Tracked,
             ),
-            HotEntry::tracked("metrics/src/distance.rs", "upper_triangle_similarities"),
-            HotEntry::enforced("metrics/src/distance.rs", "integrate_ecdf"),
+            (
+                "metrics/src/distance.rs",
+                "upper_triangle_similarities",
+                Tracked,
+            ),
+            ("metrics/src/distance.rs", "integrate_ecdf", AllocFree),
             // Incremental statistical core (PR 7): the three steady-state
             // kernels run once per benchmark result on the fleet path, so
             // any allocation in their reach is a hard failure. Each was
             // written against the collision list in crate::callgraph
             // (manual swaps instead of `<[T]>::swap`, no calls to names a
             // workspace method shares).
-            HotEntry::enforced("metrics/src/distance.rs", "similarity_rows_into"),
-            HotEntry::enforced("selector/src/select.rs", "celf_core"),
-            HotEntry::enforced("selector/src/coxtime.rs", "warmstart_merge_into"),
+            ("metrics/src/distance.rs", "similarity_rows_into", AllocFree),
+            ("selector/src/select.rs", "celf_core", AllocFree),
+            ("selector/src/coxtime.rs", "warmstart_merge_into", AllocFree),
             // MLP forward/backward and the optimizer step: the PR 2 hoist
             // left the kernels allocation-free, so the ones whose reach is
             // free of name-collision edges are enforced. The two forward
@@ -188,35 +190,35 @@ impl Default for AnalysisConfig {
             // unrelated `forward`/`apply` methods that carry baseline
             // allocations, and the over-approximating graph must keep
             // those edges (see crate::callgraph).
-            HotEntry::tracked("nn/src/mlp.rs", "forward_into"),
-            HotEntry::tracked("nn/src/mlp.rs", "forward_scalar_into"),
-            HotEntry::enforced("nn/src/mlp.rs", "backward_flat"),
-            HotEntry::enforced("nn/src/adam.rs", "step_flat"),
+            ("nn/src/mlp.rs", "forward_into", Tracked),
+            ("nn/src/mlp.rs", "forward_scalar_into", Tracked),
+            ("nn/src/mlp.rs", "backward_flat", AllocFree),
+            ("nn/src/adam.rs", "step_flat", AllocFree),
             // Deterministic parallel executor: every chunk body runs here.
-            HotEntry::tracked("parallel/src/lib.rs", "execute"),
-            HotEntry::tracked("parallel/src/lib.rs", "map_chunks"),
-            HotEntry::tracked("parallel/src/lib.rs", "map_chunks_mut"),
-            HotEntry::tracked("parallel/src/lib.rs", "map_items"),
-            HotEntry::tracked("parallel/src/lib.rs", "map_indexed"),
-            HotEntry::tracked("parallel/src/lib.rs", "reduce_chunks"),
+            ("parallel/src/lib.rs", "execute", Tracked),
+            ("parallel/src/lib.rs", "map_chunks", Tracked),
+            ("parallel/src/lib.rs", "map_chunks_mut", Tracked),
+            ("parallel/src/lib.rs", "map_items", Tracked),
+            ("parallel/src/lib.rs", "map_indexed", Tracked),
+            ("parallel/src/lib.rs", "reduce_chunks", Tracked),
+            // The converted zero-alloc hot loops: per-call scratch comes
+            // from `anubis-arena` pools or caller-provided buffers.
+            ("cluster/src/sim.rs", "try_allocate", ArenaClean),
+            ("benchsuite/src/runner.rs", "append_jsonl", ArenaClean),
+            ("obs/src/trace.rs", "append_jsonl", ArenaClean),
+            ("metrics/src/json.rs", "push_f64", ArenaClean),
+            ("metrics/src/json.rs", "push_escaped", ArenaClean),
+            // The fleetd shard hot loop: per-tick scratch is pooled,
+            // proposals go to persistent report buffers.
+            ("fleetd/src/shard.rs", "tick", ArenaClean),
         ];
         Self {
             gated_crates: GATED_CRATES.iter().map(|c| (*c).to_owned()).collect(),
-            hot_entries: hot,
+            alloc_entries: alloc_entries
+                .into_iter()
+                .map(|(path, func, mode)| AllocEntry::new(path, func, mode))
+                .collect(),
             arena_crates: vec!["arena".to_owned()],
-            // The converted zero-alloc hot loops (PR 9): per-call scratch
-            // comes from `anubis-arena` pools or caller-provided buffers;
-            // any direct allocation reappearing in them fails the run.
-            arena_clean_entries: vec![
-                HotEntry::enforced("cluster/src/sim.rs", "try_allocate"),
-                HotEntry::enforced("benchsuite/src/runner.rs", "append_jsonl"),
-                HotEntry::enforced("obs/src/trace.rs", "append_jsonl"),
-                HotEntry::enforced("metrics/src/json.rs", "push_f64"),
-                HotEntry::enforced("metrics/src/json.rs", "push_escaped"),
-                // The fleetd shard hot loop (PR 10): per-tick scratch is
-                // pooled, proposals go to persistent report buffers.
-                HotEntry::enforced("fleetd/src/shard.rs", "tick"),
-            ],
         }
     }
 }
@@ -227,39 +229,25 @@ impl AnalysisConfig {
     pub fn bare() -> Self {
         Self {
             gated_crates: Vec::new(),
-            hot_entries: Vec::new(),
+            alloc_entries: Vec::new(),
             arena_crates: Vec::new(),
-            arena_clean_entries: Vec::new(),
         }
     }
 }
 
-/// Runs all four passes and returns findings sorted by (code, path, line,
-/// kind, func) — a deterministic order suitable for diffing. The call
-/// graph and the interprocedural summaries are computed once and shared
-/// by every summary-consuming pass.
+/// Runs all three passes and returns findings sorted by (code, path,
+/// line, kind, func) — a deterministic order suitable for diffing. The
+/// call graph is built once and shared by both graph passes.
 pub fn run_analysis(ws: &Workspace, config: &AnalysisConfig) -> Vec<Finding> {
     let graph = CallGraph::build(ws);
-    let summaries = Summaries::compute(ws, &graph, config);
     let mut findings = a001::run(ws, &graph, config);
     findings.extend(a002::run(ws));
-    findings.extend(a003::run(ws, &graph, &summaries, config));
-    findings.extend(a008::run(ws, &graph, &summaries, config));
+    findings.extend(a008::run(ws, &graph, config));
     findings.sort_by(|a, b| {
         (a.code, &a.path, a.line, &a.kind, &a.func)
             .cmp(&(b.code, &b.path, b.line, &b.kind, &b.func))
     });
     findings
-}
-
-/// Computes the A008 arena-able inventory (see [`a008::arena_able`]):
-/// every scope-local allocation reachable from an A003 hot entry. The
-/// `analyze --arena-report` flag prints it as an informational report;
-/// the sites are candidates for pooled-scratch conversion, not findings.
-pub fn arena_able_report(ws: &Workspace, config: &AnalysisConfig) -> Vec<a008::ArenaAble> {
-    let graph = CallGraph::build(ws);
-    let summaries = Summaries::compute(ws, &graph, config);
-    a008::arena_able(ws, &graph, &summaries, config)
 }
 
 /// Renders a call path of function indices as `a -> B::b -> c`.

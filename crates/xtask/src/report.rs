@@ -197,10 +197,9 @@ const RULES: &[(&str, &str)] = &[
         "Public fleet-facing API can transitively reach a panic",
     ),
     ("A002", "NaN-unsafe float comparison or ordering"),
-    ("A003", "Allocation reachable from a hot entry point"),
     (
         "A008",
-        "Direct allocation in an arena-clean function bypasses anubis-arena",
+        "Allocation reachable from a hot entry, or direct in an arena-clean function",
     ),
 ];
 
@@ -369,14 +368,14 @@ mod tests {
         let make = |pairs: &[(&str, usize)]| Baseline {
             findings: pairs.iter().map(|(k, c)| ((*k).to_owned(), *c)).collect(),
         };
-        let old = make(&[("A003 f.rs g clone", 1), ("A001 f.rs h panic-reach", 3)]);
+        let old = make(&[("A008 f.rs g clone", 1), ("A001 f.rs h panic-reach", 3)]);
         let new = make(&[("A001 f.rs h panic-reach", 2), ("A002 f.rs i float-eq", 1)]);
         let lines = refresh_summary(&old, &new);
         assert_eq!(
             lines,
             vec![
                 "analyze: baseline ~ `A001 f.rs h panic-reach` (3 -> 2)".to_owned(),
-                "analyze: baseline - `A003 f.rs g clone` (fixed, was 1)".to_owned(),
+                "analyze: baseline - `A008 f.rs g clone` (fixed, was 1)".to_owned(),
                 "analyze: baseline + `A002 f.rs i float-eq` (new, now 1)".to_owned(),
             ]
         );
@@ -385,14 +384,14 @@ mod tests {
 
     #[test]
     fn enforced_findings_never_enter_the_baseline() {
-        let mut enforced = finding("A003", "crates/nn/src/mlp.rs", "forward_into", "clone");
+        let mut enforced = finding("A008", "crates/nn/src/mlp.rs", "forward_into", "clone");
         enforced.enforced = true;
-        let tracked = finding("A003", "crates/nn/src/mlp.rs", "other", "clone");
+        let tracked = finding("A008", "crates/nn/src/mlp.rs", "other", "clone");
         let baseline = Baseline::from_findings(&[enforced.clone(), tracked]);
         assert_eq!(baseline.findings.len(), 1);
         assert!(!baseline
             .findings
-            .contains_key("A003 crates/nn/src/mlp.rs forward_into clone"));
+            .contains_key("A008 crates/nn/src/mlp.rs forward_into clone"));
         // SARIF reports enforced findings as errors even when an old
         // baseline happens to list their key.
         let mut old = Baseline::default();
@@ -406,7 +405,7 @@ mod tests {
         let findings = vec![
             finding("A001", "crates/a/src/lib.rs", "f", "panic-reach"),
             finding("A001", "crates/a/src/lib.rs", "f", "panic-reach"),
-            finding("A003", "crates/b/src/lib.rs", "g", "clone"),
+            finding("A008", "crates/b/src/lib.rs", "g", "clone"),
         ];
         let baseline = Baseline::from_findings(&findings);
         let parsed = Baseline::parse(&baseline.to_json()).expect("roundtrip");
@@ -469,14 +468,14 @@ mod tests {
     fn sarif_driver_lists_rule_metadata_for_every_code() {
         let sarif = to_sarif(&[], &Baseline::default());
         assert!(sarif.contains("\"name\": \"anubis-xtask-analyze\""));
-        for code in ["A001", "A002", "A003", "A008"] {
+        for code in ["A001", "A002", "A008"] {
             assert!(
                 sarif.contains(&format!("{{\"id\": \"{code}\", \"shortDescription\"")),
                 "rule {code} missing from driver metadata"
             );
         }
         assert!(
-            sarif.contains("bypasses anubis-arena"),
+            sarif.contains("direct in an arena-clean function"),
             "A008 description missing"
         );
     }

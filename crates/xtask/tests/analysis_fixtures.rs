@@ -1,8 +1,9 @@
-//! One fixture mini-crate per diagnostic code: each triggers exactly its
-//! own code, and the clean fixture triggers nothing. The fixtures live
-//! under `tests/fixtures/analysis/<code>/` shaped like a real workspace
-//! (`crates/<name>/src/…`), so crate gating and the hot-entry registry
-//! behave exactly as they do on the real tree.
+//! One fixture mini-crate per diagnostic code, and one per A008 mode:
+//! each triggers exactly its own finding, and the clean fixture triggers
+//! nothing. The fixtures live under `tests/fixtures/analysis/<name>/`
+//! shaped like a real workspace (`crates/<name>/src/…`), so crate gating
+//! and the allocation-entry registry behave exactly as they do on the
+//! real tree.
 
 use anubis_xtask::model::Workspace;
 use anubis_xtask::passes::{run_analysis, AnalysisConfig, Finding};
@@ -56,24 +57,41 @@ fn a002_fixture_reports_float_equality_and_partial_cmp_unwrap() {
 }
 
 #[test]
-fn a003_fixture_reports_hot_path_allocation_with_call_path() {
-    let findings = analyze_fixture("a003");
+fn a008_tracked_fixture_reports_hot_path_allocation_with_call_path() {
+    let findings = analyze_fixture("a008-tracked");
     assert_eq!(findings.len(), 1, "findings: {findings:#?}");
     let f = &findings[0];
-    assert_eq!(f.code, "A003");
+    assert_eq!(f.code, "A008");
     assert_eq!(f.path, "crates/selector/src/coxtime.rs");
     assert_eq!(f.func, "accumulate");
     assert_eq!(f.kind, "Vec::new");
+    assert!(!f.enforced, "tracked findings go to the baseline");
+    // The buffer never escapes `accumulate`: an arena-able site.
+    for part in ["fit -> accumulate", "escape: local"] {
+        assert!(f.message.contains(part), "{part} missing: {}", f.message);
+    }
+}
+
+#[test]
+fn a008_alloc_free_fixture_enforces_allocation_below_the_kernel() {
+    let findings = analyze_fixture("a008-alloc-free");
+    assert_eq!(findings.len(), 1, "findings: {findings:#?}");
+    let f = &findings[0];
+    assert_eq!(f.code, "A008");
+    assert_eq!(f.path, "crates/metrics/src/distance.rs");
+    assert_eq!(f.func, "total");
+    assert_eq!(f.kind, "to_vec");
+    assert!(f.enforced, "alloc-free reach findings are hard failures");
     assert!(
-        f.message.contains("fit -> accumulate"),
-        "call path from hot entry missing: {}",
+        f.message.contains("integrate_ecdf -> total"),
+        "call path missing: {}",
         f.message
     );
 }
 
 #[test]
-fn a008_fixture_reports_direct_allocation_in_arena_clean_fn() {
-    let findings = analyze_fixture("a008");
+fn a008_arena_clean_fixture_reports_direct_allocation() {
+    let findings = analyze_fixture("a008-arena-clean");
     assert_eq!(findings.len(), 1, "findings: {findings:#?}");
     let f = &findings[0];
     assert_eq!(f.code, "A008");
@@ -85,26 +103,6 @@ fn a008_fixture_reports_direct_allocation_in_arena_clean_fn() {
         f.message.contains("escape: local"),
         "escape class missing: {}",
         f.message
-    );
-}
-
-#[test]
-fn a003_fixture_site_is_inventoried_as_arena_able() {
-    // The a003 fixture's hot-path buffer never escapes `accumulate`, so
-    // the informational arena-able inventory proposes it for conversion,
-    // with the call path from the hot entry.
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/analysis/a003");
-    let ws = Workspace::scan(&root).expect("scan fixture");
-    let report = anubis_xtask::passes::arena_able_report(&ws, &AnalysisConfig::default());
-    assert_eq!(report.len(), 1, "report: {report:#?}");
-    let site = &report[0];
-    assert_eq!(site.path, "crates/selector/src/coxtime.rs");
-    assert_eq!(site.func, "accumulate");
-    assert_eq!(site.kind, "Vec::new");
-    assert!(
-        site.via.contains("fit -> accumulate"),
-        "call path missing: {}",
-        site.via
     );
 }
 

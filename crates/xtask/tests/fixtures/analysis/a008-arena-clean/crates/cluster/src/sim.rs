@@ -1,6 +1,7 @@
-//! A008 fixture: a direct allocation inside an arena-clean function.
+//! A008 arena-clean-mode fixture: a direct allocation inside an
+//! arena-clean function.
 
-/// Registered arena-clean in `AnalysisConfig::arena_clean_entries`: all
+/// Registered `ArenaClean` in `AnalysisConfig::alloc_entries`: all
 /// per-call scratch must come from `anubis-arena`, so the direct `vec!`
 /// below is an enforced finding even though it never escapes.
 pub fn try_allocate(n: usize) -> usize {

@@ -1,6 +1,7 @@
-//! A003 fixture: an allocation reachable from the `fit` hot entry.
+//! A008 tracked-mode fixture: an allocation reachable from the `fit` hot
+//! entry.
 
-/// Hot entry point registered in [`AnalysisConfig::hot_entries`].
+/// Hot entry point registered `Tracked` in `AnalysisConfig::alloc_entries`.
 pub fn fit(n: usize) -> usize {
     accumulate(n)
 }
