@@ -29,6 +29,13 @@ cmp target/fleetd-smoke-t1.jsonl target/fleetd-smoke-t4.jsonl
 cmp target/fleetd-smoke-t1.txt target/fleetd-smoke-s1.txt
 cmp target/fleetd-smoke-t1.jsonl target/fleetd-smoke-s1.jsonl
 
+echo "==> Cox-Time experiment smoke (byte-determinism across threads)"
+for exp in table3 fig8; do
+    ANUBIS_THREADS=1 ./target/release/repro "$exp" --quick --json > "target/$exp-smoke-t1.json"
+    ANUBIS_THREADS=2 ./target/release/repro "$exp" --quick --json > "target/$exp-smoke-t2.json"
+    cmp "target/$exp-smoke-t1.json" "target/$exp-smoke-t2.json"
+done
+
 # Includes the exact work-counter check (tests/obs_trace_determinism.rs
 # against tests/work_counters.expected), the repo's perf check that host
 # load cannot move; perfbench bounds end-to-end wall time.

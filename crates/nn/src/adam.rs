@@ -114,7 +114,7 @@ impl Adam {
             }
             offset += count;
         }
-        mlp.refresh_transposed();
+        mlp.refresh_mirrors();
     }
 
     /// Number of optimizer steps applied so far.

@@ -6,7 +6,9 @@
 //! from-scratch, dependency-free MLP:
 //!
 //! - [`Mlp`]: dense layers with configurable activations, manual
-//!   backpropagation;
+//!   backpropagation, and batched kernels ([`Mlp::forward_batch`],
+//!   [`Mlp::backward_batch`]) that reproduce the one-row reference path
+//!   ([`Mlp::forward_cached`], [`Mlp::backward`]) bit for bit;
 //! - [`Adam`]: the Adam optimizer over the flattened parameter vector;
 //! - [`Gradients`]: a parameter-shaped gradient accumulator so callers can
 //!   average gradients over mini-batches or custom losses (the Cox partial
@@ -20,5 +22,5 @@ pub mod mlp;
 pub mod scaler;
 
 pub use adam::Adam;
-pub use mlp::{Activation, BackwardScratch, ForwardCache, Gradients, Mlp};
+pub use mlp::{Activation, BackwardScratch, BatchCache, ForwardCache, Gradients, Mlp};
 pub use scaler::StandardScaler;

@@ -41,17 +41,33 @@ impl Activation {
     }
 }
 
+/// SIMD lanes per column chunk of the batched kernels. Batch activations
+/// and the weight mirrors pad every row to a multiple of this, so each
+/// chunk of the right-hand operand is one full, in-bounds load.
+const LANES: usize = 8;
+
+/// Rows per register block of the batched kernels: every weight chunk
+/// loaded serves this many rows.
+const ROW_BLOCK: usize = 4;
+
+/// `width` rounded up to a whole number of [`LANES`] chunks.
+fn padded(width: usize) -> usize {
+    width.div_ceil(LANES) * LANES
+}
+
 /// One dense layer: `y = f(W x + b)` with `W` stored row-major
 /// (`outputs × inputs`).
 ///
-/// `weights_t` mirrors `weights` column-major (`inputs × outputs`) so the
-/// forward mat-vec can walk output neurons contiguously; it is derived
-/// state, refreshed by [`Mlp::for_each_parameter`] — the only place
-/// parameters mutate — and never read by the backward pass.
+/// `weights_t` (column-major, `inputs × padded(outputs)`) and
+/// `weights_p` (row-major, `outputs × padded(inputs)`) mirror `weights`
+/// with zero padding for the batched forward and input-delta products.
+/// They are derived state: every parameter mutation ends in a refresh,
+/// through [`Mlp::for_each_parameter`] or [`Mlp::refresh_mirrors`].
 #[derive(Debug, Clone)]
 struct Layer {
     weights: Vec<f64>,
     weights_t: Vec<f64>,
+    weights_p: Vec<f64>,
     biases: Vec<f64>,
     inputs: usize,
     outputs: usize,
@@ -59,52 +75,109 @@ struct Layer {
 }
 
 impl Layer {
-    fn forward(&self, input: &[f64], output: &mut Vec<f64>) {
-        let n = self.inputs;
-        let m = self.outputs;
-        let x = &input[..n.min(input.len())];
-        output.clear();
-        output.resize(m, 0.0);
-        let out = &mut output[..m];
-        // Column-major accumulation over the transposed weights: for each
-        // input element, all output accumulators advance by one product.
-        // Neuron `o` still sums `w[o][i]·x[i]` in ascending `i` order
-        // starting from 0.0 — exactly the one-neuron `sum()` — so results
-        // are bit-identical; the elementwise inner loop merely lets the
-        // independent per-neuron chains run as SIMD lanes.
-        for (i, &xi) in x.iter().enumerate() {
-            let col = &self.weights_t[i * m..(i + 1) * m];
-            for (acc, &w) in out.iter_mut().zip(col) {
-                *acc += w * xi;
-            }
-        }
-        // Bias + activation as a second pass: each neuron's value and op
-        // sequence is unchanged, but batching the (branch-heavy, division-
-        // bound) tanh calls lets them run through the four-lane kernel.
-        match self.activation {
-            Activation::Tanh => {
-                for (acc, &b) in out.iter_mut().zip(&self.biases) {
-                    *acc += b;
-                }
-                crate::fastmath::tanh_slice(out);
-            }
-            act => {
-                for (acc, &b) in out.iter_mut().zip(&self.biases) {
-                    *acc = act.apply(*acc + b);
-                }
+    /// Rebuilds both padded weight mirrors from the row-major source.
+    /// Padding lanes are never written, so they stay zero.
+    fn refresh_mirrors(&mut self) {
+        let (n, m) = (self.inputs, self.outputs);
+        let (n_pad, m_pad) = (padded(n), padded(m));
+        self.weights_t.resize(n * m_pad, 0.0);
+        self.weights_p.resize(m * n_pad, 0.0);
+        for o in 0..m {
+            for i in 0..n {
+                let w = self.weights[o * n + i];
+                self.weights_t[i * m_pad + o] = w;
+                self.weights_p[o * n_pad + i] = w;
             }
         }
     }
+}
 
-    /// Rebuilds the column-major weight mirror from the row-major source.
-    fn refresh_transposed(&mut self) {
-        self.weights_t.resize(self.weights.len(), 0.0);
-        for o in 0..self.outputs {
-            let row = &self.weights[o * self.inputs..(o + 1) * self.inputs];
-            for (i, &w) in row.iter().enumerate() {
-                self.weights_t[i * self.outputs + o] = w;
+/// A register-blocked product `out[r][j] = init + Σₖ a[r][k]·b[k][j]`
+/// over `r < rows`, `j < cols`, `k < depth`.
+///
+/// `a[r][k]` sits at `a[r·a_row + k·a_k]`, so one kernel reads the
+/// activations (`a_k = 1`) or a transposed delta (`a_row = 1`). `b` is
+/// row-major with a stride that is a multiple of [`LANES`]. Every output
+/// element is one scalar chain: `init` (`0.0`, or `out`'s current value
+/// when accumulating), then `+= b[k][j]·a[r][k]` in ascending `k`. That is
+/// the exact sequence of the one-row loops (IEEE multiplication commutes,
+/// so operand order inside a product is free), so blocking [`ROW_BLOCK`]
+/// rows × [`LANES`] columns into local accumulators changes no bit; it
+/// only lets each loaded `b` chunk serve a whole row block.
+struct Product<'a> {
+    a: &'a [f64],
+    a_row: usize,
+    a_k: usize,
+    b: &'a [f64],
+    b_stride: usize,
+    rows: usize,
+    depth: usize,
+    cols: usize,
+}
+
+impl Product<'_> {
+    /// Writes (or, with `accumulate`, adds onto) the product in `out`,
+    /// row-major with stride `out_stride`; only the `cols` valid columns
+    /// of each row are touched.
+    fn multiply_into(&self, out: &mut [f64], out_stride: usize, accumulate: bool) {
+        let mut r0 = 0;
+        while r0 + ROW_BLOCK <= self.rows {
+            self.product_block::<ROW_BLOCK>(r0, out, out_stride, accumulate);
+            r0 += ROW_BLOCK;
+        }
+        while r0 < self.rows {
+            self.product_block::<1>(r0, out, out_stride, accumulate);
+            r0 += 1;
+        }
+    }
+
+    #[inline(always)]
+    fn product_block<const R: usize>(
+        &self,
+        r0: usize,
+        out: &mut [f64],
+        out_stride: usize,
+        accumulate: bool,
+    ) {
+        for j0 in (0..self.cols).step_by(LANES) {
+            let valid = LANES.min(self.cols - j0);
+            let mut acc = [Lanes([0.0; LANES]); R];
+            if accumulate {
+                for (r, lanes) in acc.iter_mut().enumerate() {
+                    let base = (r0 + r) * out_stride + j0;
+                    lanes.0[..valid].copy_from_slice(&out[base..base + valid]);
+                }
+            }
+            for k in 0..self.depth {
+                let base = k * self.b_stride + j0;
+                let chunk = Lanes(
+                    self.b[base..base + LANES]
+                        .try_into()
+                        .expect("padded stride"),
+                );
+                for (r, lanes) in acc.iter_mut().enumerate() {
+                    let x = self.a[(r0 + r) * self.a_row + k * self.a_k];
+                    *lanes = lanes.add_scaled(chunk, x);
+                }
+            }
+            for (r, lanes) in acc.iter().enumerate() {
+                let base = (r0 + r) * out_stride + j0;
+                out[base..base + valid].copy_from_slice(&lanes.0[..valid]);
             }
         }
+    }
+}
+
+/// One [`LANES`]-wide column chunk of accumulators.
+#[derive(Clone, Copy)]
+struct Lanes([f64; LANES]);
+
+impl Lanes {
+    /// `self[j] + w[j]·x` per lane: one rounding for the product, one for
+    /// the sum, exactly the scalar `acc += w * x`.
+    #[inline(always)]
+    fn add_scaled(self, w: Self, x: f64) -> Self {
+        Self(std::array::from_fn(|j| self.0[j] + w.0[j] * x))
     }
 }
 
@@ -174,11 +247,38 @@ impl ForwardCache {
     }
 }
 
-/// Reusable delta buffers for allocation-free backward passes.
+/// Stacked activations of one [`Mlp::forward_batch`] call, needed by
+/// [`Mlp::backward_batch`].
 ///
-/// One scratch serves any number of [`Mlp::backward_flat`] calls on the
-/// same network; reuse avoids the per-call `Vec` allocations of
-/// [`Mlp::backward`] on hot training loops.
+/// Reusable: after the first call of a given batch size, later calls on
+/// the same network allocate nothing. Every stored row is padded to a
+/// whole number of SIMD chunks; [`BatchCache::output`] returns the
+/// unpadded output row.
+#[derive(Debug, Clone, Default)]
+pub struct BatchCache {
+    rows: usize,
+    output_width: usize,
+    /// `activations[0]` holds the input rows; `activations[l+1]` the
+    /// output rows of layer `l`.
+    activations: Vec<Vec<f64>>,
+}
+
+impl BatchCache {
+    /// Network output of row `row` of the cached batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not below the cached batch's row count.
+    pub fn output(&self, row: usize) -> &[f64] {
+        assert!(row < self.rows, "row out of range");
+        let stride = padded(self.output_width);
+        let last = self.activations.last().expect("a filled cache");
+        &last[row * stride..row * stride + self.output_width]
+    }
+}
+
+/// Reusable delta buffers for allocation-free [`Mlp::backward_batch`]
+/// calls on the same network.
 #[derive(Debug, Clone, Default)]
 pub struct BackwardScratch {
     delta: Vec<f64>,
@@ -230,6 +330,7 @@ impl Mlp {
             layers.push(Layer {
                 weights,
                 weights_t: Vec::new(),
+                weights_p: Vec::new(),
                 biases: vec![0.0; outputs],
                 inputs,
                 outputs,
@@ -237,7 +338,7 @@ impl Mlp {
             });
         }
         for layer in &mut layers {
-            layer.refresh_transposed();
+            layer.refresh_mirrors();
         }
         Self { layers }
     }
@@ -272,52 +373,95 @@ impl Mlp {
 
     /// Runs a forward pass keeping all intermediate activations for a later
     /// [`Mlp::backward`] call.
+    ///
+    /// The plain reference path: each neuron sums `w[o][i]·x[i]` in
+    /// ascending `i` from `0.0`, adds its bias and applies the activation,
+    /// one row at a time. [`Mlp::forward_batch`] reproduces it bit for
+    /// bit.
     pub fn forward_cached(&self, input: &[f64]) -> ForwardCache {
         assert_eq!(input.len(), self.input_dim(), "input dimension mismatch");
         let mut activations = Vec::with_capacity(self.layers.len() + 1);
         activations.push(input.to_vec());
-        let mut buffer = Vec::new();
         for layer in &self.layers {
-            layer.forward(activations.last().expect("non-empty"), &mut buffer);
-            activations.push(buffer.clone());
+            let x = activations.last().expect("non-empty");
+            let output: Vec<f64> = layer
+                .weights
+                .chunks_exact(layer.inputs)
+                .zip(&layer.biases)
+                .map(|(row, &b)| {
+                    let dot = row.iter().zip(x).fold(0.0, |acc, (&w, &xi)| acc + w * xi);
+                    layer.activation.apply(dot + b)
+                })
+                .collect();
+            activations.push(output);
         }
         ForwardCache { activations }
     }
 
-    /// Allocates a pre-sized, empty [`ForwardCache`] for [`Mlp::forward_into`].
-    pub fn empty_cache(&self) -> ForwardCache {
-        let mut activations = Vec::with_capacity(self.layers.len() + 1);
-        activations.push(Vec::with_capacity(self.input_dim()));
-        for layer in &self.layers {
-            activations.push(Vec::with_capacity(layer.outputs));
-        }
-        ForwardCache { activations }
-    }
-
-    /// Runs a forward pass into a reusable cache: bit-identical activations
-    /// to [`Mlp::forward_cached`] with no allocations after the first use.
+    /// Runs a forward pass over `rows` stacked input rows (`inputs` is
+    /// row-major, `rows × input_dim`) into a reusable cache.
+    ///
+    /// Row `r` of every cached layer is bit-identical to
+    /// [`Mlp::forward_cached`] on input row `r`: each layer is one
+    /// register-blocked product (4 rows × 8 output lanes of local
+    /// accumulators per weight load) whose output elements keep the
+    /// reference's ascending-`i` dot product, followed by the
+    /// same bias add and activation. `tanh` runs through
+    /// [`crate::fastmath::tanh_slice`], which is bit-exact lane by lane.
     ///
     /// # Panics
     ///
-    /// Panics if `input` does not match [`Mlp::input_dim`].
-    pub fn forward_into(&self, input: &[f64], cache: &mut ForwardCache) {
-        assert_eq!(input.len(), self.input_dim(), "input dimension mismatch");
+    /// Panics if `inputs.len()` is not `rows × input_dim`.
+    pub fn forward_batch(&self, inputs: &[f64], rows: usize, cache: &mut BatchCache) {
+        let width = self.input_dim();
+        assert_eq!(inputs.len(), rows * width, "input dimension mismatch");
+        cache.rows = rows;
+        cache.output_width = self.output_dim();
         cache
             .activations
             .resize_with(self.layers.len() + 1, Vec::new);
-        cache.activations[0].clear();
-        cache.activations[0].extend_from_slice(input);
+        let stride = padded(width);
+        let first = &mut cache.activations[0];
+        first.resize(rows * stride, 0.0);
+        for (row, x) in first
+            .chunks_exact_mut(stride)
+            .zip(inputs.chunks_exact(width))
+        {
+            row[..width].copy_from_slice(x);
+        }
         for (l, layer) in self.layers.iter().enumerate() {
             let (before, after) = cache.activations.split_at_mut(l + 1);
-            layer.forward(&before[l], &mut after[0]);
+            let (x, y) = (&before[l], &mut after[0]);
+            let (n, m) = (layer.inputs, layer.outputs);
+            let (x_stride, y_stride) = (padded(n), padded(m));
+            y.resize(rows * y_stride, 0.0);
+            let product = Product {
+                a: x,
+                a_row: x_stride,
+                a_k: 1,
+                b: &layer.weights_t,
+                b_stride: y_stride,
+                rows,
+                depth: n,
+                cols: m,
+            };
+            product.multiply_into(y, y_stride, false);
+            for row in y.chunks_exact_mut(y_stride) {
+                let row = &mut row[..m];
+                for (v, &b) in row.iter_mut().zip(&layer.biases) {
+                    *v += b;
+                }
+                match layer.activation {
+                    Activation::Identity => {}
+                    Activation::Tanh => crate::fastmath::tanh_slice(row),
+                    Activation::Relu => {
+                        for v in row.iter_mut() {
+                            *v = v.max(0.0);
+                        }
+                    }
+                }
+            }
         }
-    }
-
-    /// Scalar-output forward pass through a reusable cache.
-    pub fn forward_scalar_into(&self, input: &[f64], cache: &mut ForwardCache) -> f64 {
-        debug_assert_eq!(self.output_dim(), 1);
-        self.forward_into(input, cache);
-        cache.output()[0]
     }
 
     /// Allocates a zeroed gradient accumulator matching this network.
@@ -380,82 +524,97 @@ impl Mlp {
         delta
     }
 
-    /// Backpropagates `output_grad` through the cached pass, **adding**
-    /// parameter gradients into `flat` (canonical order: layer by layer,
-    /// weights then biases — the order of [`Mlp::flattened_gradients`]).
+    /// Backpropagates `output_grads` (row-major, `rows × output_dim`, one
+    /// ∂loss/∂output row per cached row) through a [`Mlp::forward_batch`]
+    /// pass, **adding** parameter gradients into `flat` (canonical order:
+    /// layer by layer, weights then biases — the order of
+    /// [`Mlp::flattened_gradients`]).
     ///
-    /// Performs the exact additions of [`Mlp::backward`] in the same
-    /// order, so accumulating several calls into one flat buffer is
-    /// bit-identical to accumulating them into a [`Gradients`]; the
-    /// reusable `scratch` replaces the per-call `Vec` allocations.
+    /// Bit-identical to calling [`Mlp::backward`] on each row in turn into
+    /// one [`Gradients`]: every gradient and bias element adds its row
+    /// contributions in ascending row order onto its current value, and
+    /// every input delta sums over outputs in ascending order from `0.0`.
+    /// The weight gradient keeps each 8-lane chunk of a gradient row in
+    /// local accumulators across all rows of the batch.
     ///
     /// # Panics
     ///
-    /// Panics if `output_grad` does not match the output dimension or
+    /// Panics if `output_grads.len()` is not `rows × output_dim`, or
     /// `flat.len()` is not [`Mlp::parameter_count`].
-    pub fn backward_flat(
+    pub fn backward_batch(
         &self,
-        cache: &ForwardCache,
-        output_grad: &[f64],
+        cache: &BatchCache,
+        output_grads: &[f64],
         flat: &mut [f64],
         scratch: &mut BackwardScratch,
     ) {
-        assert_eq!(
-            output_grad.len(),
-            self.output_dim(),
-            "output gradient mismatch"
-        );
+        let rows = cache.rows;
+        let width = self.output_dim();
+        assert_eq!(output_grads.len(), rows * width, "output gradient mismatch");
         assert_eq!(
             flat.len(),
             self.parameter_count(),
             "gradient shape mismatch"
         );
-        let delta = &mut scratch.delta;
-        let next_delta = &mut scratch.next_delta;
-        delta.clear();
-        delta.extend_from_slice(output_grad);
+        let BackwardScratch { delta, next_delta } = scratch;
+        let stride = padded(width);
+        delta.resize(rows * stride, 0.0);
+        for (row, g) in delta
+            .chunks_exact_mut(stride)
+            .zip(output_grads.chunks_exact(width))
+        {
+            row[..width].copy_from_slice(g);
+        }
         // Flat offset of the layer *after* the current one, maintained
         // while iterating in reverse.
-        let mut offset = self.parameter_count();
+        let mut offset = flat.len();
         for (l, layer) in self.layers.iter().enumerate().rev() {
-            offset -= layer.weights.len() + layer.biases.len();
-            let output = &cache.activations[l + 1];
-            let input = &cache.activations[l];
-            for (d, &y) in delta.iter_mut().zip(output) {
-                *d *= layer.activation.derivative_from_output(y);
-            }
-            let (w_grad, b_grad) = flat[offset..offset + layer.weights.len() + layer.biases.len()]
-                .split_at_mut(layer.weights.len());
-            let n = layer.inputs;
-            let x = &input[..n];
-            // The first layer's input gradient is never read, so skip it.
-            let need_next = l > 0;
-            next_delta.clear();
-            next_delta.resize(n, 0.0);
-            for o in 0..layer.outputs {
-                let d_o = delta[o];
-                b_grad[o] += d_o;
-                let row = o * n;
-                // Elementwise accumulations: every element sees the same
-                // single multiply-add it did in the nested scalar loop, so
-                // the streams vectorize while gradients stay bit-identical;
-                // fusing the weight-gradient and input-delta updates into
-                // one pass shares the loop and the `d_o` broadcast.
-                if need_next {
-                    let w = &layer.weights[row..row + n];
-                    let wg = &mut w_grad[row..row + n];
-                    let fused = wg.iter_mut().zip(x).zip(next_delta.iter_mut().zip(w));
-                    for ((g, &xi), (nd, &wi)) in fused {
-                        *g += d_o * xi;
-                        *nd += d_o * wi;
-                    }
-                } else {
-                    for (g, &xi) in w_grad[row..row + n].iter_mut().zip(x) {
-                        *g += d_o * xi;
-                    }
+            let (n, m) = (layer.inputs, layer.outputs);
+            let (n_pad, m_pad) = (padded(n), padded(m));
+            offset -= n * m + m;
+            let (w_grad, b_grad) = flat[offset..offset + n * m + m].split_at_mut(n * m);
+            let x = &cache.activations[l];
+            let y = &cache.activations[l + 1];
+            // δ ← δ ⊙ f'(z), expressed through the activated outputs.
+            for (d_row, y_row) in delta.chunks_exact_mut(m_pad).zip(y.chunks_exact(m_pad)) {
+                for (d, &v) in d_row[..m].iter_mut().zip(&y_row[..m]) {
+                    *d *= layer.activation.derivative_from_output(v);
                 }
             }
-            std::mem::swap(delta, next_delta);
+            for d_row in delta.chunks_exact(m_pad) {
+                for (g, &d) in b_grad.iter_mut().zip(&d_row[..m]) {
+                    *g += d;
+                }
+            }
+            // W_grad[o][i] += Σ_r δ[r][o]·x[r][i], rows ascending: the
+            // product's depth runs over the batch rows.
+            let weight_grad = Product {
+                a: delta,
+                a_row: 1,
+                a_k: m_pad,
+                b: x,
+                b_stride: n_pad,
+                rows: m,
+                depth: rows,
+                cols: n,
+            };
+            weight_grad.multiply_into(w_grad, n, true);
+            // The first layer's input delta is never read, so skip it.
+            if l > 0 {
+                next_delta.resize(rows * n_pad, 0.0);
+                let input_delta = Product {
+                    a: delta,
+                    a_row: m_pad,
+                    a_k: 1,
+                    b: &layer.weights_p,
+                    b_stride: n_pad,
+                    rows,
+                    depth: m,
+                    cols: n,
+                };
+                input_delta.multiply_into(next_delta, n_pad, false);
+                std::mem::swap(delta, next_delta);
+            }
         }
     }
 
@@ -487,7 +646,7 @@ impl Mlp {
     /// Yields each layer's parameter storage in canonical flattened order
     /// (layer by layer, weights then biases) as mutable slices, so
     /// optimizers can run vectorizable elementwise updates. Callers that
-    /// mutate through this **must** call [`Mlp::refresh_transposed`]
+    /// mutate through this **must** call [`Mlp::refresh_mirrors`]
     /// afterwards.
     pub(crate) fn parameter_slices_mut(&mut self) -> impl Iterator<Item = &mut [f64]> + '_ {
         self.layers.iter_mut().flat_map(|layer| {
@@ -498,17 +657,17 @@ impl Mlp {
         })
     }
 
-    /// Rebuilds every layer's column-major weight mirror; required after
-    /// any parameter mutation that bypasses [`Mlp::for_each_parameter`].
-    pub(crate) fn refresh_transposed(&mut self) {
+    /// Rebuilds every layer's padded weight mirrors; required after any
+    /// parameter mutation that bypasses [`Mlp::for_each_parameter`].
+    pub(crate) fn refresh_mirrors(&mut self) {
         for layer in &mut self.layers {
-            layer.refresh_transposed();
+            layer.refresh_mirrors();
         }
     }
 
     /// Applies an in-place update `θ ← θ + update(θ_index)`, visiting
     /// parameters layer by layer (weights then biases). Used by optimizers.
-    /// The forward pass's transposed weight mirror is refreshed afterwards,
+    /// The batched kernels' weight mirrors are refreshed afterwards,
     /// keeping this the single gateway through which parameters change.
     pub(crate) fn for_each_parameter(&mut self, mut update: impl FnMut(usize, &mut f64)) {
         let mut index = 0;
@@ -521,7 +680,7 @@ impl Mlp {
                 update(index, b);
                 index += 1;
             }
-            layer.refresh_transposed();
+            layer.refresh_mirrors();
         }
     }
 
@@ -664,38 +823,26 @@ mod tests {
     }
 
     #[test]
-    fn forward_into_matches_forward_cached_bitwise() {
-        let mlp = Mlp::new(&[3, 8, 5, 2], Activation::Tanh, 11);
-        let mut cache = mlp.empty_cache();
-        for k in 0..5 {
-            let input = [0.3 * k as f64, -0.7, 1.9 - k as f64];
-            let fresh = mlp.forward_cached(&input);
-            mlp.forward_into(&input, &mut cache);
-            assert_eq!(fresh.activations, cache.activations);
-        }
-        let scalar = Mlp::new(&[2, 4, 1], Activation::Tanh, 3);
-        let mut cache = scalar.empty_cache();
-        assert_eq!(
-            scalar.forward_scalar_into(&[0.2, -0.4], &mut cache),
-            scalar.forward_scalar(&[0.2, -0.4])
-        );
-    }
-
-    #[test]
-    fn backward_flat_matches_backward_bitwise() {
-        let mlp = Mlp::new(&[2, 6, 4, 1], Activation::Relu, 13);
-        let mut grads = mlp.zero_gradients();
-        let mut flat = vec![0.0; mlp.parameter_count()];
-        let mut scratch = BackwardScratch::default();
-        // Accumulate several backward passes both ways; every intermediate
-        // state must agree bit for bit.
-        for k in 0..4 {
-            let cache = mlp.forward_cached(&[0.4 - k as f64, 0.9]);
-            let g = [cache.output()[0] - 0.5];
-            mlp.backward(&cache, &g, &mut grads);
-            mlp.backward_flat(&cache, &g, &mut flat, &mut scratch);
-            let reference: Vec<f64> = Mlp::flatten_gradients(&grads).collect();
-            assert_eq!(reference, flat);
+    fn forward_batch_caches_every_level_bitwise() {
+        // The property test compares outputs and gradients; this one
+        // reads every cached level, across cache reuse.
+        let mlp = Mlp::new(&[3, 9, 5, 2], Activation::Tanh, 11);
+        let mut cache = BatchCache::default();
+        // Row counts on and off the row block, and a shrinking reuse.
+        for rows in [7usize, 4, 1, 0, 13] {
+            let inputs: Vec<f64> = (0..rows * 3)
+                .map(|k| ((k * 37 % 23) as f64 - 11.0) * 0.17)
+                .collect();
+            mlp.forward_batch(&inputs, rows, &mut cache);
+            for (r, x) in inputs.chunks_exact(3).enumerate() {
+                let fresh = mlp.forward_cached(x);
+                for (l, reference) in fresh.activations.iter().enumerate() {
+                    let stride = padded(reference.len());
+                    let row = &cache.activations[l][r * stride..r * stride + reference.len()];
+                    assert_eq!(row, reference.as_slice(), "rows {rows}, row {r}, level {l}");
+                }
+                assert_eq!(cache.output(r), fresh.output());
+            }
         }
     }
 

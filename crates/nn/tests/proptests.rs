@@ -1,11 +1,25 @@
 //! Property-based tests for the neural-network substrate.
 
-use anubis_nn::{Activation, Adam, Mlp, StandardScaler};
+use anubis_nn::{Activation, Adam, BackwardScratch, BatchCache, Mlp, StandardScaler};
 use proptest::prelude::*;
 
 fn architecture() -> impl Strategy<Value = Vec<usize>> {
     (1usize..4, 1usize..12, 1usize..3)
         .prop_map(|(input, hidden, output)| vec![input, hidden, output])
+}
+
+/// One to three layers of widths 1–70: on and off the batched kernels'
+/// 8-lane chunks.
+fn wide_architecture() -> impl Strategy<Value = Vec<usize>> {
+    prop::collection::vec(1usize..=70, 2..5)
+}
+
+/// Values that send `tanh_slice` down its scalar fallback: signed zeros,
+/// saturation, subnormals.
+const SPECIAL_INPUTS: [f64; 7] = [0.0, -0.0, 25.0, -25.0, 5e-324, -1e-310, 2.2e-308];
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
 }
 
 proptest! {
@@ -87,6 +101,69 @@ proptest! {
             // Constant columns standardize to zero (variance 0), others
             // to 1.
             prop_assert!(var < 1.0 + 1e-6, "dim {d} var {var}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The batched kernels are bit-exact against the per-row reference:
+    /// `forward_batch` row `r` equals `forward_cached` on row `r`, and one
+    /// `backward_batch` per batch equals row-by-row `backward` into
+    /// `Gradients`, including onto a non-zero accumulator.
+    #[test]
+    fn batched_kernels_match_per_row_reference_bitwise(
+        sizes in wide_architecture(),
+        hidden in prop::sample::select(vec![Activation::Tanh, Activation::Relu, Activation::Identity]),
+        seed in 0u64..1000,
+        rows in 0usize..=300,
+        split in 0usize..=300,
+        pool in prop::collection::vec(-3.0f64..3.0, 61),
+        grad_pool in prop::collection::vec(-2.0f64..2.0, 17),
+    ) {
+        let mut mlp = Mlp::new(&sizes, hidden, seed);
+        let (width, outputs) = (sizes[0], sizes[sizes.len() - 1]);
+        // Every fifth row is one special value throughout, so whole
+        // pre-activation chunks hit the fallback; the rest mix the pool.
+        let inputs: Vec<f64> = (0..rows * width)
+            .map(|k| {
+                let r = k / width;
+                if r % 5 == 0 {
+                    SPECIAL_INPUTS[(r / 5) % SPECIAL_INPUTS.len()]
+                } else {
+                    pool[(k * 7 + r) % pool.len()]
+                }
+            })
+            .collect();
+        let output_grads: Vec<f64> =
+            (0..rows * outputs).map(|k| grad_pool[k % grad_pool.len()]).collect();
+        // One optimizer step so biases are non-zero.
+        if rows > 1 {
+            let cache = mlp.forward_cached(&inputs[width..2 * width]);
+            let mut grads = mlp.zero_gradients();
+            mlp.backward(&cache, &output_grads[outputs..2 * outputs], &mut grads);
+            Adam::new(&mlp, 0.05).step(&mut mlp, &grads);
+        }
+
+        let mut cache = BatchCache::default();
+        let mut scratch = BackwardScratch::default();
+        let mut flat = vec![0.0; mlp.parameter_count()];
+        let mut grads = mlp.zero_gradients();
+        // Two batches into one accumulator, split anywhere.
+        let split = split.min(rows);
+        for (start, end) in [(0, split), (split, rows)] {
+            let batch = &inputs[start * width..end * width];
+            mlp.forward_batch(batch, end - start, &mut cache);
+            for (r, x) in batch.chunks_exact(width).enumerate() {
+                let reference = mlp.forward_cached(x);
+                prop_assert_eq!(bits(cache.output(r)), bits(reference.output()), "row {}", start + r);
+                let g = &output_grads[(start + r) * outputs..(start + r + 1) * outputs];
+                mlp.backward(&reference, g, &mut grads);
+            }
+            let g = &output_grads[start * outputs..end * outputs];
+            mlp.backward_batch(&cache, g, &mut flat, &mut scratch);
+            prop_assert_eq!(bits(&Mlp::flattened_gradients(&grads)), bits(&flat));
         }
     }
 }

@@ -18,7 +18,7 @@
 use crate::status::NodeStatus;
 use crate::survival::{SurvivalModel, SurvivalSample, TBNI_CAP_HOURS};
 use anubis_metrics::MetricsError;
-use anubis_nn::{Activation, Adam, BackwardScratch, ForwardCache, Mlp, StandardScaler};
+use anubis_nn::{Activation, Adam, BackwardScratch, BatchCache, Mlp, StandardScaler};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
@@ -103,20 +103,46 @@ impl CoxTimeModel {
 
     /// The risk score `g(t, x)` for a status at time `t`.
     pub fn log_risk(&self, status: &NodeStatus, t: f64) -> f64 {
-        RiskEval::new(self, status).log_risk(t)
+        self.log_risks(status, [t].into_iter()).output(0)[0]
     }
 
     /// Survival probability `S(t|x)`.
     pub fn survival(&self, status: &NodeStatus, t: f64) -> f64 {
-        let mut eval = RiskEval::new(self, status);
+        // The grid prefix through the last time ≤ t, evaluated as one batch.
+        let prefix = self
+            .baseline
+            .iter()
+            .position(|&(time, _)| time > t)
+            .unwrap_or(self.baseline.len());
+        let grid = &self.baseline[..prefix];
+        let risks = self.log_risks(status, grid.iter().map(|&(time, _)| time));
         let mut cumulative = 0.0;
-        for &(time, delta) in &self.baseline {
-            if time > t {
-                break;
-            }
-            cumulative += delta * eval.log_risk(time).exp();
+        for (k, &(_, delta)) in grid.iter().enumerate() {
+            cumulative += delta * risks.output(k)[0].exp();
         }
         (-cumulative).exp()
+    }
+
+    /// `g(t, x)` for one status at each of `times`, as one network batch:
+    /// row `k` of the returned cache holds the `k`-th time's risk,
+    /// bit-identical to a one-row evaluation. Features are scaled once.
+    fn log_risks(
+        &self,
+        status: &NodeStatus,
+        times: impl ExactSizeIterator<Item = f64>,
+    ) -> BatchCache {
+        let x = self.scaler.transform(&status.features());
+        // Sized once: probes run per node per scoring pass, and a growing
+        // buffer fragments the heap (peak RSS +1.1 MiB on policy-sim).
+        let mut inputs = Vec::with_capacity(times.len() * (1 + x.len()));
+        let mut rows = 0;
+        for t in times {
+            push_input(&mut inputs, t / self.time_scale, &x);
+            rows += 1;
+        }
+        let mut cache = BatchCache::default();
+        self.net.forward_batch(&inputs, rows, &mut cache);
+        cache
     }
 
     /// The fitted Breslow grid (for diagnostics).
@@ -314,21 +340,18 @@ impl CoxTimeTrainer {
             rank
         };
 
-        let fill_input = |input: &mut Vec<f64>, t: f64, x: &[f64]| {
-            input.clear();
-            input.push(t / time_scale);
-            input.extend_from_slice(x);
-        };
-
-        // Flat per-batch gradient accumulator (canonical parameter order)
-        // and forward/backward scratch, all reused across the whole fit.
+        // Minibatch buffers, all reused across the whole fit: the stacked
+        // network rows (each event followed by its controls), one
+        // `(first row, control count)` group per event, the rows' loss
+        // gradients and the flat gradient accumulator (canonical
+        // parameter order).
         let mut acc = vec![0.0f64; net.parameter_count()];
+        let mut cache = BatchCache::default();
         let mut scratch = BackwardScratch::default();
-        let mut cache_i = net.empty_cache();
-        let mut caches: Vec<ForwardCache> = Vec::new();
-        let mut input: Vec<f64> = Vec::new();
+        let mut inputs: Vec<f64> = Vec::new();
+        let mut groups: Vec<(usize, usize)> = Vec::new();
+        let mut output_grads: Vec<f64> = Vec::new();
         let mut exps: Vec<f64> = Vec::new();
-        let mut controls_buf: Vec<usize> = Vec::new();
         let order = &mut self.order;
         if self.order_dirty {
             order.clear();
@@ -338,17 +361,19 @@ impl CoxTimeTrainer {
         // Events that ran a forward and backward pass, summed per
         // minibatch: the exact training work, published once at the end.
         let mut sample_epochs = 0usize;
-        // Training runs on the calling thread. A 32-event minibatch is
-        // well under a millisecond of work, too fine a grain to fan out:
-        // splitting it needs one gradient buffer per backward call and a
-        // serial merge that costs as much as the backward pass itself.
+        // Training runs on the calling thread, one batched forward and
+        // one batched backward pass per minibatch. Fanning a minibatch
+        // out would need one gradient buffer per worker and a serial
+        // merge that costs as much as the backward pass itself.
         for _ in 0..epochs {
             order.shuffle(&mut *rng);
             for batch in order.chunks(config.batch_size.max(1)) {
-                // Each backward call adds straight into `acc`, in event
-                // order; the RNG draws interleave with the compute.
-                acc.fill(0.0);
-                let mut batch_events = 0usize;
+                // Draw every event's controls first, in event order.
+                // Compute never consumes the RNG, so the draw sequence is
+                // the one a row-at-a-time loop makes.
+                inputs.clear();
+                groups.clear();
+                let mut rows = 0usize;
                 for &i in batch {
                     // Controls: uniform from the risk-set suffix.
                     let suffix_start = rank_of[i];
@@ -356,41 +381,49 @@ impl CoxTimeTrainer {
                     if suffix_len < 2 {
                         continue;
                     }
-                    controls_buf.clear();
+                    let t_i = samples[i].duration / time_scale;
+                    let event_len = inputs.len();
+                    push_input(&mut inputs, t_i, &scaled[i]);
+                    let first = rows;
+                    rows += 1;
                     for _ in 0..config.controls_per_event {
                         let pick = by_duration[suffix_start + rng.random_range(0..suffix_len)];
                         if pick != i {
-                            controls_buf.push(pick);
+                            push_input(&mut inputs, t_i, &scaled[pick]);
+                            rows += 1;
                         }
                     }
-                    if controls_buf.is_empty() {
+                    if rows == first + 1 {
+                        // Every control was the event itself: no loss term.
+                        inputs.truncate(event_len);
+                        rows = first;
                         continue;
                     }
-                    batch_events += 1;
-                    let t_i = samples[i].duration;
-                    fill_input(&mut input, t_i, &scaled[i]);
-                    net.forward_into(&input, &mut cache_i);
-                    let g_i = cache_i.output()[0];
-                    while caches.len() < controls_buf.len() {
-                        caches.push(net.empty_cache());
-                    }
-                    exps.clear();
-                    for (c, &j) in controls_buf.iter().enumerate() {
-                        fill_input(&mut input, t_i, &scaled[j]);
-                        net.forward_into(&input, &mut caches[c]);
-                        // Softplus-style loss: ln(1 + Σ exp(g_j − g_i)).
-                        exps.push((caches[c].output()[0] - g_i).exp());
-                    }
-                    let denom = 1.0 + exps.iter().sum::<f64>();
-                    net.backward_flat(&cache_i, &[-(denom - 1.0) / denom], &mut acc, &mut scratch);
-                    for (c, &e) in exps.iter().enumerate() {
-                        net.backward_flat(&caches[c], &[e / denom], &mut acc, &mut scratch);
-                    }
+                    groups.push((first, rows - first - 1));
                 }
+                let batch_events = groups.len();
                 sample_epochs += batch_events;
                 if batch_events == 0 {
                     continue;
                 }
+                net.forward_batch(&inputs, rows, &mut cache);
+                // Softplus-style loss per event: ln(1 + Σ exp(g_j − g_i)).
+                output_grads.clear();
+                for &(first, controls) in &groups {
+                    let g_i = cache.output(first)[0];
+                    exps.clear();
+                    for c in first + 1..=first + controls {
+                        exps.push((cache.output(c)[0] - g_i).exp());
+                    }
+                    let denom = 1.0 + exps.iter().sum::<f64>();
+                    output_grads.push(-(denom - 1.0) / denom);
+                    output_grads.extend(exps.iter().map(|&e| e / denom));
+                }
+                // The rows are stacked event, its controls, next event:
+                // the batched backward adds their gradient contributions
+                // in exactly that order.
+                acc.fill(0.0);
+                net.backward_batch(&cache, &output_grads, &mut acc, &mut scratch);
                 let inv = 1.0 / batch_events as f64;
                 for g in &mut acc {
                     *g *= inv;
@@ -428,11 +461,6 @@ impl CoxTimeTrainer {
         let scaler = StandardScaler::fit(&features);
         let scaled: Vec<Vec<f64>> = scaler.transform_all(&features);
         let time_scale = time_scale_of(samples);
-        let fill_input = |input: &mut Vec<f64>, t: f64, x: &[f64]| {
-            input.clear();
-            input.push(t / time_scale);
-            input.extend_from_slice(x);
-        };
         let threads = config.threads;
 
         // Breslow baseline hazard on a bucketed event-time grid. Buckets
@@ -465,15 +493,23 @@ impl CoxTimeTrainer {
             &specs,
             threads,
             |&(t_bucket, t_mid, deaths, start_rank)| {
-                let mut cache = net_ref.empty_cache();
-                let mut input: Vec<f64> = Vec::new();
-                let risk_sum: f64 = by_duration[start_rank..]
-                    .iter()
-                    .map(|&j| {
-                        fill_input(&mut input, t_mid, &scaled[j]);
-                        net_ref.forward_scalar_into(&input, &mut cache).exp()
-                    })
-                    .sum();
+                // The risk-set suffix runs through the network in
+                // fixed-size row blocks, so scratch is bounded by the
+                // block, not the sample count; `exp` still sums in
+                // `by_duration` order.
+                let mut cache = BatchCache::default();
+                let mut inputs: Vec<f64> = Vec::new();
+                let mut risk_sum = 0.0;
+                for block in by_duration[start_rank..].chunks(FINISH_BLOCK_ROWS) {
+                    inputs.clear();
+                    for &j in block {
+                        push_input(&mut inputs, t_mid / time_scale, &scaled[j]);
+                    }
+                    net_ref.forward_batch(&inputs, block.len(), &mut cache);
+                    for r in 0..block.len() {
+                        risk_sum += cache.output(r)[0].exp();
+                    }
+                }
                 let delta = if risk_sum > 0.0 {
                     deaths / risk_sum
                 } else {
@@ -517,60 +553,42 @@ fn time_scale_of(samples: &[SurvivalSample]) -> f64 {
         .max(1.0)
 }
 
-/// Per-status evaluation state: features are scaled once and the forward
-/// cache plus input buffer are reused across baseline buckets, instead of
-/// re-deriving them for every `log_risk` call.
-struct RiskEval<'m> {
-    model: &'m CoxTimeModel,
-    x: Vec<f64>,
-    input: Vec<f64>,
-    cache: ForwardCache,
-}
+/// Rows per network batch when [`CoxTimeTrainer::finish`] sums a Breslow
+/// bucket's risk set.
+const FINISH_BLOCK_ROWS: usize = 64;
 
-impl<'m> RiskEval<'m> {
-    fn new(model: &'m CoxTimeModel, status: &NodeStatus) -> Self {
-        let x = model.scaler.transform(&status.features());
-        Self {
-            input: Vec::with_capacity(1 + x.len()),
-            cache: model.net.empty_cache(),
-            model,
-            x,
-        }
-    }
-
-    /// `g(t, x)` — bit-identical to [`CoxTimeModel::log_risk`].
-    fn log_risk(&mut self, t: f64) -> f64 {
-        self.input.clear();
-        self.input.push(t / self.model.time_scale);
-        self.input.extend_from_slice(&self.x);
-        self.model
-            .net
-            .forward_scalar_into(&self.input, &mut self.cache)
-    }
+/// Appends one network input row: the normalized time, then the scaled
+/// features.
+fn push_input(inputs: &mut Vec<f64>, t_scaled: f64, x: &[f64]) {
+    inputs.push(t_scaled);
+    inputs.extend_from_slice(x);
 }
 
 impl SurvivalModel for CoxTimeModel {
     fn expected_tbni(&self, status: &NodeStatus) -> f64 {
         // ∫₀^cap S(t|x) dt over the piecewise-constant survival curve.
-        let mut eval = RiskEval::new(self, status);
+        // The integral reads the grid through its first time at or past
+        // the cap; that prefix runs through the network as one batch.
+        let prefix = self
+            .baseline
+            .iter()
+            .position(|&(time, _)| time.min(TBNI_CAP_HOURS) >= TBNI_CAP_HOURS)
+            .map_or(self.baseline.len(), |k| k + 1);
+        let grid = &self.baseline[..prefix];
+        let risks = self.log_risks(status, grid.iter().map(|&(time, _)| time));
         let mut integral = 0.0;
         let mut prev_t = 0.0;
         let mut survival = 1.0;
         let mut last_rate = 0.0;
-        for &(time, delta) in &self.baseline {
+        for (k, &(time, delta)) in grid.iter().enumerate() {
             let t = time.min(TBNI_CAP_HOURS);
-            // One network evaluation per bucket (the sequential code
-            // recomputed this identical value up to twice).
-            let risk = eval.log_risk(time).exp();
+            let risk = risks.output(k)[0].exp();
             if t > prev_t {
                 integral += survival * (t - prev_t);
                 last_rate = delta * risk / (t - prev_t);
                 prev_t = t;
             }
             survival *= (-delta * risk).exp();
-            if prev_t >= TBNI_CAP_HOURS {
-                break;
-            }
         }
         if prev_t < TBNI_CAP_HOURS {
             // Beyond the last observed event time, extrapolate the hazard
@@ -859,6 +877,96 @@ mod tests {
                 > 2.0 * refreshed.expected_tbni(&worn_status())
         );
     }
+
+    /// Every probe of [`pinned_fit`] as raw bits: the baseline grid, then
+    /// per status `expected_tbni` and, per probe time, `survival` and
+    /// `log_risk`.
+    fn pinned_probe_bits(model: &CoxTimeModel) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for &(t, delta) in model.baseline() {
+            bits.extend([t.to_bits(), delta.to_bits()]);
+        }
+        for status in [healthy_status(), worn_status()] {
+            bits.push(model.expected_tbni(&status).to_bits());
+            for t in [0.0, 10.0, 100.0, 900.0, 4000.0] {
+                bits.push(model.survival(&status, t).to_bits());
+                bits.push(model.log_risk(&status, t).to_bits());
+            }
+        }
+        bits
+    }
+
+    /// A small fit on odd shapes: hidden widths that are not multiples
+    /// of any SIMD width, 3 controls, batches of 5, censored rows, events
+    /// past the TBNI cap, and late events whose risk set is themselves
+    /// alone (`suffix_len < 2`) or so small that controls self-pick.
+    fn pinned_fit() -> CoxTimeModel {
+        let mut samples = synthetic_samples(37, 17);
+        for (k, s) in samples.iter_mut().enumerate() {
+            s.event = k % 4 != 2;
+        }
+        samples[3].duration = 3100.0;
+        samples[8].duration = 5000.0;
+        samples[8].event = true;
+        samples[11].duration = 4200.0;
+        let config = CoxTimeConfig {
+            hidden: vec![5, 7],
+            epochs: 5,
+            controls_per_event: 3,
+            batch_size: 5,
+            baseline_buckets: 9,
+            ..Default::default()
+        };
+        CoxTimeModel::fit(&samples, &config).unwrap()
+    }
+
+    #[test]
+    fn fit_bits_are_pinned_across_commits() {
+        // Recorded from the per-row kernels (one forward and one backward
+        // call per row) before the batched kernels replaced them: the
+        // batched path must reproduce every bit.
+        let bits = pinned_probe_bits(&pinned_fit());
+        assert_eq!(bits, PINNED_FIT_BITS);
+    }
+
+    const PINNED_FIT_BITS: [u64; 36] = [
+        0x4021bbf1afac150a,
+        0x3fbba2e31cce14e4,
+        0x40334fea17e11cdd,
+        0x3fbf70351d055bfd,
+        0x405438851e6752d5,
+        0x3fc252535e7d3e2b,
+        0x4062490c3be7a873,
+        0x3fc605fe6309f7b2,
+        0x407b43e1ed6815fe,
+        0x3fcf6aa47dd75499,
+        0x40a1a401cd4680a8,
+        0x3fd694fb3b21a382,
+        0x40b3880000000000,
+        0x3ff4256f5b4cfead,
+        0x409440f7628d0293,
+        0x3ff0000000000000,
+        0xbfc712fa8108fb06,
+        0x3fed3dd3174433da,
+        0xbfc712fa81026a41,
+        0x3fe76b0f872fb28d,
+        0xbfc712fa80c7563f,
+        0x3fe0866e1d1baae5,
+        0xbfc712fa7eb9730a,
+        0x3fd89da42569a28e,
+        0xbfc712fa763a40c8,
+        0x4089810cd9d63b08,
+        0x3ff0000000000000,
+        0x3fd98d406d03d37d,
+        0x3feb3e6de0d1844c,
+        0x3fd98af8b80be6e9,
+        0x3fe25529019743a5,
+        0x3fd9757a0f4ad3c7,
+        0x3fd3bd9a5092d465,
+        0x3fd86a1eb3bf0a8f,
+        0x3fc817cda74d8a40,
+        0x3fd07509cfc27300,
+    ];
 
     #[test]
     fn deterministic_given_seed() {

@@ -122,10 +122,10 @@ mod tests {
         let findings = analyze(
             &[(
                 "crates/nn/src/mlp.rs",
-                "pub fn forward_into(x: &[f64]) { helper(x); }\n\
+                "pub fn forward_batch(x: &[f64]) { helper(x); }\n\
                  fn helper(x: &[f64]) { let _y = x.to_vec(); }\n",
             )],
-            &[("nn/src/mlp.rs", "forward_into", Tracked)],
+            &[("nn/src/mlp.rs", "forward_batch", Tracked)],
         );
         assert_eq!(findings.len(), 1, "{findings:#?}");
         let f = &findings[0];
@@ -135,7 +135,7 @@ mod tests {
         );
         assert!(!f.enforced);
         assert!(
-            f.message.contains("forward_into -> helper"),
+            f.message.contains("forward_batch -> helper"),
             "{}",
             f.message
         );
@@ -147,9 +147,9 @@ mod tests {
         let findings = analyze(
             &[(
                 "crates/nn/src/mlp.rs",
-                "pub fn forward_into(x: &[u32]) -> Vec<u32> { x.to_vec() }\n",
+                "pub fn forward_batch(x: &[u32]) -> Vec<u32> { x.to_vec() }\n",
             )],
-            &[("nn/src/mlp.rs", "forward_into", Tracked)],
+            &[("nn/src/mlp.rs", "forward_batch", Tracked)],
         );
         assert_eq!(findings.len(), 1, "{findings:#?}");
         assert!(
@@ -164,10 +164,10 @@ mod tests {
         let findings = analyze(
             &[(
                 "crates/nn/src/mlp.rs",
-                "pub fn forward_into(x: &[f64]) -> f64 { x[0] }\n\
+                "pub fn forward_batch(x: &[f64]) -> f64 { x[0] }\n\
                  pub fn cold() { let _v: Vec<f64> = Vec::new(); }\n",
             )],
-            &[("nn/src/mlp.rs", "forward_into", Tracked)],
+            &[("nn/src/mlp.rs", "forward_batch", Tracked)],
         );
         assert!(findings.is_empty(), "{findings:#?}");
     }
@@ -176,7 +176,7 @@ mod tests {
     fn enforced_entries_mark_their_reach_enforced() {
         let files = [(
             "crates/nn/src/mlp.rs",
-            "pub fn forward_into(x: &[f64]) { helper(x); }\n\
+            "pub fn forward_batch(x: &[f64]) { helper(x); }\n\
              pub fn cold_path(x: &[f64]) { helper(x); }\n\
              fn helper(x: &[f64]) { let _y = x.to_vec(); }\n",
         )];
@@ -189,7 +189,7 @@ mod tests {
             &files,
             &[
                 ("nn/src/mlp.rs", "cold_path", Tracked),
-                ("nn/src/mlp.rs", "forward_into", AllocFree),
+                ("nn/src/mlp.rs", "forward_batch", AllocFree),
             ],
         );
         assert_eq!(findings.len(), 1);

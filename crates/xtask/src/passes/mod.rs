@@ -183,16 +183,14 @@ impl Default for AnalysisConfig {
             ("metrics/src/distance.rs", "similarity_rows_into", AllocFree),
             ("selector/src/select.rs", "celf_core", AllocFree),
             ("selector/src/coxtime.rs", "warmstart_merge_into", AllocFree),
-            // MLP forward/backward and the optimizer step: the PR 2 hoist
-            // left the kernels allocation-free, so the ones whose reach is
-            // free of name-collision edges are enforced. The two forward
-            // kernels stay tracked: their `forward` callee name-matches
-            // unrelated `forward`/`apply` methods that carry baseline
-            // allocations, and the over-approximating graph must keep
-            // those edges (see crate::callgraph).
-            ("nn/src/mlp.rs", "forward_into", Tracked),
-            ("nn/src/mlp.rs", "forward_scalar_into", Tracked),
-            ("nn/src/mlp.rs", "backward_flat", AllocFree),
+            // The batched MLP kernels and the optimizer step: every
+            // Cox-Time network evaluation and update runs through them.
+            // They reuse caller-provided caches and scratch, and they
+            // call no name that a workspace method shares (the batched
+            // forward inlines its activations instead of calling
+            // `apply`), so their whole reach is enforced.
+            ("nn/src/mlp.rs", "forward_batch", AllocFree),
+            ("nn/src/mlp.rs", "backward_batch", AllocFree),
             ("nn/src/adam.rs", "step_flat", AllocFree),
             // Deterministic parallel executor: every chunk body runs here.
             ("parallel/src/lib.rs", "execute", Tracked),

@@ -384,14 +384,14 @@ mod tests {
 
     #[test]
     fn enforced_findings_never_enter_the_baseline() {
-        let mut enforced = finding("A008", "crates/nn/src/mlp.rs", "forward_into", "clone");
+        let mut enforced = finding("A008", "crates/nn/src/mlp.rs", "forward_batch", "clone");
         enforced.enforced = true;
         let tracked = finding("A008", "crates/nn/src/mlp.rs", "other", "clone");
         let baseline = Baseline::from_findings(&[enforced.clone(), tracked]);
         assert_eq!(baseline.findings.len(), 1);
         assert!(!baseline
             .findings
-            .contains_key("A008 crates/nn/src/mlp.rs forward_into clone"));
+            .contains_key("A008 crates/nn/src/mlp.rs forward_batch clone"));
         // SARIF reports enforced findings as errors even when an old
         // baseline happens to list their key.
         let mut old = Baseline::default();
