@@ -14,8 +14,13 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> call-graph analysis (anubis-xtask)"
 cargo run -p anubis-xtask --offline -- analyze --json target/analysis.sarif.json
 
-echo "==> release build"
-cargo build --release --offline
+echo "==> release build (every workspace binary, repro included)"
+cargo build --release --offline --workspace
+
+echo "==> examples (run end to end; quickstart asserts both gray failures are caught)"
+for ex in quickstart cluster_buildout proactive_fleet network_scan; do
+    cargo run -q --release --offline --example "$ex" > "target/example-$ex.txt"
+done
 
 echo "==> fleetd service smoke (byte-determinism across threads and shards)"
 ANUBIS_THREADS=1 ./target/release/repro fleetd --nodes 2000 --shards 8 --ticks 50 \

@@ -91,9 +91,9 @@ impl Anubis {
     /// current state, returning whether it was applied.
     ///
     /// Silently gated rather than asserted: the managed fleet can
-    /// legitimately hold nodes whose machine state rejects an event — an
-    /// unswapped defective node stays `Quarantined` through repeated
-    /// re-validation (capacity over quality), and a re-stocked spare stays
+    /// legitimately hold nodes whose machine state rejects an event — a
+    /// defective node the caller keeps in its node set stays `Quarantined`
+    /// through repeated re-validation, and a repaired node stays
     /// `Quarantined` until a validation pass re-certifies it.
     fn drive(&mut self, node: NodeId, event: LifecycleEvent) -> bool {
         let life = self.lives.entry(node).or_default();
@@ -133,6 +133,12 @@ impl Anubis {
     ///
     /// `members[i]` is the fabric index of `nodes[i]`; `fabric` is needed
     /// only when multi-node benchmarks end up selected.
+    ///
+    /// # Errors
+    ///
+    /// [`SuiteError::MemberMismatch`] when `members` and `nodes` differ in
+    /// length, before any node's status or lifecycle is touched; otherwise
+    /// whatever the Validator's benchmark run returns.
     pub fn handle_event(
         &mut self,
         event: &ValidationEvent,
@@ -140,6 +146,12 @@ impl Anubis {
         members: &[usize],
         fabric: Option<&FatTree>,
     ) -> Result<EventOutcome, SuiteError> {
+        if nodes.len() != members.len() {
+            return Err(SuiteError::MemberMismatch {
+                nodes: nodes.len(),
+                members: members.len(),
+            });
+        }
         for node in nodes.iter() {
             self.statuses.entry(node.id()).or_default();
             self.lives.entry(node.id()).or_default();
@@ -558,6 +570,43 @@ mod tests {
             )
             .unwrap();
         assert!(!outcome.validated);
+    }
+
+    #[test]
+    fn member_mismatch_is_rejected_before_any_state_moves() {
+        let (mut nodes, members) = fleet(4, 19);
+        let mut system = Anubis::new(AnubisConfig::default()).with_selector(risky_selector());
+        system
+            .handle_event(&ValidationEvent::NodesAdded, &mut nodes, &members, None)
+            .unwrap();
+        let snapshot = |system: &Anubis| -> Vec<(NodeLifecycle, NodeStatus)> {
+            (0..4)
+                .map(|i| (system.lifecycle_of(NodeId(i)), system.status_of(NodeId(i))))
+                .collect()
+        };
+        let before = snapshot(&system);
+        let events = [
+            ValidationEvent::NodesAdded,
+            ValidationEvent::JobAllocation {
+                horizon_hours: 24.0,
+            },
+            ValidationEvent::RegularCheck {
+                horizon_hours: 24.0,
+            },
+            ValidationEvent::IncidentReported {
+                node: NodeId(3),
+                category: IncidentCategory::Disk,
+            },
+        ];
+        for event in &events {
+            let result = system.handle_event(event, &mut nodes, &members[..1], None);
+            let mismatch = SuiteError::MemberMismatch {
+                nodes: 4,
+                members: 1,
+            };
+            assert_eq!(result, Err(mismatch), "{event:?}");
+            assert_eq!(snapshot(&system), before, "{event:?}");
+        }
     }
 
     #[test]

@@ -37,11 +37,9 @@ pub mod noise;
 pub mod perf;
 pub mod spec;
 pub mod testutil;
-pub mod wear;
 
 pub use fault::{FaultImpact, FaultKind};
 pub use health::{ComponentHealth, RedundantGroup};
 pub use node::{NodeId, NodeSim};
 pub use noise::NoiseModel;
 pub use spec::{GpuGeneration, NodeSpec, Precision};
-pub use wear::WearModel;

@@ -65,7 +65,6 @@ pub struct NodeSim {
     nvlink: RedundantGroup,
     row_remap: RowRemapState,
     remap_regression: Option<f64>,
-    uptime_hours: f64,
 }
 
 impl NodeSim {
@@ -90,7 +89,6 @@ impl NodeSim {
             nvlink,
             row_remap: RowRemapState::default(),
             remap_regression: None,
-            uptime_hours: 0.0,
         }
     }
 
@@ -102,16 +100,6 @@ impl NodeSim {
     /// Hardware spec.
     pub fn spec(&self) -> &NodeSpec {
         &self.spec
-    }
-
-    /// Hours of simulated uptime.
-    pub fn uptime_hours(&self) -> f64 {
-        self.uptime_hours
-    }
-
-    /// Advances simulated wall-clock time.
-    pub fn advance_hours(&mut self, hours: f64) {
-        self.uptime_hours += hours.max(0.0);
     }
 
     /// Currently active faults (stateful faults included).
@@ -489,15 +477,6 @@ mod tests {
         assert!(n.has_detectable_defect(), "GPU fault remains");
         let disk = n.measure_disk(DiskMode::SeqRead);
         assert!(disk > 3000.0, "disk restored: {disk}");
-    }
-
-    #[test]
-    fn uptime_advances_monotonically() {
-        let mut n = node(23);
-        n.advance_hours(5.0);
-        n.advance_hours(-3.0); // ignored
-        n.advance_hours(2.5);
-        assert!((n.uptime_hours() - 7.5).abs() < 1e-12);
     }
 
     #[test]

@@ -189,8 +189,13 @@ impl EcdfSketch {
 
     /// The quantile function, bit-identical to [`Ecdf::quantile`] on the
     /// same multiset: both return the `k`-th smallest value for the same
-    /// `k`, and order statistics are a multiset property.
+    /// `k`, and order statistics are a multiset property. An empty sketch
+    /// has no quantiles and returns NaN for every `p`, as [`Self::eval`]
+    /// does for every `x`.
     pub fn quantile(&self, p: f64) -> f64 {
+        if self.is_empty() {
+            return f64::NAN;
+        }
         let p = p.clamp(0.0, 1.0);
         if p == 0.0 {
             return self.min();
@@ -355,6 +360,10 @@ mod tests {
     #[test]
     fn merge_into_empty_and_with_empty() {
         let mut empty = EcdfSketch::new();
+        for p in [0.0, 0.5, 1.0] {
+            assert!(empty.quantile(p).is_nan(), "p={p}");
+        }
+        assert!(empty.eval(0.0).is_nan());
         let mut other = EcdfSketch::new();
         other.append(1.0);
         empty.merge(&other);
@@ -389,7 +398,9 @@ mod tests {
                 assert_eq!(fleet.quantile(p), whole.quantile(p), "{parts} parts, p={p}");
             }
         }
-        assert!(EcdfSketch::merged([]).is_empty());
+        let none = EcdfSketch::merged([]);
+        assert!(none.is_empty());
+        assert!(none.quantile(0.5).is_nan());
     }
 
     #[test]
