@@ -40,6 +40,11 @@ for exp in table3 fig8; do
     ANUBIS_THREADS=2 ./target/release/repro "$exp" --quick --json > "target/$exp-smoke-t2.json"
     cmp "target/$exp-smoke-t1.json" "target/$exp-smoke-t2.json"
 done
+# --quick fig8 fits the exponential model without the ablation; the
+# default run drives Cox-Time inference and the RandomSubset policy.
+ANUBIS_THREADS=1 ./target/release/repro fig8 --json > target/fig8-default-t1.json
+ANUBIS_THREADS=2 ./target/release/repro fig8 --json > target/fig8-default-t2.json
+cmp target/fig8-default-t1.json target/fig8-default-t2.json
 
 # Includes the exact work-counter check (tests/obs_trace_determinism.rs
 # against tests/work_counters.expected), the repo's perf check that host

@@ -48,6 +48,14 @@ impl ValidationDecision {
         duration_hours: 0.0,
         coverage: 0.0,
     };
+
+    /// Running `subset`, scored against `history`.
+    fn running(subset: &[BenchmarkId], history: &CoverageTable) -> Self {
+        Self {
+            duration_hours: BenchmarkId::total_runtime_minutes(subset) / 60.0,
+            coverage: history.coverage(subset),
+        }
+    }
 }
 
 /// A validation policy driving the simulator.
@@ -106,18 +114,16 @@ impl Policy<'_> {
                 duration_hours: BenchmarkId::total_runtime_minutes(&BenchmarkId::ALL) / 60.0,
                 coverage: 1.0,
             },
+            // `select` returns an empty subset exactly when the joint
+            // probability is already ≤ p₀ (its first residual is
+            // `p_joint · 1.0`, and its first pick is always admitted), so
+            // one call makes the whole decision.
             Self::Selector(selector) => {
-                if !selector.should_validate(statuses, horizon_hours) {
-                    return ValidationDecision::SKIP;
-                }
                 let subset = selector.select(statuses, horizon_hours);
                 if subset.is_empty() {
                     return ValidationDecision::SKIP;
                 }
-                ValidationDecision {
-                    duration_hours: BenchmarkId::total_runtime_minutes(&subset) / 60.0,
-                    coverage: selector.coverage().coverage(&subset),
-                }
+                ValidationDecision::running(&subset, selector.coverage())
             }
             Self::RandomSubset { coverage, count } => {
                 let n = BenchmarkId::ALL.len();
@@ -126,38 +132,21 @@ impl Policy<'_> {
                     .into_iter()
                     .map(|i| BenchmarkId::ALL[i])
                     .collect();
-                ValidationDecision {
-                    duration_hours: BenchmarkId::total_runtime_minutes(&picks) / 60.0,
-                    coverage: coverage.coverage(&picks),
-                }
+                ValidationDecision::running(&picks, coverage)
             }
         }
     }
 
     /// Decides the post-incident validation (the paper revalidates after
-    /// each incident under validation policies).
+    /// each incident under validation policies): the swapped-in node alone
+    /// over a day's horizon. The Selector picks per-node subsets, the full
+    /// set re-runs everything.
     pub fn decide_post_incident(
         &self,
         status: &NodeStatus,
         rng: &mut ChaCha8Rng,
     ) -> ValidationDecision {
-        match self {
-            Self::Absence | Self::Ideal => ValidationDecision::SKIP,
-            // Re-validating a swapped-in node is cheap but non-zero; the
-            // Selector picks per-node subsets, full set re-runs everything.
-            Self::FullSet => self.decide(std::slice::from_ref(status), 24.0, rng),
-            Self::Selector(selector) => {
-                let subset = selector.select(std::slice::from_ref(status), 24.0);
-                if subset.is_empty() {
-                    return ValidationDecision::SKIP;
-                }
-                ValidationDecision {
-                    duration_hours: BenchmarkId::total_runtime_minutes(&subset) / 60.0,
-                    coverage: selector.coverage().coverage(&subset),
-                }
-            }
-            Self::RandomSubset { .. } => self.decide(std::slice::from_ref(status), 24.0, rng),
-        }
+        self.decide(std::slice::from_ref(status), 24.0, rng)
     }
 }
 

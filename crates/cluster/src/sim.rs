@@ -38,7 +38,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 /// Simulation configuration (calibration documented per field).
 #[derive(Debug, Clone, PartialEq)]
@@ -174,7 +174,7 @@ struct SimArenas {
 enum EventKind {
     Arrival(usize),
     NodeReady(u32),
-    JobFinish(usize),
+    JobFinish(u64),
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -257,7 +257,10 @@ pub fn simulate(
 
     let mut pending: VecDeque<PendingJob> = VecDeque::new();
     let mut idle: VecDeque<u32> = (0..config.nodes).collect();
-    let mut active: Vec<Option<ActiveJob>> = Vec::new();
+    // Running jobs, keyed by their finish event's `seq`: unique, and
+    // ascending in start order. Finished jobs leave the map, so its size
+    // follows the jobs running at once, not every job ever started.
+    let mut active: BTreeMap<u64, ActiveJob> = BTreeMap::new();
     let mut jobs_completed = 0u64;
     let mut jobs_interrupted = 0u64;
     let days = (config.horizon_hours / 24.0).ceil() as usize;
@@ -293,7 +296,7 @@ pub fn simulate(
         nodes: &mut [SimNode],
         pending: &mut VecDeque<PendingJob>,
         idle: &mut VecDeque<u32>,
-        active: &mut Vec<Option<ActiveJob>>,
+        active: &mut BTreeMap<u64, ActiveJob>,
         events: &mut BinaryHeap<Event>,
         seq: &mut u64,
         arenas: &SimArenas,
@@ -419,18 +422,20 @@ pub fn simulate(
             }
             let event_offset = incident.map_or(job.remaining_hours, |(_, t)| t);
             let finish_time = job_start + event_offset;
-            let slot = active.len();
-            active.push(Some(ActiveJob {
-                nodes: members,
-                start: job_start,
-                onsets,
-                incident,
-                remaining_hours: job.remaining_hours,
-            }));
+            active.insert(
+                *seq,
+                ActiveJob {
+                    nodes: members,
+                    start: job_start,
+                    onsets,
+                    incident,
+                    remaining_hours: job.remaining_hours,
+                },
+            );
             events.push(Event {
                 time: finish_time,
                 seq: *seq,
-                kind: EventKind::JobFinish(slot),
+                kind: EventKind::JobFinish(*seq),
             });
             *seq += 1;
         }
@@ -475,9 +480,9 @@ pub fn simulate(
                 drive(&mut nodes[node as usize], LifecycleEvent::ReturnedToService);
                 idle.push_back(node);
             }
-            EventKind::JobFinish(slot) => {
-                // Each slot's finish event is scheduled exactly once.
-                let Some(job) = active[slot].take() else {
+            EventKind::JobFinish(key) => {
+                // Each job's finish event is scheduled exactly once.
+                let Some(job) = active.remove(&key) else {
                     continue;
                 };
                 let elapsed = (now - job.start).max(0.0);
@@ -588,7 +593,7 @@ pub fn simulate(
     }
 
     // Jobs still running at the horizon: charge busy time up to it.
-    for job in active.iter().flatten() {
+    for job in active.values() {
         let end = config.horizon_hours;
         if end > job.start {
             let elapsed = end - job.start;

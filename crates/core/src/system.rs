@@ -199,12 +199,10 @@ impl Anubis {
                 let statuses: Vec<NodeStatus> =
                     nodes.iter().map(|n| self.status_of(n.id())).collect();
                 let subset = match &self.selector {
-                    // An empty subset stands for "risk below p₀ / nothing
-                    // worth running": the event becomes a skip below.
-                    Some(selector) => match selector.assess(&statuses, *horizon_hours) {
-                        LifecycleEvent::RiskCleared => Vec::new(),
-                        _ => selector.select(&statuses, *horizon_hours),
-                    },
+                    // `select` returns an empty subset exactly when the
+                    // joint risk is ≤ p₀ (what `assess` maps to
+                    // `RiskCleared`): the event becomes a skip below.
+                    Some(selector) => selector.select(&statuses, *horizon_hours),
                     // Without a Selector, fall back to the full set (the
                     // conservative quality-gate behaviour).
                     None => BenchmarkId::ALL.to_vec(),

@@ -1,13 +1,17 @@
 //! Historical defect coverage per benchmark.
 
 use anubis_benchsuite::BenchmarkId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Which historical defects each benchmark identified.
 ///
 /// Algorithm 1 defines a subset's coverage `C` as the fraction of all
 /// historically-identified defective nodes the subset would have caught —
 /// overlapping sets counted once (the paper's `{B₁, B₂}` example).
+///
+/// Each distinct defect id gets a dense bit index in first-seen order, and
+/// each benchmark keeps one bitset over those indices, so a subset's union
+/// is a word-wise OR plus a popcount with no allocation.
 ///
 /// # Examples
 ///
@@ -27,8 +31,12 @@ use std::collections::{BTreeMap, BTreeSet};
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CoverageTable {
-    defects_by_benchmark: BTreeMap<BenchmarkId, BTreeSet<u64>>,
-    all_defects: BTreeSet<u64>,
+    /// Bit index of every recorded defect id, assigned in first-seen order.
+    bit_of: BTreeMap<u64, usize>,
+    /// One defect bitset per benchmark, at its declaration position
+    /// (`BenchmarkId as usize`, which is its [`BenchmarkId::ALL`] index).
+    /// A row ends at its highest nonzero word; missing words are zero.
+    rows: [Vec<u64>; BenchmarkId::ALL.len()],
 }
 
 impl CoverageTable {
@@ -42,54 +50,54 @@ impl CoverageTable {
     /// Defect ids identify *defect occurrences* (e.g. node × validation),
     /// so the same node failing twice counts as two instances.
     pub fn record(&mut self, benchmark: BenchmarkId, defect_id: u64) {
-        self.defects_by_benchmark
-            .entry(benchmark)
-            .or_default()
-            .insert(defect_id);
-        self.all_defects.insert(defect_id);
+        let next = self.bit_of.len();
+        let bit = *self.bit_of.entry(defect_id).or_insert(next);
+        if let Some(row) = self.rows.get_mut(benchmark as usize) {
+            let word = bit / 64;
+            if row.len() <= word {
+                row.resize(word + 1, 0);
+            }
+            if let Some(w) = row.get_mut(word) {
+                *w |= 1 << (bit % 64);
+            }
+        }
     }
 
     /// Total historical defect instances.
     pub fn total_defects(&self) -> usize {
-        self.all_defects.len()
+        self.bit_of.len()
     }
 
     /// Defects attributed to one benchmark.
     pub fn defects_of(&self, benchmark: BenchmarkId) -> usize {
-        self.defects_by_benchmark
-            .get(&benchmark)
-            .map_or(0, BTreeSet::len)
+        self.bits_of(benchmark)
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
     }
 
-    /// All recorded defect ids, ascending. The CELF mask builder uses the
-    /// position in this order as the defect's bit index.
-    pub fn defect_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.all_defects.iter().copied()
-    }
-
-    /// The defect ids one benchmark identified, ascending.
-    pub fn defect_ids_of(&self, benchmark: BenchmarkId) -> impl Iterator<Item = u64> + '_ {
-        self.defects_by_benchmark
-            .get(&benchmark)
-            .into_iter()
-            .flatten()
-            .copied()
+    /// One benchmark's defect bitset: bit `k` is the `k`-th distinct defect
+    /// id recorded. The CELF mask builder copies these rows.
+    pub(crate) fn bits_of(&self, benchmark: BenchmarkId) -> &[u64] {
+        self.rows.get(benchmark as usize).map_or(&[], Vec::as_slice)
     }
 
     /// Coverage of a benchmark subset: `|union of their defect sets| /
     /// |all defects|`. Returns 0 with no history (conservative: an unknown
     /// subset prevents nothing).
     pub fn coverage(&self, subset: &[BenchmarkId]) -> f64 {
-        if self.all_defects.is_empty() {
+        let total = self.bit_of.len();
+        if total == 0 {
             return 0.0;
         }
-        let mut covered: BTreeSet<u64> = BTreeSet::new();
-        for bench in subset {
-            if let Some(set) = self.defects_by_benchmark.get(bench) {
-                covered.extend(set);
-            }
+        let mut covered = 0usize;
+        for w in 0..total.div_ceil(64) {
+            let word = subset.iter().fold(0u64, |acc, &bench| {
+                acc | self.bits_of(bench).get(w).copied().unwrap_or(0)
+            });
+            covered += word.count_ones() as usize;
         }
-        covered.len() as f64 / self.all_defects.len() as f64
+        covered as f64 / total as f64
     }
 
     /// Marginal defects a benchmark adds on top of a subset.
@@ -102,14 +110,13 @@ impl CoverageTable {
     /// Per-benchmark defect share (for Table 6-style reporting), sorted
     /// descending.
     pub fn defect_shares(&self) -> Vec<(BenchmarkId, f64)> {
-        if self.all_defects.is_empty() {
-            return Vec::new();
-        }
-        let total = self.all_defects.len() as f64;
-        let mut shares: Vec<(BenchmarkId, f64)> = self
-            .defects_by_benchmark
+        let total = self.bit_of.len() as f64;
+        // `ALL` is in `Ord` order, so equal shares keep ascending ids.
+        let mut shares: Vec<(BenchmarkId, f64)> = BenchmarkId::ALL
             .iter()
-            .map(|(&b, set)| (b, set.len() as f64 / total))
+            .map(|&b| (b, self.defects_of(b)))
+            .filter(|&(_, n)| n > 0)
+            .map(|(b, n)| (b, n as f64 / total))
             .collect();
         shares.sort_by(|a, b| b.1.total_cmp(&a.1));
         shares

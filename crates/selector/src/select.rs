@@ -124,11 +124,11 @@ pub fn select_benchmarks_celf(
 
 /// A [`CoverageTable`] flattened to per-candidate defect bitmasks.
 ///
-/// Bit `k` stands for the `k`-th defect id in the table's ascending
-/// order ([`CoverageTable::defect_ids`]); each candidate's mask is one
-/// row of `words` consecutive `u64`s. Union coverage becomes a word-wise
-/// OR plus a popcount, replacing the eager path's per-round `BTreeSet`
-/// unions.
+/// Bit `k` stands for the `k`-th distinct defect id the table recorded
+/// (first-seen order, not ascending id: only union *counts* enter the
+/// efficiencies, so the bit order cannot change a pick). Each candidate's
+/// mask is one row of `words` consecutive `u64`s, so union coverage is a
+/// word-wise OR plus a popcount.
 #[derive(Debug, Clone)]
 pub struct CoverageMasks {
     words: usize,
@@ -138,24 +138,16 @@ pub struct CoverageMasks {
 }
 
 impl CoverageMasks {
-    /// Flattens `coverage` over a fixed candidate list.
+    /// Flattens `coverage` over a fixed candidate list: each row is the
+    /// candidate's table bitset, zero-padded to the universe's width.
     pub fn build(coverage: &CoverageTable, candidates: &[BenchmarkId]) -> Self {
-        let positions: std::collections::BTreeMap<u64, usize> = coverage
-            .defect_ids()
-            .enumerate()
-            .map(|(bit, id)| (id, bit))
-            .collect();
-        let universe = positions.len();
-        let words = (universe / 64 + usize::from(!universe.is_multiple_of(64))).max(1);
-        let mut masks = vec![0u64; words * candidates.len()];
+        let universe = coverage.total_defects();
+        let words = universe.div_ceil(64).max(1);
+        let mut masks = Vec::with_capacity(words * candidates.len());
         let mut runtimes = Vec::with_capacity(candidates.len());
-        for (c, &bench) in candidates.iter().enumerate() {
-            let row = &mut masks[c * words..(c + 1) * words];
-            for id in coverage.defect_ids_of(bench) {
-                if let Some(&bit) = positions.get(&id) {
-                    row[bit / 64] |= 1u64 << (bit % 64);
-                }
-            }
+        for &bench in candidates {
+            let row = coverage.bits_of(bench).iter().copied();
+            masks.extend(row.chain(std::iter::repeat(0)).take(words));
             runtimes.push(bench.spec().runtime_minutes);
         }
         Self {

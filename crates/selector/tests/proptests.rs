@@ -7,6 +7,7 @@ use anubis_selector::{
     SurvivalSample,
 };
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn coverage_strategy() -> impl Strategy<Value = CoverageTable> {
     prop::collection::vec((0usize..31, 0u64..40), 0..120).prop_map(|records| {
@@ -18,7 +19,120 @@ fn coverage_strategy() -> impl Strategy<Value = CoverageTable> {
     })
 }
 
+/// The set-union definition of coverage that [`CoverageTable`]'s bitsets
+/// must reproduce: one `BTreeSet` of defect ids per benchmark.
+#[derive(Default)]
+struct SetReference {
+    by_benchmark: BTreeMap<BenchmarkId, BTreeSet<u64>>,
+    all: BTreeSet<u64>,
+}
+
+impl SetReference {
+    fn record(&mut self, benchmark: BenchmarkId, defect_id: u64) {
+        self.by_benchmark
+            .entry(benchmark)
+            .or_default()
+            .insert(defect_id);
+        self.all.insert(defect_id);
+    }
+
+    fn defects_of(&self, benchmark: BenchmarkId) -> usize {
+        self.by_benchmark.get(&benchmark).map_or(0, BTreeSet::len)
+    }
+
+    fn coverage(&self, subset: &[BenchmarkId]) -> f64 {
+        if self.all.is_empty() {
+            return 0.0;
+        }
+        let mut covered: BTreeSet<u64> = BTreeSet::new();
+        for bench in subset {
+            if let Some(set) = self.by_benchmark.get(bench) {
+                covered.extend(set);
+            }
+        }
+        covered.len() as f64 / self.all.len() as f64
+    }
+
+    fn defect_shares(&self) -> Vec<(BenchmarkId, f64)> {
+        let total = self.all.len() as f64;
+        let mut shares: Vec<(BenchmarkId, f64)> = self
+            .by_benchmark
+            .iter()
+            .map(|(&b, set)| (b, set.len() as f64 / total))
+            .collect();
+        shares.sort_by(|a, b| b.1.total_cmp(&a.1));
+        shares
+    }
+}
+
+/// Records in arbitrary order: small ids repeat across benchmarks, wide
+/// ones spread the table over several 64-bit words, and extreme ones sit
+/// far from both.
+fn history_strategy() -> impl Strategy<Value = Vec<(usize, u64)>> {
+    let id = prop_oneof![0u64..40, 0u64..700, u64::MAX - 3..=u64::MAX];
+    prop::collection::vec((0usize..31, id), 0..500)
+}
+
+/// Asserts every count and fraction of `table` equals the reference's,
+/// bit for bit.
+fn assert_matches_reference(
+    table: &CoverageTable,
+    reference: &SetReference,
+    subsets: &[Vec<usize>],
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(table.total_defects(), reference.all.len());
+    for bench in BenchmarkId::ALL {
+        prop_assert_eq!(table.defects_of(bench), reference.defects_of(bench));
+    }
+    let bits = |shares: Vec<(BenchmarkId, f64)>| -> Vec<(BenchmarkId, u64)> {
+        shares.into_iter().map(|(b, s)| (b, s.to_bits())).collect()
+    };
+    prop_assert_eq!(bits(table.defect_shares()), bits(reference.defect_shares()));
+    for picks in subsets {
+        let subset: Vec<BenchmarkId> = picks.iter().map(|&i| BenchmarkId::ALL[i]).collect();
+        prop_assert_eq!(
+            table.coverage(&subset).to_bits(),
+            reference.coverage(&subset).to_bits(),
+            "subset {:?}",
+            subset
+        );
+    }
+    Ok(())
+}
+
+/// The table keeps benchmark `b`'s bitset at `b as usize`, and lists
+/// shares in `ALL` order, which must therefore be `Ord` order.
+#[test]
+fn benchmarks_sit_at_declaration_positions_in_ord_order() {
+    for (i, &bench) in BenchmarkId::ALL.iter().enumerate() {
+        assert_eq!(bench as usize, i);
+    }
+    assert!(BenchmarkId::ALL.windows(2).all(|w| w[0] < w[1]));
+}
+
+#[test]
+fn empty_table_matches_reference() {
+    let subsets = [vec![], vec![0], vec![3, 3, 30]];
+    assert_matches_reference(&CoverageTable::new(), &SetReference::default(), &subsets).unwrap();
+}
+
 proptest! {
+    /// The bitset table reproduces the set-union reference on every query,
+    /// for subsets with repeated benchmarks and benchmarks without history.
+    #[test]
+    fn bitset_table_matches_set_reference(
+        records in history_strategy(),
+        subsets in prop::collection::vec(prop::collection::vec(0usize..31, 0..40), 1..8),
+    ) {
+        let mut table = CoverageTable::new();
+        let mut reference = SetReference::default();
+        for &(bench_idx, defect) in &records {
+            table.record(BenchmarkId::ALL[bench_idx], defect);
+            reference.record(BenchmarkId::ALL[bench_idx], defect);
+        }
+        assert_matches_reference(&table, &reference, &subsets)?;
+    }
+
     /// Selection always returns a subset of the candidates, without
     /// duplicates, and its residual probability never exceeds the
     /// unvalidated probability.
