@@ -48,7 +48,9 @@ cmp target/fig8-default-t1.json target/fig8-default-t2.json
 
 # Includes the exact work-counter check (tests/obs_trace_determinism.rs
 # against tests/work_counters.expected), the repo's perf check that host
-# load cannot move; perfbench bounds end-to-end wall time.
+# load cannot move, and the exact allocation counts of the hot paths
+# (tests/alloc_counts.rs against tests/alloc_counts.expected); perfbench
+# bounds end-to-end wall time.
 echo "==> tests"
 cargo test -q --workspace --release --offline
 

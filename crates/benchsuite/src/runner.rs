@@ -99,8 +99,8 @@ impl RunData {
     /// Appends the JSONL export to a caller-owned (typically pooled)
     /// buffer. This is the allocation-free path: rows serialize through
     /// `anubis_metrics::json::to_json_into` straight into `out`, with no
-    /// per-row scratch string (arena-clean under `cargo xtask analyze`
-    /// pass A008).
+    /// per-row scratch string (a warm buffer counts 0 allocations in the
+    /// root `tests/alloc_counts.rs`).
     pub fn append_jsonl(&self, out: &mut String) -> Result<(), anubis_metrics::json::JsonError> {
         #[derive(serde::Serialize)]
         struct Row<'a> {

@@ -161,8 +161,8 @@ struct ActiveJob {
 /// `onsets` buffers travel inside [`ActiveJob`] while the job runs and
 /// come back to the pool at `JobFinish`; `statuses` is a per-call
 /// temporary for the policy decision. After warm-up the allocation path
-/// touches the heap zero times per event (`try_allocate` is registered
-/// arena-clean under `cargo xtask analyze` pass A008).
+/// takes every buffer from the pools (the root `tests/alloc_counts.rs`
+/// pins `simulate`'s exact allocation count).
 #[derive(Debug, Default)]
 struct SimArenas {
     members: Arena<Vec<u32>>,
@@ -584,12 +584,6 @@ pub fn simulate(
             &mut seq_counter,
             &arenas,
         );
-        // Event boundary = arena tick: all scratch is either pooled again
-        // or riding inside an `ActiveJob`; publish debug stats and start
-        // a new epoch.
-        arenas.members.reset();
-        arenas.statuses.reset();
-        arenas.onsets.reset();
     }
 
     // Jobs still running at the horizon: charge busy time up to it.

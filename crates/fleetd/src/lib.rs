@@ -18,7 +18,9 @@
 //!   streaming incidents ([`anubis_traces::ShardIncidentSource`]), status
 //!   covariates, hidden degradation, benchmark noise, and the shard
 //!   [`anubis_metrics::EcdfSketch`]. Emits lifecycle *proposals*; never
-//!   mutates decision state. Its `tick` is A008 arena-clean.
+//!   mutates decision state. Its `tick` pools per-tick scratch; each
+//!   validation sample's `EcdfSketch::append` still allocates (the
+//!   counts are pinned in the root `tests/alloc_counts.expected`).
 //! - [`Coordinator`] ([`coordinator`]) — owns the decisions: the
 //!   [`anubis_lifecycle::LifecycleTable`], job placement, validation
 //!   budget, repair pipeline, and criteria refresh via

@@ -13,9 +13,11 @@
 //! shard order. That split (workers own data movement, the primary owns
 //! decisions) is what keeps the whole service byte-reproducible.
 //!
-//! [`ShardWorker::tick`] is registered **arena-clean** with the A008
-//! pass: its per-tick scratch comes from the shard's `anubis-arena` pool
-//! and its persistent output buffers, never from direct allocation.
+//! [`ShardWorker::tick`] takes its per-tick scratch from the shard's
+//! `anubis-arena` pool and writes into persistent output buffers, so a
+//! tick over healthy nodes allocates nothing. Validation does allocate:
+//! [`EcdfSketch::append`] builds a carry and a merged run per level for
+//! each sample. The root `tests/alloc_counts.rs` pins both counts.
 
 use crate::config::FleetdConfig;
 use anubis_arena::Arena;
@@ -30,8 +32,8 @@ use rand_chacha::ChaCha8Rng;
 use std::ops::Range;
 
 /// What one shard observed and proposes for one tick. The coordinator
-/// reads it after the parallel shard phase; buffers persist across ticks
-/// so the steady-state loop allocates nothing.
+/// reads it after the parallel shard phase; buffers persist across ticks,
+/// so reporting allocates only while they grow.
 #[derive(Debug, Default, Clone)]
 pub struct ShardReport {
     /// Proposed lifecycle events, in ascending node order (at most one
@@ -200,8 +202,9 @@ impl ShardWorker {
     /// snapshot (indexed by node), `repaired` the globally-sorted list of
     /// nodes whose repair completed at the start of this tick.
     ///
-    /// Registered arena-clean (A008): per-tick scratch comes from the
-    /// shard's pool, outputs go to persistent buffers.
+    /// Per-tick scratch comes from the shard's pool and outputs go to
+    /// persistent buffers; each validation sample's sketch append still
+    /// allocates (pinned in the root `tests/alloc_counts.expected`).
     pub fn tick(&mut self, ctx: &TickContext, states: &[NodeState], repaired: &[u32]) {
         self.report.reset();
         let first = repaired.partition_point(|&n| n < self.lo);

@@ -240,7 +240,7 @@ impl CoxTimeTrainer {
     /// none of them depends on the data, so creation order is
     /// irrelevant to equivalence.
     pub fn new(config: CoxTimeConfig) -> Self {
-        let input_dim = 1 + NodeStatus::fresh().features().len();
+        let input_dim = 1 + NodeStatus::FEATURE_DIM;
         let mut sizes = vec![input_dim];
         sizes.extend(&config.hidden);
         sizes.push(1);

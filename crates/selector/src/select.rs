@@ -224,12 +224,6 @@ fn celf_efficiency(
 }
 
 /// Sift entry `i` down to its heap position.
-///
-/// Swaps are spelled out manually: `<[T]>::swap` would add a
-/// name-collision edge to every workspace `swap` method in the
-/// over-approximating A008 call graph, and `celf_core` is an enforced
-/// allocation-free entry.
-#[allow(clippy::manual_swap)]
 fn celf_sift_down(heap: &mut [CelfEntry], mut i: usize) {
     loop {
         let left = 2 * i + 1;
@@ -248,9 +242,7 @@ fn celf_sift_down(heap: &mut [CelfEntry], mut i: usize) {
         if top == i {
             return;
         }
-        let tmp = heap[i];
-        heap[i] = heap[top];
-        heap[top] = tmp;
+        heap.swap(i, top);
         i = top;
     }
 }
@@ -265,15 +257,10 @@ fn celf_heapify(heap: &mut [CelfEntry]) {
 }
 
 /// Pops the max-priority entry.
-///
-/// Manual swap for the same A008 reason as [`celf_sift_down`].
-#[allow(clippy::manual_swap)]
 fn celf_pop_top(heap: &mut Vec<CelfEntry>) -> Option<CelfEntry> {
     if heap.len() > 1 {
         let last = heap.len() - 1;
-        let tmp = heap[0];
-        heap[0] = heap[last];
-        heap[last] = tmp;
+        heap.swap(0, last);
     }
     let top = heap.pop();
     celf_sift_down(heap, 0);

@@ -12,10 +12,9 @@ fn bench_analyze(c: &mut Criterion) {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let ws = Workspace::scan(&root).expect("scan workspace");
     let config = AnalysisConfig::default();
-    // The full pass pipeline on the real tree: call graph, allocation
-    // sites with their escape classes, and all three passes. Scanning is
-    // excluded — it is I/O bound and measured indirectly by every other
-    // CI step.
+    // The full pass pipeline on the real tree: the call graph and both
+    // passes. Scanning is excluded — it is I/O bound and measured
+    // indirectly by every other CI step.
     c.bench_function("xtask/analyze-passes", |bencher| {
         bencher.iter(|| black_box(run_analysis(black_box(&ws), black_box(&config))));
     });

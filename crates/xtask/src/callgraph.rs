@@ -17,8 +17,8 @@
 //!   `crate::helper(..)`) resolve to the free functions of that crate
 //!   directory sharing the name (`anubis` itself maps to `crates/core`,
 //!   `crate` to the caller's own crate). Without this rule, cross-crate
-//!   calls — exactly the ones A001's panic reach and A008's allocation
-//!   reach must follow — would produce no edges at all.
+//!   calls — exactly the ones A001's panic reach must follow — would
+//!   produce no edges at all.
 //! - **Method calls** (`recv.f(..)`) resolve to every workspace function
 //!   named `f` that takes `self` — the receiver's type is unknown at the
 //!   token level, so all impls are candidates. Names on the
@@ -43,8 +43,8 @@ use crate::model::{Call, CallKind, Workspace};
 /// Method names so ubiquitous in std that a method call with one of them
 /// almost certainly targets a std type, not a workspace impl that happens
 /// to share the name (`.expect()` on an `Option` must not edge into a
-/// parser's `expect` method). Their panics and allocations are modeled by
-/// the passes' direct token scans, so dropping the edges loses nothing.
+/// parser's `expect` method). Their panics are modeled by the passes'
+/// direct token scans, so dropping the edges loses nothing.
 const STD_COLLISION_METHODS: &[&str] = &[
     "unwrap",
     "expect",

@@ -10,20 +10,20 @@
 //! fleet-facing library code panic-free. rustc itself enforces executor
 //! closure discipline (every `anubis-parallel` entry takes `Fn + Sync`)
 //! and lifecycle ownership (`NodeState` is opaque outside
-//! `anubis-lifecycle`). This crate checks what the compiler cannot see —
-//! panic reachability along call paths, NaN-unsafe float comparisons and
-//! allocation reach from hot entries:
+//! `anubis-lifecycle`). Hot-path allocation is measured, not inferred:
+//! the root `tests/alloc_counts.rs` counts it exactly. This crate checks
+//! what the compiler cannot see — panic reachability along call paths and
+//! NaN-unsafe float comparisons:
 //!
 //! ```text
 //! cargo run -p anubis-xtask -- analyze
 //! ```
 //!
-//! runs the call-graph passes of [`passes`] against the committed
+//! runs the passes of [`passes`] against the committed
 //! `analysis-baseline.json`; `profile` is the other subcommand (see the
 //! binary's docs).
 
 pub mod callgraph;
-pub mod dataflow;
 pub mod json;
 pub mod mask;
 pub mod model;

@@ -7,15 +7,12 @@
 //! cargo xtask profile    [<trace.jsonl>] [--top <n>]
 //! ```
 //!
-//! `analyze` runs the call-graph passes of [`anubis_xtask::passes`]
-//! (A001, A002 and A008) and compares the findings against the committed
+//! `analyze` runs the passes of [`anubis_xtask::passes`] (A001 and
+//! A002) and compares the findings against the committed
 //! `analysis-baseline.json`: only *regressions* — new finding keys or
 //! grown counts — fail the build. `--write-baseline` regenerates the
 //! baseline after intentional changes; `--json` writes a SARIF-style
-//! report for CI artifacts. Enforced findings (an alloc-free entry's reach,
-//! an arena-clean entry's body) are hard failures the baseline never
-//! absorbs. The summary line counts the arena-able A008 findings — the
-//! `escape: local` allocations, candidates for pooled scratch.
+//! report for CI artifacts.
 //!
 //! `profile` summarizes an `anubis-obs` trace (the repro binary's
 //! `--trace` output, default `target/trace.jsonl`): top-k hot spans by
@@ -94,12 +91,6 @@ fn analyze(args: &[String]) -> ExitCode {
     };
     let findings = run_analysis(&ws, &AnalysisConfig::default());
     let current = Baseline::from_findings(&findings);
-    // Enforced findings are hard failures: the baseline excludes them by construction, so not
-    // even --write-baseline can absorb one.
-    let enforced: Vec<_> = findings.iter().filter(|f| f.enforced).collect();
-    for finding in &enforced {
-        println!("{finding} [enforced]");
-    }
 
     if write_baseline {
         // Diff against the previous file so the refresh leaves an audit
@@ -123,13 +114,6 @@ fn analyze(args: &[String]) -> ExitCode {
             current.findings.len(),
             findings.len()
         );
-        if !enforced.is_empty() {
-            println!(
-                "analyze: {} enforced finding(s) remain hard failures",
-                enforced.len()
-            );
-            return ExitCode::FAILURE;
-        }
         return ExitCode::SUCCESS;
     }
 
@@ -175,18 +159,13 @@ fn analyze(args: &[String]) -> ExitCode {
             stale.key, stale.current, stale.baselined
         );
     }
-    let arena_able = findings
-        .iter()
-        .filter(|f| f.message.contains("escape: local"))
-        .count();
     println!(
-        "analyze: {} finding(s) ({arena_able} arena-able), {} baselined key(s), {} new, {} enforced",
+        "analyze: {} finding(s), {} baselined key(s), {} new",
         findings.len(),
         baseline.findings.len(),
-        regressions.len(),
-        enforced.len()
+        regressions.len()
     );
-    if regressions.is_empty() && enforced.is_empty() {
+    if regressions.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -1,6 +1,6 @@
 //! Token-level model of the workspace's Rust source.
 //!
-//! The analysis passes (`A001`, `A002` and `A008`, see [`crate::passes`])
+//! The analysis passes (`A001` and `A002`, see [`crate::passes`])
 //! need to answer questions a line-oriented lint cannot: *which functions call
 //! which*, *what does a function's body actually do*, *is this `==`
 //! comparing floats*. A full parser (`syn`) is off the table — the xtask

@@ -186,7 +186,6 @@ pub fn run(ws: &Workspace, graph: &CallGraph, config: &AnalysisConfig) -> Vec<Fi
             func: item.qual_name(),
             kind: "panic-reach".to_owned(),
             message,
-            enforced: false,
         });
     }
     findings

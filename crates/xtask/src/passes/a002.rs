@@ -47,7 +47,6 @@ fn scan_fn(ws: &Workspace, item: &FnItem, findings: &mut Vec<Finding>) {
             func: item.qual_name(),
             kind: kind.to_owned(),
             message,
-            enforced: false,
         });
     };
     for (i, token) in ws.body_tokens(item) {

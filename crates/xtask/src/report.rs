@@ -42,12 +42,10 @@ pub struct Regression {
 }
 
 impl Baseline {
-    /// Aggregates findings into key counts. Enforced findings are
-    /// excluded: they are hard failures the baseline must never absorb,
-    /// so `--write-baseline` cannot launder them into acceptance.
+    /// Aggregates findings into key counts.
     pub fn from_findings(findings: &[Finding]) -> Self {
         let mut map: BTreeMap<String, usize> = BTreeMap::new();
-        for finding in findings.iter().filter(|f| !f.enforced) {
+        for finding in findings {
             *map.entry(finding.key()).or_insert(0) += 1;
         }
         Self { findings: map }
@@ -197,10 +195,6 @@ const RULES: &[(&str, &str)] = &[
         "Public fleet-facing API can transitively reach a panic",
     ),
     ("A002", "NaN-unsafe float comparison or ordering"),
-    (
-        "A008",
-        "Allocation reachable from a hot entry, or direct in an arena-clean function",
-    ),
 ];
 
 /// Renders findings as a SARIF-like report. Baselined findings carry
@@ -221,9 +215,8 @@ pub fn to_sarif(findings: &[Finding], baseline: &Baseline) -> String {
     out.push_str("          ]\n        }\n      },\n      \"results\": [\n");
     for (i, finding) in findings.iter().enumerate() {
         let key = finding.key();
-        let baselined = !finding.enforced
-            && baseline.findings.get(&key).copied().unwrap_or(0)
-                >= current.findings.get(&key).copied().unwrap_or(0);
+        let baselined = baseline.findings.get(&key).copied().unwrap_or(0)
+            >= current.findings.get(&key).copied().unwrap_or(0);
         let level = if baselined { "note" } else { "error" };
         let comma = if i + 1 < findings.len() { "," } else { "" };
         let _ = writeln!(
@@ -359,7 +352,6 @@ mod tests {
             func: func.to_owned(),
             kind: kind.to_owned(),
             message: format!("message for {func}"),
-            enforced: false,
         }
     }
 
@@ -368,14 +360,14 @@ mod tests {
         let make = |pairs: &[(&str, usize)]| Baseline {
             findings: pairs.iter().map(|(k, c)| ((*k).to_owned(), *c)).collect(),
         };
-        let old = make(&[("A008 f.rs g clone", 1), ("A001 f.rs h panic-reach", 3)]);
+        let old = make(&[("A002 f.rs g float-eq", 1), ("A001 f.rs h panic-reach", 3)]);
         let new = make(&[("A001 f.rs h panic-reach", 2), ("A002 f.rs i float-eq", 1)]);
         let lines = refresh_summary(&old, &new);
         assert_eq!(
             lines,
             vec![
                 "analyze: baseline ~ `A001 f.rs h panic-reach` (3 -> 2)".to_owned(),
-                "analyze: baseline - `A008 f.rs g clone` (fixed, was 1)".to_owned(),
+                "analyze: baseline - `A002 f.rs g float-eq` (fixed, was 1)".to_owned(),
                 "analyze: baseline + `A002 f.rs i float-eq` (new, now 1)".to_owned(),
             ]
         );
@@ -383,29 +375,11 @@ mod tests {
     }
 
     #[test]
-    fn enforced_findings_never_enter_the_baseline() {
-        let mut enforced = finding("A008", "crates/nn/src/mlp.rs", "forward_batch", "clone");
-        enforced.enforced = true;
-        let tracked = finding("A008", "crates/nn/src/mlp.rs", "other", "clone");
-        let baseline = Baseline::from_findings(&[enforced.clone(), tracked]);
-        assert_eq!(baseline.findings.len(), 1);
-        assert!(!baseline
-            .findings
-            .contains_key("A008 crates/nn/src/mlp.rs forward_batch clone"));
-        // SARIF reports enforced findings as errors even when an old
-        // baseline happens to list their key.
-        let mut old = Baseline::default();
-        old.findings.insert(enforced.key(), 1);
-        let sarif = to_sarif(&[enforced], &old);
-        assert!(sarif.contains("\"level\": \"error\""));
-    }
-
-    #[test]
     fn baseline_roundtrips_through_json() {
         let findings = vec![
             finding("A001", "crates/a/src/lib.rs", "f", "panic-reach"),
             finding("A001", "crates/a/src/lib.rs", "f", "panic-reach"),
-            finding("A008", "crates/b/src/lib.rs", "g", "clone"),
+            finding("A002", "crates/b/src/lib.rs", "g", "float-eq"),
         ];
         let baseline = Baseline::from_findings(&findings);
         let parsed = Baseline::parse(&baseline.to_json()).expect("roundtrip");
@@ -468,16 +442,12 @@ mod tests {
     fn sarif_driver_lists_rule_metadata_for_every_code() {
         let sarif = to_sarif(&[], &Baseline::default());
         assert!(sarif.contains("\"name\": \"anubis-xtask-analyze\""));
-        for code in ["A001", "A002", "A008"] {
+        for code in ["A001", "A002"] {
             assert!(
                 sarif.contains(&format!("{{\"id\": \"{code}\", \"shortDescription\"")),
                 "rule {code} missing from driver metadata"
             );
         }
-        assert!(
-            sarif.contains("direct in an arena-clean function"),
-            "A008 description missing"
-        );
     }
 
     #[test]

@@ -36,10 +36,6 @@ use std::fmt::Write as _;
 /// The committed counter totals of [`traced_scenario`].
 const EXPECTED: &str = include_str!("work_counters.expected");
 
-/// Counters published only under `debug_assertions` (the arena pool's
-/// accounting); left out so the expected file holds in every profile.
-const DEBUG_ONLY: [&str; 3] = ["arena.takes", "arena.misses", "arena.high_water_sum"];
-
 /// Runs an instrumented scenario on this thread and returns the drained
 /// trace: a serial cluster simulation, a benchmark fan-out, a small
 /// fleetd run, a Cox-Time fit and a CELF selection. Parts of it fan out
@@ -114,13 +110,11 @@ fn traced_scenario() -> anubis_obs::Trace {
 
 /// The expected-file body for `trace`: a header comment, then one
 /// `name total` line per counter (summed over emitting modules) in name
-/// order, debug-only counters excluded.
+/// order.
 fn render_totals(trace: &anubis_obs::Trace) -> String {
     let mut totals = BTreeMap::new();
     for counter in &trace.counters {
-        if !DEBUG_ONLY.contains(&counter.name) {
-            *totals.entry(counter.name).or_insert(0) += counter.total;
-        }
+        *totals.entry(counter.name).or_insert(0) += counter.total;
     }
     let mut out = String::from(
         "# Work-counter totals of `traced_scenario` in tests/obs_trace_determinism.rs:\n\
@@ -168,15 +162,6 @@ fn traces_are_byte_identical_across_runs_and_thread_counts() {
         !first.contains("\"name\":\"GPU GEMM FP16\""),
         "per-node benchmark spans must be suppressed under the executor"
     );
-
-    // Debug builds publish the simulator's arena-pool accounting when the
-    // per-tick scratch arenas reset; the totals are part of the same
-    // deterministic byte contract (release builds omit them entirely).
-    #[cfg(debug_assertions)]
-    {
-        assert!(first.contains("\"counter\":\"arena.takes\""));
-        assert!(first.contains("\"counter\":\"arena.misses\""));
-    }
 
     // Exact work counters: the equal bytes above make one run's totals
     // stand for all three.
