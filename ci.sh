@@ -54,4 +54,10 @@ cmp target/fig8-default-t1.json target/fig8-default-t2.json
 echo "==> tests"
 cargo test -q --workspace --release --offline
 
+# The fleetd output digest (crates/fleetd/tests/determinism.rs) pins the
+# service's bytes across commits; the release leg above ran it, this is
+# its debug leg (debug_assert! and overflow checks on).
+echo "==> fleetd output digest (debug)"
+cargo test -q --offline -p anubis-fleetd --test determinism output_digest_is_pinned_across_commits
+
 echo "==> CI gate passed"

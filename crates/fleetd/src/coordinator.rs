@@ -10,16 +10,18 @@
 //! 1. finish repairs that came due and return those nodes to service,
 //! 2. complete jobs whose duration elapsed,
 //! 3. ingest job arrivals and place the pending queue FIFO onto healthy
-//!    nodes (ascending node order),
+//!    nodes (ascending node order, walking the states only as far as the
+//!    placed jobs need),
 //! 4. run every shard's [`ShardWorker::tick`] on the deterministic
 //!    executor (this is the only parallel phase),
 //! 5. apply shard proposals **in fixed shard order** — quarantines kill
 //!    the victim's job and enqueue a repair,
 //! 6. start validations on suspect nodes, ascending, up to the per-tick
-//!    budget, and
-//! 7. periodically merge the shard sketches
-//!    ([`anubis_metrics::EcdfSketch::merged`]) and refresh the defect
-//!    criteria from the merged quantile.
+//!    budget (the scan stops at the budget or the last suspect), and
+//! 7. periodically refresh the defect criteria from the fleet quantile,
+//!    selected from the shard sketches' sorted runs
+//!    ([`anubis_metrics::EcdfSketch::quantile_of`]) without building a
+//!    merged fleet copy.
 //!
 //! Because shard ranges are contiguous and ascending, "shard order" in
 //! step 5 equals global node order — which is why the service's output is
@@ -228,7 +230,6 @@ pub struct Coordinator {
     // Persistent scratch (steady state allocates only for new jobs).
     repaired_now: Vec<u32>,
     arrivals: Vec<JobArrival>,
-    free: Vec<u32>,
 }
 
 impl Coordinator {
@@ -262,7 +263,6 @@ impl Coordinator {
             table,
             repaired_now: Vec::new(),
             arrivals: Vec::new(),
-            free: Vec::new(),
             cfg,
         }
     }
@@ -402,20 +402,20 @@ impl Coordinator {
                 self.pending.push_back(arrival);
             }
         }
-        self.free.clear();
-        for (node, state) in self.table.states().iter().enumerate() {
-            if state.is_healthy() {
-                self.free.push(node as u32);
-            }
-        }
-        let mut next_free = 0usize;
+        // The healthy census caps what placement can take; the cursor
+        // then walks the states only as far as the placed jobs need.
+        // Placement only turns nodes behind the cursor busy, so the walk
+        // sees the tick's healthy set in ascending order.
+        let healthy = self.table.counts().healthy;
+        let mut placed = 0usize;
+        let mut cursor = 0usize;
         while let Some(front) = self.pending.front() {
             let want = front.nodes as usize;
             if want == 0 {
                 self.pending.pop_front();
                 continue;
             }
-            if next_free + want > self.free.len() {
+            if placed + want > healthy {
                 break; // head-of-line blocks until capacity frees up
             }
             let arrival = match self.pending.pop_front() {
@@ -423,20 +423,24 @@ impl Coordinator {
                 None => break,
             };
             let job_id = self.jobs.len() as u32;
-            let members = &self.free[next_free..next_free + want];
-            for &node in members {
-                self.table
-                    .apply_if_legal(node as usize, LifecycleEvent::JobAssigned);
-                self.job_of[node as usize] = job_id;
+            let mut members = Vec::with_capacity(want);
+            while members.len() < want && cursor < self.job_of.len() {
+                if self.table.states()[cursor].is_healthy() {
+                    self.table
+                        .apply_if_legal(cursor, LifecycleEvent::JobAssigned);
+                    self.job_of[cursor] = job_id;
+                    members.push(cursor as u32);
+                }
+                cursor += 1;
             }
-            self.jobs.push(members.to_vec());
+            self.jobs.push(members);
             let duration_ticks =
                 ((arrival.duration_hours / self.cfg.tick_hours).ceil() as u32).max(1);
             self.due
                 .entry(tick + duration_ticks)
                 .or_default()
                 .push(job_id);
-            next_free += want;
+            placed += want;
             summary.jobs_started += 1;
         }
         summary
@@ -467,28 +471,35 @@ impl Coordinator {
     /// and fold the finished `summary` into the run totals.
     fn end_tick(&mut self, mut summary: TickSummary) -> TickSummary {
         // 6. Start validations on suspects, ascending, up to the budget.
-        // `ValidationStarted` is only legal from suspect, so attempting
-        // it *is* the suspect check.
+        // The scan stops at the budget or once the census's last suspect
+        // has been seen.
         let cap = self.cfg.validation_cap();
-        for node in 0..self.cfg.nodes {
-            if summary.validations_started >= cap {
+        let mut unseen = self.table.counts().suspect;
+        for node in 0..self.table.states().len() {
+            if unseen == 0 || summary.validations_started >= cap {
                 break;
             }
-            if self
-                .table
-                .apply_if_legal(node as usize, LifecycleEvent::ValidationStarted)
-            {
-                summary.validations_started += 1;
+            if self.table.states()[node].is_suspect() {
+                unseen -= 1;
+                if self
+                    .table
+                    .apply_if_legal(node, LifecycleEvent::ValidationStarted)
+                {
+                    summary.validations_started += 1;
+                }
             }
         }
 
-        // 7. Periodic criteria refresh from the merged fleet sketch.
+        // 7. Periodic criteria refresh: the quantile is selected from the
+        // shard sketches' sorted runs, with no merged fleet copy.
         if (self.tick + 1).is_multiple_of(self.cfg.merge_every_ticks.max(1)) {
             let _merge = anubis_obs::span!("fleetd.merge");
-            let merged = EcdfSketch::merged(self.shards.iter().map(ShardWorker::sketch));
-            anubis_obs::counter!("fleetd.sketch_elements_merged", merged.len() as i64);
-            if merged.len() >= self.cfg.min_criteria_samples.max(1) {
-                self.criteria_threshold = Some(merged.quantile(self.cfg.defect_quantile));
+            let sketches = self.shards.iter().map(ShardWorker::sketch);
+            let samples: usize = sketches.clone().map(EcdfSketch::len).sum();
+            anubis_obs::counter!("fleetd.sketch_elements_merged", samples as i64);
+            if samples >= self.cfg.min_criteria_samples.max(1) {
+                self.criteria_threshold =
+                    Some(EcdfSketch::quantile_of(sketches, self.cfg.defect_quantile));
             }
         }
 

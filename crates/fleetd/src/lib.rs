@@ -18,13 +18,17 @@
 //!   streaming incidents ([`anubis_traces::ShardIncidentSource`]), status
 //!   covariates, hidden degradation, benchmark noise, and the shard
 //!   [`anubis_metrics::EcdfSketch`]. Emits lifecycle *proposals*; never
-//!   mutates decision state. Its `tick` pools per-tick scratch; each
-//!   validation sample's `EcdfSketch::append` still allocates (the
-//!   counts are pinned in the root `tests/alloc_counts.expected`).
+//!   mutates decision state. Its `tick` pools per-tick scratch and
+//!   scores incident risk once per wear count; a validation sample's
+//!   `EcdfSketch::append` allocates only when the sketch first fills a
+//!   new level (the counts are pinned in the root
+//!   `tests/alloc_counts.expected`).
 //! - [`Coordinator`] ([`coordinator`]) — owns the decisions: the
 //!   [`anubis_lifecycle::LifecycleTable`], job placement, validation
-//!   budget, repair pipeline, and criteria refresh via
-//!   [`anubis_metrics::EcdfSketch::merged`]. Shards run in parallel on
+//!   budget, repair pipeline, and criteria refresh by order-statistic
+//!   selection over the shard sketches
+//!   ([`anubis_metrics::EcdfSketch::quantile_of`], no merged copy).
+//!   Shards run in parallel on
 //!   `anubis-parallel`; their proposals are applied in fixed shard order,
 //!   so summaries and JSONL traces are byte-identical across
 //!   `ANUBIS_THREADS` *and* across shard counts.
@@ -42,6 +46,11 @@
 //! assert_eq!(summary.ticks, 10);
 //! assert_eq!(summary.final_counts.total(), 64);
 //! ```
+
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod config;
 pub mod coordinator;

@@ -15,9 +15,9 @@
 //!
 //! [`ShardWorker::tick`] takes its per-tick scratch from the shard's
 //! `anubis-arena` pool and writes into persistent output buffers, so a
-//! tick over healthy nodes allocates nothing. Validation does allocate:
-//! [`EcdfSketch::append`] builds a carry and a merged run per level for
-//! each sample. The root `tests/alloc_counts.rs` pins both counts.
+//! tick over healthy nodes allocates nothing. Validation allocates only
+//! when a sample makes [`EcdfSketch::append`] fill a sketch level for the
+//! first time. The root `tests/alloc_counts.rs` pins both counts.
 
 use crate::config::FleetdConfig;
 use anubis_arena::Arena;
@@ -71,11 +71,9 @@ pub struct ShardWorker {
     noise: NoiseModel,
     events_pool: Arena<Vec<IncidentEvent>>,
     report: ShardReport,
-    // Copied risk-model parameters (the shard never sees the full config
-    // after construction).
-    base_mtbi_hours: f64,
-    wear_factor: f64,
-    wear_cap: u32,
+    risk: WearRisk,
+    // Copied damage and score parameters (the shard never sees the full
+    // config after construction).
     damage_probability: f64,
     damage_min: f64,
     damage_max: f64,
@@ -99,9 +97,7 @@ impl Clone for ShardWorker {
             noise: self.noise,
             events_pool: Arena::new(),
             report: self.report.clone(),
-            base_mtbi_hours: self.base_mtbi_hours,
-            wear_factor: self.wear_factor,
-            wear_cap: self.wear_cap,
+            risk: self.risk.clone(),
             damage_probability: self.damage_probability,
             damage_min: self.damage_min,
             damage_max: self.damage_max,
@@ -156,9 +152,7 @@ impl ShardWorker {
             noise: NoiseModel::new(config.measurement_sigma),
             events_pool: Arena::new(),
             report: ShardReport::default(),
-            base_mtbi_hours: config.base_mtbi_hours.max(1e-9),
-            wear_factor: config.wear_factor,
-            wear_cap: config.wear_cap,
+            risk: WearRisk::new(config),
             damage_probability: config.damage_probability,
             damage_min: config.damage_min,
             damage_max: config.damage_max,
@@ -189,24 +183,17 @@ impl ShardWorker {
             .unwrap_or(0.0)
     }
 
-    /// The observable incident probability of a node over `horizon`
-    /// hours, from its recorded status covariates (the per-shard Selector
-    /// scoring rule: wear-accelerated exponential hazard).
-    fn risk(&self, index: usize, horizon: f64) -> f64 {
-        let k = self.statuses[index].incident_count.min(self.wear_cap);
-        let rate = self.wear_factor.powi(k as i32) / self.base_mtbi_hours;
-        1.0 - (-rate * horizon).exp()
-    }
-
     /// Runs one tick of the shard loop. `states` is the global lifecycle
     /// snapshot (indexed by node), `repaired` the globally-sorted list of
     /// nodes whose repair completed at the start of this tick.
     ///
     /// Per-tick scratch comes from the shard's pool and outputs go to
-    /// persistent buffers; each validation sample's sketch append still
-    /// allocates (pinned in the root `tests/alloc_counts.expected`).
+    /// persistent buffers; a validation sample's sketch append allocates
+    /// only when it fills a sketch level for the first time (pinned in the
+    /// root `tests/alloc_counts.expected`).
     pub fn tick(&mut self, ctx: &TickContext, states: &[NodeState], repaired: &[u32]) {
         self.report.reset();
+        self.risk.crosses_by_wear.clear();
         let first = repaired.partition_point(|&n| n < self.lo);
         let last = repaired.partition_point(|&n| n < self.hi);
         for &node in &repaired[first..last] {
@@ -267,13 +254,60 @@ impl ShardWorker {
             }
             if state.is_healthy()
                 && ctx.tick >= self.cooldown_until[i]
-                && self.risk(i, ctx.horizon_hours) > ctx.risk_threshold
+                && self.risk.crosses(self.statuses[i].incident_count, ctx)
             {
                 self.report
                     .proposals
                     .push((node, LifecycleEvent::RiskCrossed));
             }
         }
+    }
+}
+
+/// The per-shard Selector scoring rule, a wear-accelerated exponential
+/// hazard, with a per-tick memo of its threshold test.
+#[derive(Debug, Clone)]
+struct WearRisk {
+    base_mtbi_hours: f64,
+    wear_factor: f64,
+    wear_cap: u32,
+    /// This tick's `risk(k) > risk_threshold` for each capped wear count
+    /// `k` up to the largest seen; [`ShardWorker::tick`] clears it.
+    crosses_by_wear: Vec<bool>,
+}
+
+impl WearRisk {
+    fn new(config: &FleetdConfig) -> Self {
+        Self {
+            base_mtbi_hours: config.base_mtbi_hours.max(1e-9),
+            wear_factor: config.wear_factor,
+            wear_cap: config.wear_cap,
+            // Room for every count up to a small cap (the default 12
+            // included), so a steady-state tick does not allocate. Larger
+            // caps grow the memo on demand.
+            crosses_by_wear: Vec::with_capacity(config.wear_cap.min(63) as usize + 1),
+        }
+    }
+
+    /// The incident probability over `horizon` hours of a node with
+    /// `wear` (capped) recorded incidents.
+    fn risk(&self, wear: u32, horizon: f64) -> f64 {
+        let rate = self.wear_factor.powi(wear as i32) / self.base_mtbi_hours;
+        1.0 - (-rate * horizon).exp()
+    }
+
+    /// Whether a node with `incidents` recorded incidents crosses
+    /// `ctx.risk_threshold`. The risk depends on the node only through its
+    /// capped wear count, so each count is scored once per tick; the memo
+    /// grows to the largest count seen, never to `wear_cap`.
+    fn crosses(&mut self, incidents: u32, ctx: &TickContext) -> bool {
+        let wear = incidents.min(self.wear_cap) as usize;
+        while self.crosses_by_wear.len() <= wear {
+            let k = self.crosses_by_wear.len() as u32;
+            let crosses = self.risk(k, ctx.horizon_hours) > ctx.risk_threshold;
+            self.crosses_by_wear.push(crosses);
+        }
+        self.crosses_by_wear[wear]
     }
 }
 
@@ -325,6 +359,38 @@ mod tests {
             flagged > 0,
             "accumulated wear must cross the risk threshold"
         );
+    }
+
+    #[test]
+    fn risk_memo_grows_to_the_largest_wear_count_not_the_cap() {
+        // An uncapped, non-accelerating hazard passes `validate()`, so the
+        // memo must not be sized by `wear_cap`.
+        let config = FleetdConfig {
+            nodes: 16,
+            base_mtbi_hours: 30.0,
+            wear_cap: u32::MAX,
+            wear_factor: 1.0,
+            ..FleetdConfig::default()
+        };
+        assert_eq!(config.validate(), Ok(()));
+        let mut shard = ShardWorker::new(&config, 0..16);
+        let table = LifecycleTable::new(16);
+        for t in 0..40 {
+            shard.tick(&ctx(t, 4.0), table.states(), &[]);
+        }
+        let most = shard
+            .statuses
+            .iter()
+            .map(|s| s.incident_count)
+            .max()
+            .unwrap_or(0);
+        assert!(most > 0, "40 stressed ticks must produce incidents");
+        let memo = &shard.risk.crosses_by_wear;
+        assert_eq!(memo.len(), most as usize + 1);
+        assert!(memo.capacity() <= 64.max(2 * memo.len()));
+        for (k, &crosses) in memo.iter().enumerate() {
+            assert_eq!(crosses, shard.risk.risk(k as u32, 24.0) > 0.25, "wear {k}");
+        }
     }
 
     #[test]

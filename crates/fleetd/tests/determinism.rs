@@ -90,3 +90,57 @@ fn run_is_live_and_conserves_nodes() {
         "service must not quarantine the whole fleet"
     );
 }
+
+/// FNV-1a over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn output_digest_is_pinned_across_commits() {
+    // 4,000 nodes × 300 ticks at 2.2× the fleet's capacity in demand:
+    // the run refreshes the criteria 30 times, leaves suspects waiting
+    // behind a full validation cap and blocks placement at the head of
+    // the queue, so every coordinator phase shapes the bytes.
+    let cfg = FleetdConfig {
+        nodes: 4000,
+        shards: 8,
+        ticks: 300,
+        threads: 1,
+        seed: 42,
+        validations_per_tick: 2,
+        target_utilization: 2.2,
+        ..FleetdConfig::default()
+    };
+    let cap = cfg.validation_cap();
+    let mut fleet = Coordinator::new(cfg);
+    let mut jsonl = String::new();
+    let (mut cap_filled, mut head_blocked) = (0u32, 0u32);
+    let summary = fleet.run(300, |tick| {
+        tick.write_jsonl(&mut jsonl);
+        cap_filled += u32::from(tick.validations_started == cap && tick.counts.suspect > 0);
+        head_blocked += u32::from(tick.pending_jobs > 0);
+    });
+    assert!(
+        summary.criteria_threshold.is_some(),
+        "criteria must refresh"
+    );
+    assert!(cap_filled > 0, "the validation cap must fill on some tick");
+    assert!(head_blocked > 0, "placement must block on some tick");
+    let digest = fnv1a(format!("{}{jsonl}", summary.render()).as_bytes());
+    assert_eq!(
+        (digest, cap_filled, head_blocked),
+        PINNED_DIGEST,
+        "fleetd output bytes changed"
+    );
+}
+
+/// `(FNV-1a of render() + every tick's JSONL, ticks that filled the
+/// validation cap with suspects left waiting, ticks that ended with jobs
+/// pending)` for the run
+/// above, recorded before the merge-free criteria refresh, the
+/// suspect-only validation scan, the lazy placement cursor and the
+/// shard's per-wear-count risk memo.
+const PINNED_DIGEST: (u64, u32, u32) = (0xf28a_604a_a79f_e0c6, 6, 57);

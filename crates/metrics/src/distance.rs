@@ -124,9 +124,10 @@ fn integrate_ecdf(
     numerator: impl Fn(f64, f64) -> f64,
 ) -> f64 {
     e1.merged_breakpoints_into(e2, grid);
-    let upper = *grid.last().expect("samples are non-empty");
+    // An empty grid (two empty supports) or all measurements zero in both
+    // samples: identical distributions.
+    let upper = grid.last().copied().unwrap_or(0.0);
     if upper <= 0.0 {
-        // All measurements are zero in both samples: identical distributions.
         return 0.0;
     }
     let (s1, s2) = (e1.support(), e2.support());

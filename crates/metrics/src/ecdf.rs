@@ -47,7 +47,8 @@ impl Ecdf {
         self.sorted.len()
     }
 
-    /// Whether the ECDF has no support points (never true once constructed).
+    /// Whether the ECDF has no support points: never for one built from a
+    /// [`Sample`], only for an empty [`crate::EcdfSketch`]'s `to_ecdf`.
     pub fn is_empty(&self) -> bool {
         self.sorted.is_empty()
     }
@@ -60,24 +61,23 @@ impl Ecdf {
         count as f64 / self.sorted.len() as f64
     }
 
-    /// The quantile function (generalized inverse CDF) for `p` in `[0, 1]`.
+    /// The quantile function (generalized inverse CDF) for `p` in `[0, 1]`:
+    /// the `ceil(p · n)`-th smallest support point (the smallest for
+    /// `p = 0`). An empty support has no quantiles and returns NaN.
     pub fn quantile(&self, p: f64) -> f64 {
-        let p = p.clamp(0.0, 1.0);
-        if p == 0.0 {
-            return self.sorted[0];
-        }
-        let idx = ((p * self.sorted.len() as f64).ceil() as usize).clamp(1, self.sorted.len());
-        self.sorted[idx - 1]
+        let n = self.sorted.len();
+        let k = ((p.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n.max(1));
+        self.sorted.get(k - 1).copied().unwrap_or(f64::NAN)
     }
 
-    /// Smallest support point.
+    /// Smallest support point; NaN for an empty support.
     pub fn min(&self) -> f64 {
-        self.sorted[0]
+        self.sorted.first().copied().unwrap_or(f64::NAN)
     }
 
-    /// Largest support point.
+    /// Largest support point; NaN for an empty support.
     pub fn max(&self) -> f64 {
-        *self.sorted.last().expect("non-empty")
+        self.sorted.last().copied().unwrap_or(f64::NAN)
     }
 
     /// The sorted support points (with duplicates), i.e. the underlying
@@ -163,6 +163,18 @@ mod tests {
         assert_eq!(cdf.eval(3.999), 0.75);
         assert_eq!(cdf.eval(4.0), 1.0);
         assert_eq!(cdf.eval(100.0), 1.0);
+    }
+
+    #[test]
+    fn empty_support_answers_nan() {
+        // An empty sketch converts to an empty support.
+        let empty = Ecdf::from_sorted(Vec::new());
+        assert!(empty.is_empty());
+        assert!(empty.min().is_nan());
+        assert!(empty.max().is_nan());
+        for p in [0.0, 0.5, 1.0] {
+            assert!(empty.quantile(p).is_nan(), "p={p}");
+        }
     }
 
     #[test]

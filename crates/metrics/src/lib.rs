@@ -23,6 +23,11 @@
 //! All algorithms are deterministic given a seed and implemented in safe
 //! Rust.
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod distance;
 pub mod ecdf;
 pub mod error;

@@ -136,6 +136,7 @@ impl KMeans {
 
     /// Index of the cluster with the most members (ties broken by lower
     /// index) — the "majority" (healthy) cluster in the Figure 9 baseline.
+    /// A fitted model has at least one cluster; with none this is 0.
     pub fn majority_cluster(&self) -> usize {
         let k = self.centroids.len();
         let mut counts = vec![0usize; k];
@@ -146,8 +147,7 @@ impl KMeans {
             .iter()
             .enumerate()
             .max_by(|(ia, ca), (ib, cb)| ca.cmp(cb).then(ib.cmp(ia)))
-            .map(|(i, _)| i)
-            .expect("k >= 1")
+            .map_or(0, |(i, _)| i)
     }
 
     /// Indices of the points assigned to `cluster`.

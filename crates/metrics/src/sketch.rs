@@ -8,9 +8,12 @@
 //!
 //! - amortized `O(log n)` append (a logarithmic merge structure: sorted
 //!   runs whose lengths follow a binary-counter discipline, so an append
-//!   cascades through at most `log n` run merges),
+//!   cascades through at most `log n` run merges, in place),
 //! - `O(n + m)` merge of two sketches by a linear merge walk over their
-//!   collapsed runs — no re-sort, and
+//!   collapsed runs — no re-sort,
+//! - quantiles over several sketches at once
+//!   ([`EcdfSketch::quantile_of`]) selected from their sorted runs, with
+//!   no merged copy, and
 //! - queries (`eval`, `quantile`, `min`, `max`) that are *observationally
 //!   equivalent* to building [`Ecdf`] over the same multiset of values:
 //!   they return bit-identical results, because every query reduces to
@@ -81,23 +84,28 @@ impl EcdfSketch {
 
     /// Appends one measurement. Amortized `O(log n)`: the new singleton
     /// run is carried upward, merging with each occupied level, exactly
-    /// like incrementing a binary counter.
+    /// like incrementing a binary counter. The carry merges in place into
+    /// the first free level's buffer, and emptied levels keep their
+    /// capacity, so once every level has been filled once an append
+    /// allocates nothing.
     pub fn append(&mut self, value: f64) {
         debug_assert!(value.is_finite(), "sketch values must be finite");
-        let mut carry = vec![value];
-        let mut level = 0;
-        loop {
-            if level == self.runs.len() {
-                self.runs.push(carry);
-                break;
+        let level = self
+            .runs
+            .iter()
+            .position(Vec::is_empty)
+            .unwrap_or(self.runs.len());
+        if level == self.runs.len() {
+            self.runs.push(Vec::new());
+        }
+        let (occupied, free) = self.runs.split_at_mut(level);
+        if let Some(target) = free.first_mut() {
+            target.reserve_exact(1 << level);
+            target.push(value);
+            for run in occupied {
+                merge_in_place(target, run);
+                run.clear();
             }
-            if self.runs[level].is_empty() {
-                self.runs[level] = carry;
-                break;
-            }
-            let occupant = std::mem::take(&mut self.runs[level]);
-            carry = merge_runs(&occupant, &carry);
-            level += 1;
         }
         self.len += 1;
     }
@@ -117,9 +125,8 @@ impl EcdfSketch {
         if other.is_empty() {
             return;
         }
-        let mine = self.collapsed();
-        let theirs = other.collapsed();
-        let merged = merge_runs(&mine, &theirs);
+        let mut merged = self.collapsed();
+        merge_in_place(&mut merged, &other.collapsed());
         self.len += other.len;
         self.runs.clear();
         self.runs.push(merged);
@@ -159,12 +166,12 @@ impl EcdfSketch {
         // Balanced tournament: merge adjacent pairs until one run is left.
         while runs.len() > 1 {
             let mut next: Vec<Vec<f64>> = Vec::with_capacity(runs.len().div_ceil(2));
-            let mut iter = runs.chunks_exact(2);
-            for pair in iter.by_ref() {
-                next.push(merge_runs(&pair[0], &pair[1]));
-            }
-            if let [odd] = iter.remainder() {
-                next.push(odd.clone());
+            let mut iter = runs.into_iter();
+            while let Some(mut left) = iter.next() {
+                if let Some(right) = iter.next() {
+                    merge_in_place(&mut left, &right);
+                }
+                next.push(left);
             }
             runs = next;
         }
@@ -193,15 +200,39 @@ impl EcdfSketch {
     /// has no quantiles and returns NaN for every `p`, as [`Self::eval`]
     /// does for every `x`.
     pub fn quantile(&self, p: f64) -> f64 {
-        if self.is_empty() {
+        Self::quantile_of([self], p)
+    }
+
+    /// The `p`-quantile of the union of `parts`, bit-identical to
+    /// `EcdfSketch::merged(parts).quantile(p)` but without the merged
+    /// copy: the order statistic is selected directly from the parts'
+    /// sorted runs, allocating nothing. Returns NaN when every part is
+    /// empty.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use anubis_metrics::EcdfSketch;
+    ///
+    /// let mut a = EcdfSketch::new();
+    /// a.extend([3.0, 1.0]);
+    /// let mut b = EcdfSketch::new();
+    /// b.extend([2.0]);
+    /// let q = EcdfSketch::quantile_of([&a, &b], 0.5);
+    /// assert_eq!(q, EcdfSketch::merged([&a, &b]).quantile(0.5));
+    /// ```
+    pub fn quantile_of<'a, I>(parts: I, p: f64) -> f64
+    where
+        I: IntoIterator<Item = &'a EcdfSketch>,
+        I::IntoIter: Clone,
+    {
+        let parts = parts.into_iter();
+        let len: usize = parts.clone().map(EcdfSketch::len).sum();
+        if len == 0 {
             return f64::NAN;
         }
-        let p = p.clamp(0.0, 1.0);
-        if p == 0.0 {
-            return self.min();
-        }
-        let k = ((p * self.len as f64).ceil() as usize).clamp(1, self.len);
-        self.kth_smallest(k)
+        let k = ((p.clamp(0.0, 1.0) * len as f64).ceil() as usize).clamp(1, len);
+        select_kth(parts.flat_map(|part| part.runs.iter()), k)
     }
 
     /// Smallest appended value.
@@ -230,45 +261,12 @@ impl EcdfSketch {
         best
     }
 
-    /// The `k`-th smallest value (1-based) in total order, found by a
-    /// `k`-way pointer walk over the sorted runs.
-    fn kth_smallest(&self, k: usize) -> f64 {
-        debug_assert!(k >= 1 && k <= self.len);
-        let mut cursors = vec![0usize; self.runs.len()];
-        let mut current = f64::NAN;
-        for _ in 0..k {
-            let mut best: Option<usize> = None;
-            for (r, run) in self.runs.iter().enumerate() {
-                let Some(&candidate) = run.get(cursors[r]) else {
-                    continue;
-                };
-                let better = match best {
-                    None => true,
-                    Some(b) => candidate.total_cmp(&self.runs[b][cursors[b]]).is_lt(),
-                };
-                if better {
-                    best = Some(r);
-                }
-            }
-            let Some(r) = best else {
-                break;
-            };
-            current = self.runs[r][cursors[r]];
-            cursors[r] += 1;
-        }
-        current
-    }
-
     /// Collapses all runs into one ascending vector. Run lengths are
     /// geometric, so merging smallest-first costs `O(n)` total.
     fn collapsed(&self) -> Vec<f64> {
-        let mut acc: Vec<f64> = Vec::new();
-        for run in self.runs.iter().filter(|r| !r.is_empty()) {
-            if acc.is_empty() {
-                acc.extend_from_slice(run);
-            } else {
-                acc = merge_runs(&acc, run);
-            }
+        let mut acc = Vec::with_capacity(self.len);
+        for run in &self.runs {
+            merge_in_place(&mut acc, run);
         }
         acc
     }
@@ -288,23 +286,73 @@ impl EcdfSketch {
     }
 }
 
-/// Linear merge of two runs each sorted by [`f64::total_cmp`]; ties take
-/// the left side first, which preserves the total order.
-fn merge_runs(a: &[f64], b: &[f64]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i].total_cmp(&b[j]).is_le() {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
+/// Merges `src` into `dst` in place, both sorted by [`f64::total_cmp`],
+/// by a backward merge walk into `dst`'s tail that stops once `src` is
+/// used up. Ties keep `dst`'s values first; values that compare equal
+/// under the total order have equal bits anyway.
+fn merge_in_place(dst: &mut Vec<f64>, src: &[f64]) {
+    let mut i = dst.len();
+    let mut j = src.len();
+    dst.resize(i + j, 0.0);
+    for out in (0..dst.len()).rev() {
+        let Some(j1) = j.checked_sub(1) else {
+            break; // the rest of `dst` is already in place
+        };
+        match i.checked_sub(1) {
+            Some(i1) if dst[i1].total_cmp(&src[j1]).is_gt() => {
+                dst[out] = dst[i1];
+                i = i1;
+            }
+            _ => {
+                dst[out] = src[j1];
+                j = j1;
+            }
         }
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
+}
+
+/// Maps `x` to a `u64` whose unsigned order is [`f64::total_cmp`]'s
+/// order; [`from_order_key`] inverts it bit for bit.
+fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// Inverse of [`order_key`].
+fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
+}
+
+/// The `k`-th smallest value (1-based, `1 <= k <=` total length) across
+/// `runs`, each sorted by [`f64::total_cmp`]. Binary-searches the 64-bit
+/// [`order_key`] space for the smallest key with at least `k` values at
+/// or below it; each probe sums one `partition_point` per run. That key
+/// belongs to a stored value, so the result carries the value's exact
+/// bits. `O(64 · runs · log len)`, no allocation.
+fn select_kth<'a>(runs: impl Iterator<Item = &'a Vec<f64>> + Clone, k: usize) -> f64 {
+    let rank = |key: u64| -> usize {
+        runs.clone()
+            .map(|run| run.partition_point(|&v| order_key(v) <= key))
+            .sum()
+    };
+    let (mut lo, mut hi) = (0u64, u64::MAX);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if rank(mid) >= k {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    from_order_key(lo)
 }
 
 #[cfg(test)]

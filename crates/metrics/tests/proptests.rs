@@ -166,6 +166,49 @@ proptest! {
         prop_assert_eq!(merged.to_ecdf(), batch);
     }
 
+    // Selecting the quantile from the parts' sorted runs returns the same
+    // bits as merging the parts first and as the batch ECDF, whatever the
+    // partition: empty parts, duplicates and `-0.0` next to `0.0`
+    // included. The negated values cover the negative half of the order
+    // (a `Sample` rejects negatives, so they are checked against the
+    // merged sketch only).
+    #[test]
+    fn quantile_of_matches_merged_and_batch_bits(
+        values in prop::collection::vec(
+            prop_oneof![
+                prop::sample::select(vec![-0.0, 0.0, 1.0, 97.5, f64::MIN_POSITIVE]),
+                0.0f64..1.0e6,
+            ],
+            0..200,
+        ),
+        part_of in prop::collection::vec(0usize..8, 200),
+        parts in 1usize..8,
+    ) {
+        let mut sketches = vec![EcdfSketch::new(); parts];
+        let mut negated = vec![EcdfSketch::new(); parts];
+        for (v, &part) in values.iter().zip(&part_of) {
+            sketches[part % parts].append(*v);
+            negated[part % parts].append(-*v);
+        }
+        let merged = EcdfSketch::merged(sketches.iter());
+        let merged_negated = EcdfSketch::merged(negated.iter());
+        for p in [0.0, 1e-9, 0.05, 0.5, 1.0] {
+            let selected = EcdfSketch::quantile_of(sketches.iter(), p);
+            prop_assert_eq!(selected.to_bits(), merged.quantile(p).to_bits(), "p={}", p);
+            prop_assert_eq!(
+                EcdfSketch::quantile_of(negated.iter(), p).to_bits(),
+                merged_negated.quantile(p).to_bits(),
+                "negated, p={}", p
+            );
+            if values.is_empty() {
+                prop_assert!(selected.is_nan());
+            } else {
+                let batch = Ecdf::new(&Sample::new(values.clone()).unwrap());
+                prop_assert_eq!(selected.to_bits(), batch.quantile(p).to_bits(), "p={}", p);
+            }
+        }
+    }
+
     // The incremental matrix extension reproduces the batch pairwise
     // matrix bit-for-bit at any split point and thread count.
     #[test]

@@ -40,6 +40,11 @@
 //! assert_eq!(squares.len(), 8); // ceil(1000 / 128) chunk results, in chunk order
 //! ```
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use std::sync::PoisonError;
 use std::thread;
 

@@ -49,7 +49,11 @@ impl SourceMix {
             }
             target -= weight;
         }
-        self.weights.last().expect("mix non-empty").0
+        // Float rounding can carry `target` past the last weight. The mix
+        // is never empty (`azure_like` is the only constructor).
+        self.weights
+            .last()
+            .map_or(IncidentCategory::Software, |&(category, _)| category)
     }
 }
 

@@ -16,6 +16,11 @@
 //! - [`dataset`]: the build-out fleet with defect injection rates
 //!   calibrated to Table 6.
 
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 pub mod allocation;
 pub mod codec;
 pub mod dataset;

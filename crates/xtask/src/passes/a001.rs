@@ -219,7 +219,7 @@ mod tests {
     #[test]
     fn non_gated_crates_have_no_roots() {
         let findings = analyze(&[(
-            "crates/metrics/src/lib.rs",
+            "crates/nn/src/lib.rs",
             "pub fn api(x: Option<u32>) -> u32 { x.unwrap() }\n",
         )]);
         assert!(findings.is_empty());

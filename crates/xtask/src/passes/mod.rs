@@ -43,6 +43,10 @@ pub const GATED_CRATES: &[&str] = &[
     "hwsim",
     "netsim",
     "lifecycle",
+    "fleetd",
+    "metrics",
+    "traces",
+    "parallel",
 ];
 
 /// One analysis finding.

@@ -46,9 +46,9 @@ fn a002_fixture_reports_float_equality_and_partial_cmp_unwrap() {
     assert_eq!(
         keyed,
         vec![
-            ("crates/metrics/src/lib.rs", 5, "converged", "float-eq"),
-            ("crates/metrics/src/nan.rs", 6, "sort", "partial-cmp-unwrap"),
-            ("crates/metrics/src/nan.rs", 11, "is_day", "float-eq"),
+            ("crates/nn/src/lib.rs", 5, "converged", "float-eq"),
+            ("crates/nn/src/nan.rs", 6, "sort", "partial-cmp-unwrap"),
+            ("crates/nn/src/nan.rs", 11, "is_day", "float-eq"),
         ],
         "findings: {findings:#?}"
     );
