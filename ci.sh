@@ -46,6 +46,12 @@ ANUBIS_THREADS=1 ./target/release/repro fig8 --json > target/fig8-default-t1.jso
 ANUBIS_THREADS=2 ./target/release/repro fig8 --json > target/fig8-default-t2.json
 cmp target/fig8-default-t1.json target/fig8-default-t2.json
 
+# The split Cox-Time trainer on both of its paths, whatever this host's
+# core count: inline on one thread, and with the helper thread on two.
+echo "==> nn + selector tests at ANUBIS_THREADS=1 and 2"
+ANUBIS_THREADS=1 cargo test -q --release --offline -p anubis-nn -p anubis-selector
+ANUBIS_THREADS=2 cargo test -q --release --offline -p anubis-nn -p anubis-selector
+
 # Includes the exact work-counter check (tests/obs_trace_determinism.rs
 # against tests/work_counters.expected), the repo's perf check that host
 # load cannot move, and the exact allocation counts of the hot paths

@@ -17,7 +17,9 @@
 //! 5. apply shard proposals **in fixed shard order** — quarantines kill
 //!    the victim's job and enqueue a repair,
 //! 6. start validations on suspect nodes, ascending, up to the per-tick
-//!    budget (the scan stops at the budget or the last suspect), and
+//!    budget: the suspects left behind the budget on earlier ticks,
+//!    merged with those phase 5 just made, with no walk over the fleet,
+//!    and
 //! 7. periodically refresh the defect criteria from the fleet quantile,
 //!    selected from the shard sketches' sorted runs
 //!    ([`anubis_metrics::EcdfSketch::quantile_of`]) without building a
@@ -36,7 +38,7 @@
 
 use crate::config::FleetdConfig;
 use crate::shard::{ShardWorker, TickContext};
-use anubis_lifecycle::{LifecycleEvent, LifecycleTable, StateCounts};
+use anubis_lifecycle::{LifecycleEvent, LifecycleTable, NodeState, StateCounts};
 use anubis_metrics::EcdfSketch;
 use anubis_parallel::map_chunks_mut;
 use anubis_traces::{shard_ranges, AllocationStream, JobArrival};
@@ -227,9 +229,14 @@ pub struct Coordinator {
     criteria_threshold: Option<f64>,
     tick: u32,
     totals: FleetSummary,
+    /// Suspects left behind the validation cap, ascending.
+    suspects: Vec<u32>,
+    /// Nodes that turned suspect in this tick's phase 5, ascending.
+    new_suspects: Vec<u32>,
     // Persistent scratch (steady state allocates only for new jobs).
     repaired_now: Vec<u32>,
     arrivals: Vec<JobArrival>,
+    merged_suspects: Vec<u32>,
 }
 
 impl Coordinator {
@@ -261,8 +268,11 @@ impl Coordinator {
                 ..FleetSummary::default()
             },
             table,
+            suspects: Vec::new(),
+            new_suspects: Vec::new(),
             repaired_now: Vec::new(),
             arrivals: Vec::new(),
+            merged_suspects: Vec::new(),
             cfg,
         }
     }
@@ -277,10 +287,10 @@ impl Coordinator {
         &self.table
     }
 
-    /// Mutable lifecycle table access, e.g. to enable the transition
-    /// journal before a run.
-    pub fn table_mut(&mut self) -> &mut LifecycleTable {
-        &mut self.table
+    /// Starts recording every applied transition in the lifecycle
+    /// table's journal (see [`LifecycleTable::enable_journal`]).
+    pub fn enable_journal(&mut self) {
+        self.table.enable_journal();
     }
 
     /// The shard workers, in shard (= node) order.
@@ -450,6 +460,19 @@ impl Coordinator {
     /// is legal, and turns a quarantine into a killed job and a queued
     /// repair.
     fn apply_proposal(&mut self, summary: &mut TickSummary, node: u32, event: LifecycleEvent) {
+        if event == LifecycleEvent::RiskCrossed {
+            // The only way into `Suspect` is from `Healthy`; the
+            // idempotent re-flag of a suspect changes nothing, so skip it.
+            // Proposals arrive in node order, so the list stays ascending.
+            let healthy = self
+                .table
+                .state(node as usize)
+                .is_some_and(NodeState::is_healthy);
+            if healthy && self.table.apply_if_legal(node as usize, event) {
+                self.new_suspects.push(node);
+            }
+            return;
+        }
         if !self.table.apply_if_legal(node as usize, event) {
             return;
         }
@@ -471,22 +494,36 @@ impl Coordinator {
     /// and fold the finished `summary` into the run totals.
     fn end_tick(&mut self, mut summary: TickSummary) -> TickSummary {
         // 6. Start validations on suspects, ascending, up to the budget.
-        // The scan stops at the budget or once the census's last suspect
-        // has been seen.
+        // Every suspect is either left over from an earlier tick or new in
+        // this tick's phase 5; merging the two ascending lists visits them
+        // in node order without walking the fleet. Whatever the budget
+        // leaves stays for the next tick.
         let cap = self.cfg.validation_cap();
-        let mut unseen = self.table.counts().suspect;
-        for node in 0..self.table.states().len() {
-            if unseen == 0 || summary.validations_started >= cap {
-                break;
+        merge_ascending(
+            &self.suspects,
+            &self.new_suspects,
+            &mut self.merged_suspects,
+        );
+        self.new_suspects.clear();
+        self.suspects.clear();
+        for &node in &self.merged_suspects {
+            // Skip a listed node that left `Suspect` another way (a
+            // cleared risk).
+            if !self
+                .table
+                .state(node as usize)
+                .is_some_and(NodeState::is_suspect)
+            {
+                continue;
             }
-            if self.table.states()[node].is_suspect() {
-                unseen -= 1;
-                if self
+            if summary.validations_started < cap
+                && self
                     .table
-                    .apply_if_legal(node, LifecycleEvent::ValidationStarted)
-                {
-                    summary.validations_started += 1;
-                }
+                    .apply_if_legal(node as usize, LifecycleEvent::ValidationStarted)
+            {
+                summary.validations_started += 1;
+            } else {
+                self.suspects.push(node);
             }
         }
 
@@ -575,6 +612,23 @@ impl Coordinator {
     pub fn totals(&self) -> FleetSummary {
         self.totals
     }
+}
+
+/// Merges two ascending node lists into `out` (cleared first).
+fn merge_ascending(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
+        if x <= y {
+            out.push(x);
+            i += 1;
+        } else {
+            out.push(y);
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
 }
 
 #[cfg(test)]

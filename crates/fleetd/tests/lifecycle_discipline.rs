@@ -11,7 +11,7 @@ use proptest::prelude::*;
 fn run_journaled(cfg: FleetdConfig) -> Coordinator {
     let ticks = cfg.ticks;
     let mut fleet = Coordinator::new(cfg);
-    fleet.table_mut().enable_journal();
+    fleet.enable_journal();
     fleet.run(ticks, |_| {});
     fleet
 }

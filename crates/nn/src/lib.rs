@@ -6,9 +6,13 @@
 //! from-scratch, dependency-free MLP:
 //!
 //! - [`Mlp`]: dense layers with configurable activations, manual
-//!   backpropagation, and batched kernels ([`Mlp::forward_batch`],
-//!   [`Mlp::backward_batch`]) that reproduce the one-row reference path
-//!   ([`Mlp::forward_cached`], [`Mlp::backward`]) bit for bit;
+//!   backpropagation, and batched kernels that reproduce the one-row
+//!   reference path ([`Mlp::forward_cached`], [`Mlp::backward`]) bit for
+//!   bit: [`Mlp::forward_batch`] and [`Mlp::backprop_deltas`] over a row
+//!   segment, and [`Mlp::accumulate_gradients`] over a parameter range
+//!   (so a minibatch can be split across threads by rows, then by output
+//!   neuron, without a merge); [`Mlp::backward_batch`] chains them over a
+//!   whole batch;
 //! - [`Adam`]: the Adam optimizer over the flattened parameter vector;
 //! - [`Gradients`]: a parameter-shaped gradient accumulator so callers can
 //!   average gradients over mini-batches or custom losses (the Cox partial
@@ -22,5 +26,5 @@ pub mod mlp;
 pub mod scaler;
 
 pub use adam::Adam;
-pub use mlp::{Activation, BackwardScratch, BatchCache, ForwardCache, Gradients, Mlp};
+pub use mlp::{Activation, BatchCache, ForwardCache, Gradients, Mlp};
 pub use scaler::StandardScaler;

@@ -247,20 +247,33 @@ impl ForwardCache {
     }
 }
 
-/// Stacked activations of one [`Mlp::forward_batch`] call, needed by
-/// [`Mlp::backward_batch`].
+/// The per-row state of one row segment of a minibatch: the stacked
+/// activations of [`Mlp::forward_batch`] and, after
+/// [`Mlp::backprop_deltas`], every layer's δ.
 ///
-/// Reusable: after the first call of a given batch size, later calls on
-/// the same network allocate nothing. Every stored row is padded to a
-/// whole number of SIMD chunks; [`BatchCache::output`] returns the
-/// unpadded output row.
+/// A batch may be split into several segments (say, one per thread);
+/// [`Mlp::accumulate_gradients`] then reads them in order as if they were
+/// one batch. Reusable: after the first call of a given segment size,
+/// later calls on the same network allocate nothing. Every stored row is
+/// padded to a whole number of SIMD chunks; [`BatchCache::output`]
+/// returns the unpadded output row.
 #[derive(Debug, Clone, Default)]
 pub struct BatchCache {
     rows: usize,
     output_width: usize,
-    /// `activations[0]` holds the input rows; `activations[l+1]` the
-    /// output rows of layer `l`.
-    activations: Vec<Vec<f64>>,
+    /// `levels[l]` holds the rows entering layer `l` (the input rows for
+    /// `l = 0`) and layer `l`'s δ; the last level holds the output rows.
+    levels: Vec<Level>,
+}
+
+/// One level of a [`BatchCache`].
+#[derive(Debug, Clone, Default)]
+struct Level {
+    /// Activation rows, each padded to a whole number of [`LANES`].
+    activations: Vec<f64>,
+    /// ∂loss/∂(pre-activation) per row of the layer these rows enter,
+    /// padded like its output rows; unused on the output level.
+    delta: Vec<f64>,
 }
 
 impl BatchCache {
@@ -272,17 +285,9 @@ impl BatchCache {
     pub fn output(&self, row: usize) -> &[f64] {
         assert!(row < self.rows, "row out of range");
         let stride = padded(self.output_width);
-        let last = self.activations.last().expect("a filled cache");
+        let last = &self.levels.last().expect("a filled cache").activations;
         &last[row * stride..row * stride + self.output_width]
     }
-}
-
-/// Reusable delta buffers for allocation-free [`Mlp::backward_batch`]
-/// calls on the same network.
-#[derive(Debug, Clone, Default)]
-pub struct BackwardScratch {
-    delta: Vec<f64>,
-    next_delta: Vec<f64>,
 }
 
 /// A feed-forward network with dense layers.
@@ -418,10 +423,10 @@ impl Mlp {
         cache.rows = rows;
         cache.output_width = self.output_dim();
         cache
-            .activations
-            .resize_with(self.layers.len() + 1, Vec::new);
+            .levels
+            .resize_with(self.layers.len() + 1, Level::default);
         let stride = padded(width);
-        let first = &mut cache.activations[0];
+        let first = &mut cache.levels[0].activations;
         first.resize(rows * stride, 0.0);
         for (row, x) in first
             .chunks_exact_mut(stride)
@@ -430,8 +435,8 @@ impl Mlp {
             row[..width].copy_from_slice(x);
         }
         for (l, layer) in self.layers.iter().enumerate() {
-            let (before, after) = cache.activations.split_at_mut(l + 1);
-            let (x, y) = (&before[l], &mut after[0]);
+            let (before, after) = cache.levels.split_at_mut(l + 1);
+            let (x, y) = (&before[l].activations, &mut after[0].activations);
             let (n, m) = (layer.inputs, layer.outputs);
             let (x_stride, y_stride) = (padded(n), padded(m));
             y.resize(rows * y_stride, 0.0);
@@ -531,77 +536,66 @@ impl Mlp {
     /// [`Mlp::flattened_gradients`]).
     ///
     /// Bit-identical to calling [`Mlp::backward`] on each row in turn into
-    /// one [`Gradients`]: every gradient and bias element adds its row
-    /// contributions in ascending row order onto its current value, and
-    /// every input delta sums over outputs in ascending order from `0.0`.
-    /// The weight gradient keeps each 8-lane chunk of a gradient row in
-    /// local accumulators across all rows of the batch.
+    /// one [`Gradients`]. It is [`Mlp::backprop_deltas`] followed by
+    /// [`Mlp::accumulate_gradients`] over the whole parameter range.
     ///
     /// # Panics
     ///
     /// Panics if `output_grads.len()` is not `rows × output_dim`, or
     /// `flat.len()` is not [`Mlp::parameter_count`].
-    pub fn backward_batch(
-        &self,
-        cache: &BatchCache,
-        output_grads: &[f64],
-        flat: &mut [f64],
-        scratch: &mut BackwardScratch,
-    ) {
-        let rows = cache.rows;
-        let width = self.output_dim();
-        assert_eq!(output_grads.len(), rows * width, "output gradient mismatch");
+    pub fn backward_batch(&self, cache: &mut BatchCache, output_grads: &[f64], flat: &mut [f64]) {
         assert_eq!(
             flat.len(),
             self.parameter_count(),
             "gradient shape mismatch"
         );
-        let BackwardScratch { delta, next_delta } = scratch;
+        self.backprop_deltas(cache, output_grads);
+        self.accumulate_gradients(&[&*cache], 0, flat);
+    }
+
+    /// Backpropagates `output_grads` (row-major, `rows × output_dim`)
+    /// through the rows of a [`Mlp::forward_batch`] pass and keeps every
+    /// layer's δ in `cache` for [`Mlp::accumulate_gradients`].
+    ///
+    /// Rows are independent here: row `r`'s δ is the reference
+    /// [`Mlp::backward`]'s, bit for bit. Each input delta sums over
+    /// outputs in ascending order from `0.0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `output_grads.len()` is not `rows × output_dim`.
+    pub fn backprop_deltas(&self, cache: &mut BatchCache, output_grads: &[f64]) {
+        let rows = cache.rows;
+        let width = self.output_dim();
+        assert_eq!(output_grads.len(), rows * width, "output gradient mismatch");
+        let levels = &mut cache.levels;
         let stride = padded(width);
-        delta.resize(rows * stride, 0.0);
-        for (row, g) in delta
+        let top = &mut levels[self.layers.len() - 1].delta;
+        top.resize(rows * stride, 0.0);
+        for (row, g) in top
             .chunks_exact_mut(stride)
             .zip(output_grads.chunks_exact(width))
         {
             row[..width].copy_from_slice(g);
         }
-        // Flat offset of the layer *after* the current one, maintained
-        // while iterating in reverse.
-        let mut offset = flat.len();
         for (l, layer) in self.layers.iter().enumerate().rev() {
             let (n, m) = (layer.inputs, layer.outputs);
             let (n_pad, m_pad) = (padded(n), padded(m));
-            offset -= n * m + m;
-            let (w_grad, b_grad) = flat[offset..offset + n * m + m].split_at_mut(n * m);
-            let x = &cache.activations[l];
-            let y = &cache.activations[l + 1];
+            let (through_l, above) = levels.split_at_mut(l + 1);
+            let (below, at_l) = through_l.split_at_mut(l);
+            let delta = &mut at_l[0].delta;
             // δ ← δ ⊙ f'(z), expressed through the activated outputs.
-            for (d_row, y_row) in delta.chunks_exact_mut(m_pad).zip(y.chunks_exact(m_pad)) {
+            for (d_row, y_row) in delta
+                .chunks_exact_mut(m_pad)
+                .zip(above[0].activations.chunks_exact(m_pad))
+            {
                 for (d, &v) in d_row[..m].iter_mut().zip(&y_row[..m]) {
                     *d *= layer.activation.derivative_from_output(v);
                 }
             }
-            for d_row in delta.chunks_exact(m_pad) {
-                for (g, &d) in b_grad.iter_mut().zip(&d_row[..m]) {
-                    *g += d;
-                }
-            }
-            // W_grad[o][i] += Σ_r δ[r][o]·x[r][i], rows ascending: the
-            // product's depth runs over the batch rows.
-            let weight_grad = Product {
-                a: delta,
-                a_row: 1,
-                a_k: m_pad,
-                b: x,
-                b_stride: n_pad,
-                rows: m,
-                depth: rows,
-                cols: n,
-            };
-            weight_grad.multiply_into(w_grad, n, true);
             // The first layer's input delta is never read, so skip it.
-            if l > 0 {
-                next_delta.resize(rows * n_pad, 0.0);
+            if let Some(next) = below.last_mut() {
+                next.delta.resize(rows * n_pad, 0.0);
                 let input_delta = Product {
                     a: delta,
                     a_row: m_pad,
@@ -612,10 +606,114 @@ impl Mlp {
                     depth: m,
                     cols: n,
                 };
-                input_delta.multiply_into(next_delta, n_pad, false);
-                std::mem::swap(delta, next_delta);
+                input_delta.multiply_into(&mut next.delta, n_pad, false);
             }
         }
+    }
+
+    /// Adds the gradients of the parameters `start..start + out.len()`
+    /// (canonical flattened order) over the rows of `segments` onto
+    /// `out`. Each segment must hold a [`Mlp::backprop_deltas`] pass.
+    ///
+    /// Every weight or bias element adds its rows' contributions onto its
+    /// current value in ascending row order, segment after segment:
+    /// `W_grad[o][i] += Σ_r δ[r][o]·x[r][i]` and `b_grad[o] += Σ_r δ[r][o]`.
+    /// That is one scalar chain per element, so splitting the rows into
+    /// segments changes no bit, and neither does splitting the parameters
+    /// into ranges: each element is computed by exactly one call. The
+    /// weight gradient keeps each 8-lane chunk of a gradient row in local
+    /// accumulators across a segment's rows. [`Mlp::gradient_part`] gives
+    /// balanced ranges.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past [`Mlp::parameter_count`] or cuts a
+    /// weight row (an output neuron's weights) in two.
+    pub fn accumulate_gradients(&self, segments: &[&BatchCache], start: usize, out: &mut [f64]) {
+        let end = start + out.len();
+        assert!(end <= self.parameter_count(), "gradient range mismatch");
+        let mut offset = 0;
+        for (l, layer) in self.layers.iter().enumerate() {
+            let (n, m) = (layer.inputs, layer.outputs);
+            let (n_pad, m_pad) = (padded(n), padded(m));
+            // The output neurons whose weight rows, then whose biases,
+            // lie in `start..end`.
+            let neurons = |first: usize, per_neuron: usize| {
+                let bound = |at: usize| {
+                    let inside = at.clamp(first, first + m * per_neuron) - first;
+                    assert!(
+                        inside.is_multiple_of(per_neuron),
+                        "gradient range cuts a weight row"
+                    );
+                    inside / per_neuron
+                };
+                bound(start)..bound(end)
+            };
+            let weight_rows = neurons(offset, n);
+            let biases = neurons(offset + n * m, 1);
+            if !weight_rows.is_empty() {
+                let first = offset + weight_rows.start * n - start;
+                let w_grad = &mut out[first..first + weight_rows.len() * n];
+                for segment in segments.iter().filter(|s| s.rows > 0) {
+                    // The product's depth runs over the segment's rows.
+                    let weight_grad = Product {
+                        a: &segment.levels[l].delta[weight_rows.start..],
+                        a_row: 1,
+                        a_k: m_pad,
+                        b: &segment.levels[l].activations,
+                        b_stride: n_pad,
+                        rows: weight_rows.len(),
+                        depth: segment.rows,
+                        cols: n,
+                    };
+                    weight_grad.multiply_into(w_grad, n, true);
+                }
+            }
+            if !biases.is_empty() {
+                let first = offset + n * m + biases.start - start;
+                let b_grad = &mut out[first..first + biases.len()];
+                for segment in segments.iter().filter(|s| s.rows > 0) {
+                    let delta = &segment.levels[l].delta;
+                    for d_row in delta.chunks_exact(m_pad).take(segment.rows) {
+                        for (g, &d) in b_grad.iter_mut().zip(&d_row[biases.clone()]) {
+                            *g += d;
+                        }
+                    }
+                }
+            }
+            offset += n * m + m;
+        }
+    }
+
+    /// The flattened parameter range of part `part` of `parts` for
+    /// [`Mlp::accumulate_gradients`]: contiguous, in part order, covering
+    /// every parameter once, with cuts near equal parameter counts. A cut
+    /// inside a layer's weights moves to the nearest weight-row boundary,
+    /// so a part may own no neuron of a layer (or nothing at all).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `part` is not below `parts`.
+    pub fn gradient_part(&self, part: usize, parts: usize) -> std::ops::Range<usize> {
+        assert!(part < parts, "part out of range");
+        let total = self.parameter_count();
+        let cut = |k: usize| {
+            let target = total * k / parts;
+            let mut offset = 0;
+            for layer in &self.layers {
+                let weights = layer.inputs * layer.outputs;
+                if target < offset + weights {
+                    let n = layer.inputs;
+                    return offset + (target - offset + n / 2) / n * n;
+                }
+                offset += weights + layer.outputs;
+                if target < offset {
+                    return target;
+                }
+            }
+            total
+        };
+        cut(part)..cut(part + 1)
     }
 
     /// Flattens a gradient accumulator into the canonical parameter
@@ -838,7 +936,8 @@ mod tests {
                 let fresh = mlp.forward_cached(x);
                 for (l, reference) in fresh.activations.iter().enumerate() {
                     let stride = padded(reference.len());
-                    let row = &cache.activations[l][r * stride..r * stride + reference.len()];
+                    let level = &cache.levels[l].activations;
+                    let row = &level[r * stride..r * stride + reference.len()];
                     assert_eq!(row, reference.as_slice(), "rows {rows}, row {r}, level {l}");
                 }
                 assert_eq!(cache.output(r), fresh.output());

@@ -1,6 +1,6 @@
 //! Property-based tests for the neural-network substrate.
 
-use anubis_nn::{Activation, Adam, BackwardScratch, BatchCache, Mlp, StandardScaler};
+use anubis_nn::{Activation, Adam, BatchCache, Mlp, StandardScaler};
 use proptest::prelude::*;
 
 fn architecture() -> impl Strategy<Value = Vec<usize>> {
@@ -105,6 +105,40 @@ proptest! {
     }
 }
 
+/// `rows` input rows and output gradients for a `sizes` network, and one
+/// optimizer step on `mlp` so its biases are non-zero. Every fifth row is
+/// one special value throughout, so whole pre-activation chunks hit the
+/// fallback; the rest mix the pool.
+fn batch(
+    mlp: &mut Mlp,
+    sizes: &[usize],
+    rows: usize,
+    pool: &[f64],
+    grad_pool: &[f64],
+) -> (Vec<f64>, Vec<f64>) {
+    let (width, outputs) = (sizes[0], sizes[sizes.len() - 1]);
+    let inputs: Vec<f64> = (0..rows * width)
+        .map(|k| {
+            let r = k / width;
+            if r % 5 == 0 {
+                SPECIAL_INPUTS[(r / 5) % SPECIAL_INPUTS.len()]
+            } else {
+                pool[(k * 7 + r) % pool.len()]
+            }
+        })
+        .collect();
+    let output_grads: Vec<f64> = (0..rows * outputs)
+        .map(|k| grad_pool[k % grad_pool.len()])
+        .collect();
+    if rows > 1 {
+        let cache = mlp.forward_cached(&inputs[width..2 * width]);
+        let mut grads = mlp.zero_gradients();
+        mlp.backward(&cache, &output_grads[outputs..2 * outputs], &mut grads);
+        Adam::new(mlp, 0.05).step(mlp, &grads);
+    }
+    (inputs, output_grads)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -124,30 +158,9 @@ proptest! {
     ) {
         let mut mlp = Mlp::new(&sizes, hidden, seed);
         let (width, outputs) = (sizes[0], sizes[sizes.len() - 1]);
-        // Every fifth row is one special value throughout, so whole
-        // pre-activation chunks hit the fallback; the rest mix the pool.
-        let inputs: Vec<f64> = (0..rows * width)
-            .map(|k| {
-                let r = k / width;
-                if r % 5 == 0 {
-                    SPECIAL_INPUTS[(r / 5) % SPECIAL_INPUTS.len()]
-                } else {
-                    pool[(k * 7 + r) % pool.len()]
-                }
-            })
-            .collect();
-        let output_grads: Vec<f64> =
-            (0..rows * outputs).map(|k| grad_pool[k % grad_pool.len()]).collect();
-        // One optimizer step so biases are non-zero.
-        if rows > 1 {
-            let cache = mlp.forward_cached(&inputs[width..2 * width]);
-            let mut grads = mlp.zero_gradients();
-            mlp.backward(&cache, &output_grads[outputs..2 * outputs], &mut grads);
-            Adam::new(&mlp, 0.05).step(&mut mlp, &grads);
-        }
+        let (inputs, output_grads) = batch(&mut mlp, &sizes, rows, &pool, &grad_pool);
 
         let mut cache = BatchCache::default();
-        let mut scratch = BackwardScratch::default();
         let mut flat = vec![0.0; mlp.parameter_count()];
         let mut grads = mlp.zero_gradients();
         // Two batches into one accumulator, split anywhere.
@@ -162,8 +175,76 @@ proptest! {
                 mlp.backward(&reference, g, &mut grads);
             }
             let g = &output_grads[start * outputs..end * outputs];
-            mlp.backward_batch(&cache, g, &mut flat, &mut scratch);
+            mlp.backward_batch(&mut cache, g, &mut flat);
             prop_assert_eq!(bits(&Mlp::flattened_gradients(&grads)), bits(&flat));
+        }
+    }
+
+    /// The range kernels compose to the per-row reference bit for bit:
+    /// the rows split into two segments anywhere (an empty one included;
+    /// every split for small batches), each run through `forward_batch`
+    /// and `backprop_deltas`, then `accumulate_gradients` over 1, 2 and 3
+    /// parameter parts in reverse order onto a non-zero accumulator. Half
+    /// the cases end in a 1-wide output layer, of which a part may own no
+    /// neuron.
+    #[test]
+    fn split_kernels_match_per_row_reference_bitwise(
+        sizes in wide_architecture(),
+        narrow_output in any::<bool>(),
+        hidden in prop::sample::select(vec![Activation::Tanh, Activation::Relu, Activation::Identity]),
+        seed in 0u64..1000,
+        rows in 0usize..=300,
+        split in 0usize..=300,
+        pool in prop::collection::vec(-3.0f64..3.0, 61),
+        grad_pool in prop::collection::vec(-2.0f64..2.0, 17),
+    ) {
+        let mut sizes = sizes;
+        if narrow_output {
+            *sizes.last_mut().unwrap() = 1;
+        }
+        let mut mlp = Mlp::new(&sizes, hidden, seed);
+        let (width, outputs) = (sizes[0], sizes[sizes.len() - 1]);
+        let (inputs, output_grads) = batch(&mut mlp, &sizes, rows, &pool, &grad_pool);
+
+        // The reference: one `backward` per row onto a non-zero start.
+        let mut grads = mlp.zero_gradients();
+        if rows > 0 {
+            let cache = mlp.forward_cached(&inputs[..width]);
+            mlp.backward(&cache, &output_grads[..outputs], &mut grads);
+        }
+        let start = Mlp::flattened_gradients(&grads);
+        for (x, g) in inputs.chunks_exact(width).zip(output_grads.chunks_exact(outputs)) {
+            let reference = mlp.forward_cached(x);
+            mlp.backward(&reference, g, &mut grads);
+        }
+        let expected = bits(&Mlp::flattened_gradients(&grads));
+
+        let splits: Vec<usize> = if rows <= 12 {
+            (0..=rows).collect()
+        } else {
+            vec![0, split.min(rows), rows]
+        };
+        let mut halves = [BatchCache::default(), BatchCache::default()];
+        for split in splits {
+            let [a, b] = &mut halves;
+            for (half, range) in [(&mut *a, 0..split), (&mut *b, split..rows)] {
+                mlp.forward_batch(&inputs[range.start * width..range.end * width], range.len(), half);
+                mlp.backprop_deltas(half, &output_grads[range.start * outputs..range.end * outputs]);
+            }
+            for parts in 1..=3 {
+                let mut flat = start.clone();
+                let mut covered = 0;
+                for part in (0..parts).rev() {
+                    let range = mlp.gradient_part(part, parts);
+                    prop_assert!(range.start <= range.end);
+                    covered += range.len();
+                    mlp.accumulate_gradients(&[&*a, &*b], range.start, &mut flat[range]);
+                }
+                prop_assert_eq!(covered, mlp.parameter_count());
+                prop_assert_eq!(
+                    &bits(&flat), &expected, "split {} of {}, {} parts", split, rows, parts
+                );
+            }
         }
     }
 }

@@ -12,7 +12,7 @@
 #![allow(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use anubis_nn::fastmath::tanh_slice;
-use anubis_nn::{Activation, BackwardScratch, BatchCache, Mlp};
+use anubis_nn::{Activation, BatchCache, Mlp};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -56,12 +56,11 @@ fn time_reference_vs_batched_kernels() {
 
         let mut cache = BatchCache::default();
         let mut flat = vec![0.0; mlp.parameter_count()];
-        let mut scratch = BackwardScratch::default();
         let forward = seconds_per_call(|| {
             mlp.forward_batch(black_box(&inputs), ROWS, &mut cache);
         });
         let backward = seconds_per_call(|| {
-            mlp.backward_batch(&cache, black_box(&output_grads), &mut flat, &mut scratch);
+            mlp.backward_batch(&mut cache, black_box(&output_grads), &mut flat);
         });
 
         // The forward pass applies tanh to both hidden layers' outputs.

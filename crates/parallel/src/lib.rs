@@ -1,4 +1,5 @@
-//! Deterministic data-parallel executor.
+//! Deterministic data-parallel executor and a persistent two-lane
+//! helper.
 //!
 //! Every workspace simulation promises bit-for-bit reproducible output
 //! (see the root `clippy.toml`), so parallelism must never change results
@@ -24,6 +25,18 @@
 //! never records (worker threads have no recorder enabled, and the inline
 //! single-worker path holds an `anubis_obs::suppress` guard), so a trace's
 //! bytes are independent of the thread count too.
+//!
+//! The executor spawns its workers per call, which costs tens of
+//! microseconds. A loop of many short steps that each split in two uses
+//! [`with_helper`] instead: one helper thread lives for the whole loop,
+//! and [`Helper::join`] offers it one half of a step while the caller runs
+//! the other (and takes the half back if the helper has not started it).
+//! The same contract holds with two slots and no reduction: each half
+//! writes only what it borrows mutably (the borrow checker keeps the
+//! halves disjoint), its result comes back in its own slot, and a half
+//! never depends on which thread ran it. At one thread both halves run
+//! inline. Cox-Time training splits each minibatch this way
+//! (`anubis-selector`).
 //!
 //! # Examples
 //!
@@ -251,6 +264,225 @@ where
     partials.into_iter().reduce(fold)
 }
 
+/// Polls before a waiting side starts yielding its time slice: a step's
+/// two halves usually finish within microseconds of each other.
+const SPIN_POLLS: u32 = 1 << 12;
+
+/// Yields after the spin before an idle helper parks.
+const YIELD_POLLS: u32 = 1 << 6;
+
+/// A job handed to the helper thread (see [`Helper::join`]).
+type Job = Box<dyn FnOnce() + Send>;
+
+/// The one hand-off between the caller and the helper thread.
+enum Handoff {
+    /// No job outstanding.
+    Idle,
+    /// A job the helper has not started; the caller may take it back.
+    Offered(Job),
+    /// The helper is running the job.
+    Running,
+    /// The helper ran the job (`Err` holds its panic).
+    Finished(thread::Result<()>),
+    /// The scope is ending: the helper returns.
+    Closed,
+}
+
+// The helper's hand-off is this crate's second sanctioned lock: it orders
+// who runs a job, never what a job computes.
+#[allow(clippy::disallowed_types)]
+type Slot = std::sync::Mutex<Handoff>;
+
+/// Locks the hand-off (a panicking job never holds the lock, so there is
+/// no poison to respect).
+fn lock(slot: &Slot) -> std::sync::MutexGuard<'_, Handoff> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs `slot`'s jobs until the scope closes: takes each offered job,
+/// runs it, and reports it finished. Idle, it spins, then yields, then
+/// parks until the caller offers the next job.
+// The helper's idle wait: yielding and parking are part of the wait, not
+// a scheduling decision the results could see.
+#[allow(clippy::disallowed_methods)]
+fn serve(slot: &Slot) {
+    let mut idle = 0u32;
+    loop {
+        let offered = {
+            let mut state = lock(slot);
+            match std::mem::replace(&mut *state, Handoff::Idle) {
+                Handoff::Offered(job) => {
+                    *state = Handoff::Running;
+                    Some(job)
+                }
+                Handoff::Closed => return,
+                other => {
+                    *state = other;
+                    None
+                }
+            }
+        };
+        if let Some(job) = offered {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
+            *lock(slot) = Handoff::Finished(outcome);
+            idle = 0;
+        } else {
+            idle = idle.saturating_add(1);
+            if idle < SPIN_POLLS {
+                std::hint::spin_loop();
+            } else if idle < SPIN_POLLS + YIELD_POLLS {
+                thread::yield_now();
+            } else {
+                thread::park();
+            }
+        }
+    }
+}
+
+/// The caller's end of a [`with_helper`] scope: splits steps in two
+/// halves, one for the caller and one for the helper thread (or, at one
+/// thread, both for the caller).
+pub struct Helper<'scope> {
+    lane: Option<Lane<'scope>>,
+}
+
+/// The hand-off slot of a running helper thread and the thread itself.
+struct Lane<'scope> {
+    slot: &'scope Slot,
+    thread: thread::Thread,
+}
+
+impl Drop for Lane<'_> {
+    fn drop(&mut self) {
+        *lock(self.slot) = Handoff::Closed;
+        self.thread.unpark();
+    }
+}
+
+/// Runs `body` with a [`Helper`]: one helper thread that lives for the
+/// whole call when `threads` resolves (see [`resolve_threads`]) to 2 or
+/// more, none at 1. A loop of many short two-way steps then pays one
+/// spawn, not one per step.
+///
+/// Results never depend on which: [`Helper::join`] returns each half's
+/// result in its own slot, and the halves may share nothing mutable.
+///
+/// # Examples
+///
+/// ```
+/// let mut xs: Vec<u64> = (1..=10).collect();
+/// let sums = anubis_parallel::with_helper(2, |helper| {
+///     let (low, high) = xs.split_at_mut(4);
+///     helper.join(|| low.iter().sum::<u64>(), || high.iter().sum::<u64>())
+/// });
+/// assert_eq!(sums, (10, 45));
+/// ```
+// The helper is this crate's second sanctioned `std::thread` user.
+#[allow(clippy::disallowed_methods)]
+pub fn with_helper<R>(threads: usize, body: impl FnOnce(&mut Helper<'_>) -> R) -> R {
+    if resolve_threads(threads) <= 1 {
+        return body(&mut Helper { lane: None });
+    }
+    let slot = Slot::new(Handoff::Idle);
+    thread::scope(|scope| {
+        let thread = scope.spawn(|| serve(&slot)).thread().clone();
+        // Dropping the lane, on return or unwind, closes the slot; the
+        // helper then returns and the scope joins it.
+        body(&mut Helper {
+            lane: Some(Lane {
+                slot: &slot,
+                thread,
+            }),
+        })
+    })
+}
+
+impl Helper<'_> {
+    /// Threads a step runs on: 2 with a helper thread, 1 without.
+    pub fn lanes(&self) -> usize {
+        if self.lane.is_some() {
+            2
+        } else {
+            1
+        }
+    }
+
+    /// Runs `mine` on the calling thread and `theirs` on the helper
+    /// thread at the same time, and returns both results once both have
+    /// finished. If the helper has not started `theirs` by the time
+    /// `mine` is done (say, another process holds its core), the caller
+    /// takes `theirs` back and runs it itself, so a busy host costs the
+    /// split, not a wait. Without a helper thread both run inline.
+    /// `theirs` on the caller runs under [`anubis_obs::suppress`], as the
+    /// helper records nothing, so a trace looks the same at any thread
+    /// count.
+    ///
+    /// A panic in either half is re-raised on the caller once neither
+    /// half is running (the caller's own first).
+    // Waiting on a started half yields: part of the wait, not a
+    // scheduling decision the results could see.
+    #[allow(clippy::disallowed_methods)]
+    pub fn join<A, B, RA, RB>(&mut self, mine: A, theirs: B) -> (RA, RB)
+    where
+        A: FnOnce() -> RA,
+        B: FnOnce() -> RB + Send,
+        RB: Send,
+    {
+        let Some(lane) = &self.lane else {
+            let first = mine();
+            let _quiet = anubis_obs::suppress();
+            return (first, theirs());
+        };
+        let mut result: Option<RB> = None;
+        let job: Box<dyn FnOnce() + Send + '_> = Box::new(|| result = Some(theirs()));
+        // SAFETY: only the lifetime changes. `job` borrows `result` and
+        // whatever `theirs` captured, all of which outlive this call, so
+        // it must be run or dropped before `join` returns or unwinds. It
+        // is: below, the caller either takes the job back from the
+        // hand-off (and runs or drops it here), or sees the helper take
+        // it and then waits for `Finished`, which the helper reports only
+        // after the job has run and been dropped (a panic included, which
+        // it catches). A panic in `mine` is caught until then.
+        let job: Job = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
+        *lock(lane.slot) = Handoff::Offered(job);
+        lane.thread.unpark();
+        let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(mine));
+        let mut polls = 0u32;
+        let second = loop {
+            let mut state = lock(lane.slot);
+            match std::mem::replace(&mut *state, Handoff::Idle) {
+                Handoff::Offered(job) => {
+                    drop(state);
+                    if first.is_ok() {
+                        let _quiet = anubis_obs::suppress();
+                        job();
+                    }
+                    break Ok(());
+                }
+                Handoff::Finished(outcome) => break outcome,
+                running => *state = running,
+            }
+            drop(state);
+            polls = polls.saturating_add(1);
+            if polls < SPIN_POLLS {
+                std::hint::spin_loop();
+            } else {
+                thread::yield_now();
+            }
+        };
+        let first = first.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        if let Err(payload) = second {
+            std::panic::resume_unwind(payload);
+        }
+        match result {
+            Some(second) => (first, second),
+            // Unreachable: a job that ran set `result`, and every other
+            // path has re-raised a panic above.
+            None => std::panic::resume_unwind(Box::new("join lost its second half")),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,6 +610,87 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn helper_steps_match_at_any_thread_count() {
+        // Many short steps on borrowed, disjoint halves of one buffer:
+        // the persistent helper sees each step's fresh borrows.
+        let run = |threads: usize| {
+            let mut values: Vec<u64> = (0..101).collect();
+            let mut sums = Vec::new();
+            let lanes = with_helper(threads, |helper| {
+                for step in 0..500u64 {
+                    let (low, high) = values.split_at_mut(40);
+                    let bump = |half: &mut [u64]| {
+                        for v in half.iter_mut() {
+                            *v = v.wrapping_mul(31).wrapping_add(step);
+                        }
+                        half.iter().fold(0u64, |a, &v| a.wrapping_add(v))
+                    };
+                    let (a, b) = helper.join(|| bump(low), || bump(high));
+                    sums.push((a, b));
+                }
+                helper.lanes()
+            });
+            (values, sums, lanes)
+        };
+        let (values, sums, lanes) = run(1);
+        assert_eq!(lanes, 1);
+        for threads in [2, 5] {
+            let (v, s, lanes) = run(threads);
+            assert_eq!(lanes, 2, "threads {threads}");
+            assert_eq!((&v, &s), (&values, &sums), "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn helper_panic_is_raised_on_the_caller() {
+        for threads in [1, 2] {
+            let mut after = 0;
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                with_helper(threads, |helper| {
+                    helper.join(|| (), || ());
+                    helper.join(|| after += 1, || assert!(threads == 0, "boom"));
+                    after += 10;
+                });
+            }));
+            let payload = caught.expect_err("the helper's panic reaches the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
+            // The caller's half finished; nothing after the join ran.
+            assert_eq!(after, 1, "threads {threads}");
+        }
+    }
+
+    #[test]
+    // Watching the helper half start and finish needs flags shared
+    // across threads.
+    #[allow(clippy::disallowed_types)]
+    fn caller_panic_waits_for_a_started_helper_half() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let (started, finished) = (AtomicBool::new(false), AtomicBool::new(false));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            with_helper(2, |helper| {
+                helper.join(
+                    || {
+                        while !started.load(Ordering::SeqCst) {
+                            std::hint::spin_loop();
+                        }
+                        panic!("caller");
+                    },
+                    || {
+                        started.store(true, Ordering::SeqCst);
+                        spin(2_000_000);
+                        finished.store(true, Ordering::SeqCst);
+                    },
+                )
+            })
+        }));
+        assert!(caught.is_err());
+        assert!(
+            finished.load(Ordering::SeqCst),
+            "join unwound while its helper half ran"
+        );
     }
 
     #[test]

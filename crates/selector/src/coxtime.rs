@@ -18,7 +18,7 @@
 use crate::status::NodeStatus;
 use crate::survival::{SurvivalModel, SurvivalSample, TBNI_CAP_HOURS};
 use anubis_metrics::MetricsError;
-use anubis_nn::{Activation, Adam, BackwardScratch, BatchCache, Mlp, StandardScaler};
+use anubis_nn::{Activation, Adam, BatchCache, Mlp, StandardScaler};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
@@ -43,10 +43,11 @@ pub struct CoxTimeConfig {
     pub weight_decay: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Worker threads for the Breslow baseline loop (`0` = auto, see
-    /// [`anubis_parallel::auto_threads`]); training always runs on the
-    /// calling thread. The fitted model is bit-identical at any thread
-    /// count.
+    /// Threads for training and the Breslow baseline loop (`0` = auto,
+    /// see [`anubis_parallel::auto_threads`]). Training uses at most two:
+    /// the caller and one helper thread that splits each minibatch with
+    /// it ([`anubis_parallel::with_helper`]). The fitted model is
+    /// bit-identical at any thread count.
     pub threads: usize,
 }
 
@@ -340,18 +341,13 @@ impl CoxTimeTrainer {
             rank
         };
 
-        // Minibatch buffers, all reused across the whole fit: the stacked
-        // network rows (each event followed by its controls), one
-        // `(first row, control count)` group per event, the rows' loss
-        // gradients and the flat gradient accumulator (canonical
-        // parameter order).
+        // Minibatch buffers, all reused across the whole fit: one half of
+        // the minibatch per lane (rows, groups, loss gradients and the
+        // per-row network state) and the flat gradient accumulator
+        // (canonical parameter order).
         let mut acc = vec![0.0f64; net.parameter_count()];
-        let mut cache = BatchCache::default();
-        let mut scratch = BackwardScratch::default();
-        let mut inputs: Vec<f64> = Vec::new();
-        let mut groups: Vec<(usize, usize)> = Vec::new();
-        let mut output_grads: Vec<f64> = Vec::new();
-        let mut exps: Vec<f64> = Vec::new();
+        let mut halves = [Half::default(), Half::default()];
+        let width = net.input_dim();
         let order = &mut self.order;
         if self.order_dirty {
             order.clear();
@@ -361,76 +357,90 @@ impl CoxTimeTrainer {
         // Events that ran a forward and backward pass, summed per
         // minibatch: the exact training work, published once at the end.
         let mut sample_epochs = 0usize;
-        // Training runs on the calling thread, one batched forward and
-        // one batched backward pass per minibatch. Fanning a minibatch
-        // out would need one gradient buffer per worker and a serial
-        // merge that costs as much as the backward pass itself.
-        for _ in 0..epochs {
-            order.shuffle(&mut *rng);
-            for batch in order.chunks(config.batch_size.max(1)) {
-                // Draw every event's controls first, in event order.
-                // Compute never consumes the RNG, so the draw sequence is
-                // the one a row-at-a-time loop makes.
-                inputs.clear();
-                groups.clear();
-                let mut rows = 0usize;
-                for &i in batch {
-                    // Controls: uniform from the risk-set suffix.
-                    let suffix_start = rank_of[i];
-                    let suffix_len = samples.len() - suffix_start;
-                    if suffix_len < 2 {
-                        continue;
-                    }
-                    let t_i = samples[i].duration / time_scale;
-                    let event_len = inputs.len();
-                    push_input(&mut inputs, t_i, &scaled[i]);
-                    let first = rows;
-                    rows += 1;
-                    for _ in 0..config.controls_per_event {
-                        let pick = by_duration[suffix_start + rng.random_range(0..suffix_len)];
-                        if pick != i {
-                            push_input(&mut inputs, t_i, &scaled[pick]);
-                            rows += 1;
+        // Each minibatch runs on up to two lanes (the caller and one
+        // helper thread kept for the whole call) in two phases: rows, then
+        // parameters. Every output element is computed by exactly one lane
+        // with the sequential operation order, so there is nothing to
+        // merge and the fit is bit-identical at any thread count.
+        anubis_parallel::with_helper(config.threads, |helper| {
+            let lanes = helper.lanes();
+            let cut = net.gradient_part(0, lanes).end;
+            for _ in 0..epochs {
+                order.shuffle(&mut *rng);
+                for batch in order.chunks(config.batch_size.max(1)) {
+                    // Draw every event's controls first, in event order.
+                    // Compute never consumes the RNG, so the draw sequence
+                    // is the one a row-at-a-time loop makes.
+                    let [first_half, second_half] = &mut halves;
+                    let (inputs, groups) = (&mut first_half.inputs, &mut first_half.groups);
+                    inputs.clear();
+                    groups.clear();
+                    let mut rows = 0usize;
+                    for &i in batch {
+                        // Controls: uniform from the risk-set suffix.
+                        let suffix_start = rank_of[i];
+                        let suffix_len = samples.len() - suffix_start;
+                        if suffix_len < 2 {
+                            continue;
                         }
+                        let t_i = samples[i].duration / time_scale;
+                        let event_len = inputs.len();
+                        push_input(inputs, t_i, &scaled[i]);
+                        let first = rows;
+                        rows += 1;
+                        for _ in 0..config.controls_per_event {
+                            let pick = by_duration[suffix_start + rng.random_range(0..suffix_len)];
+                            if pick != i {
+                                push_input(inputs, t_i, &scaled[pick]);
+                                rows += 1;
+                            }
+                        }
+                        if rows == first + 1 {
+                            // Every control was the event itself: no loss
+                            // term.
+                            inputs.truncate(event_len);
+                            rows = first;
+                            continue;
+                        }
+                        groups.push((first, rows - first - 1));
                     }
-                    if rows == first + 1 {
-                        // Every control was the event itself: no loss term.
-                        inputs.truncate(event_len);
-                        rows = first;
+                    let batch_events = groups.len();
+                    sample_epochs += batch_events;
+                    if batch_events == 0 {
                         continue;
                     }
-                    groups.push((first, rows - first - 1));
-                }
-                let batch_events = groups.len();
-                sample_epochs += batch_events;
-                if batch_events == 0 {
-                    continue;
-                }
-                net.forward_batch(&inputs, rows, &mut cache);
-                // Softplus-style loss per event: ln(1 + Σ exp(g_j − g_i)).
-                output_grads.clear();
-                for &(first, controls) in &groups {
-                    let g_i = cache.output(first)[0];
-                    exps.clear();
-                    for c in first + 1..=first + controls {
-                        exps.push((cache.output(c)[0] - g_i).exp());
+                    first_half.rows = rows;
+                    // Phase 1, by rows: the second lane takes the groups
+                    // past the middle group boundary (none on one lane).
+                    first_half.hand_over(batch_events.div_ceil(lanes), width, second_half);
+                    let net_ref: &Mlp = net;
+                    helper.join(
+                        || first_half.backprop(net_ref),
+                        || second_half.backprop(net_ref),
+                    );
+                    // Phase 2, by parameters: each lane adds every row's
+                    // contribution, segment after segment, to its own
+                    // range of output neurons' weights and biases.
+                    let both = [&first_half.cache, &second_half.cache];
+                    let segments = if second_half.groups.is_empty() {
+                        &both[..1]
+                    } else {
+                        &both[..]
+                    };
+                    acc.fill(0.0);
+                    let (low, high) = acc.split_at_mut(cut);
+                    helper.join(
+                        || net_ref.accumulate_gradients(segments, 0, low),
+                        || net_ref.accumulate_gradients(segments, cut, high),
+                    );
+                    let inv = 1.0 / batch_events as f64;
+                    for g in &mut acc {
+                        *g *= inv;
                     }
-                    let denom = 1.0 + exps.iter().sum::<f64>();
-                    output_grads.push(-(denom - 1.0) / denom);
-                    output_grads.extend(exps.iter().map(|&e| e / denom));
+                    adam.step_flat(&mut *net, &acc);
                 }
-                // The rows are stacked event, its controls, next event:
-                // the batched backward adds their gradient contributions
-                // in exactly that order.
-                acc.fill(0.0);
-                net.backward_batch(&cache, &output_grads, &mut acc, &mut scratch);
-                let inv = 1.0 / batch_events as f64;
-                for g in &mut acc {
-                    *g *= inv;
-                }
-                adam.step_flat(&mut *net, &acc);
             }
-        }
+        });
         anubis_obs::counter!("coxtime.trainer.sample_epochs", sample_epochs as i64);
         self.epochs_trained += epochs;
         Ok(())
@@ -562,6 +572,61 @@ const FINISH_BLOCK_ROWS: usize = 64;
 fn push_input(inputs: &mut Vec<f64>, t_scaled: f64, x: &[f64]) {
     inputs.push(t_scaled);
     inputs.extend_from_slice(x);
+}
+
+/// One lane's half of a training minibatch: whole event groups, their
+/// stacked network rows (each event followed by its controls) and the
+/// per-row state computed from them.
+#[derive(Debug, Default)]
+struct Half {
+    inputs: Vec<f64>,
+    rows: usize,
+    /// `(first row, control count)` per event, rows relative to this
+    /// half.
+    groups: Vec<(usize, usize)>,
+    output_grads: Vec<f64>,
+    exps: Vec<f64>,
+    cache: BatchCache,
+}
+
+impl Half {
+    /// Moves the groups from `keep` on, and their rows, to `other`.
+    fn hand_over(&mut self, keep: usize, width: usize, other: &mut Self) {
+        let split_row = self.groups.get(keep).map_or(self.rows, |&(first, _)| first);
+        other.inputs.clear();
+        other.inputs.extend(self.inputs.drain(split_row * width..));
+        other.groups.clear();
+        other.groups.extend(
+            self.groups
+                .drain(keep..)
+                .map(|(first, controls)| (first - split_row, controls)),
+        );
+        other.rows = self.rows - split_row;
+        self.rows = split_row;
+    }
+
+    /// The forward pass, the loss gradients of this half's groups and
+    /// every layer's δ; nothing for a half without groups.
+    fn backprop(&mut self, net: &Mlp) {
+        if self.groups.is_empty() {
+            return;
+        }
+        net.forward_batch(&self.inputs, self.rows, &mut self.cache);
+        // Softplus-style loss per event: ln(1 + Σ exp(g_j − g_i)).
+        self.output_grads.clear();
+        for &(first, controls) in &self.groups {
+            let g_i = self.cache.output(first)[0];
+            self.exps.clear();
+            for c in first + 1..=first + controls {
+                self.exps.push((self.cache.output(c)[0] - g_i).exp());
+            }
+            let denom = 1.0 + self.exps.iter().sum::<f64>();
+            self.output_grads.push(-(denom - 1.0) / denom);
+            self.output_grads
+                .extend(self.exps.iter().map(|&e| e / denom));
+        }
+        net.backprop_deltas(&mut self.cache, &self.output_grads);
+    }
 }
 
 impl SurvivalModel for CoxTimeModel {
@@ -897,10 +962,12 @@ mod tests {
     }
 
     /// A small fit on odd shapes: hidden widths that are not multiples
-    /// of any SIMD width, 3 controls, batches of 5, censored rows, events
-    /// past the TBNI cap, and late events whose risk set is themselves
-    /// alone (`suffix_len < 2`) or so small that controls self-pick.
-    fn pinned_fit() -> CoxTimeModel {
+    /// of any SIMD width, 3 controls, batches of 5 (some minibatches hold
+    /// one event group, so the second lane's half is empty), censored
+    /// rows, events past the TBNI cap, and late events whose risk set is
+    /// themselves alone (`suffix_len < 2`) or so small that controls
+    /// self-pick. Trained on `threads` threads.
+    fn pinned_fit(threads: usize) -> CoxTimeModel {
         let mut samples = synthetic_samples(37, 17);
         for (k, s) in samples.iter_mut().enumerate() {
             s.event = k % 4 != 2;
@@ -915,6 +982,7 @@ mod tests {
             controls_per_event: 3,
             batch_size: 5,
             baseline_buckets: 9,
+            threads,
             ..Default::default()
         };
         CoxTimeModel::fit(&samples, &config).unwrap()
@@ -924,9 +992,13 @@ mod tests {
     fn fit_bits_are_pinned_across_commits() {
         // Recorded from the per-row kernels (one forward and one backward
         // call per row) before the batched kernels replaced them: the
-        // batched path must reproduce every bit.
-        let bits = pinned_probe_bits(&pinned_fit());
-        assert_eq!(bits, PINNED_FIT_BITS);
+        // batched path must reproduce every bit, inline on one thread and
+        // split across the caller and a helper thread on two, whatever
+        // the host's core count.
+        for threads in [1, 2] {
+            let bits = pinned_probe_bits(&pinned_fit(threads));
+            assert_eq!(bits, PINNED_FIT_BITS, "threads {threads}");
+        }
     }
 
     const PINNED_FIT_BITS: [u64; 36] = [

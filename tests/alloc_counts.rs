@@ -30,7 +30,7 @@ use anubis_fleetd::{FleetdConfig, ShardWorker, TickContext};
 use anubis_hwsim::NodeId;
 use anubis_lifecycle::{LifecycleEvent, LifecycleTable};
 use anubis_metrics::{pairwise_similarity_matrix_threads, Sample};
-use anubis_nn::{Activation, Adam, BackwardScratch, BatchCache, Mlp};
+use anubis_nn::{Activation, Adam, BatchCache, Mlp};
 use anubis_selector::{
     celf_core, warmstart_merge_into, CelfScratch, CoverageMasks, CoverageTable, CoxTimeConfig,
     CoxTimeModel, SurvivalSample,
@@ -171,30 +171,60 @@ fn similarity_matrix_allocs(n: usize) -> u64 {
     count(|| pairwise_similarity_matrix_threads(&samples, 1)).0
 }
 
-/// The MLP kernels and the optimizer step on a 9-32-32-1 network.
-fn mlp_kernels() -> [(&'static str, u64); 3] {
+/// The MLP kernels and the optimizer step on a 9-32-32-1 network, the
+/// range kernels on two row segments and two parameter parts.
+fn mlp_kernels() -> [(&'static str, u64); 6] {
     const ROWS: usize = 64;
+    const SPLIT: usize = 27;
     let mut mlp = Mlp::new(&[9, 32, 32, 1], Activation::Tanh, 5);
     let inputs: Vec<f64> = (0..ROWS * 9)
         .map(|i| (i % 17) as f64 / 17.0 - 0.5)
         .collect();
     let output_grads: Vec<f64> = (0..ROWS).map(|r| r as f64 / ROWS as f64 - 0.5).collect();
     let mut cache = BatchCache::default();
-    let mut scratch = BackwardScratch::default();
     let mut flat = vec![0.0; mlp.parameter_count()];
     let mut adam = Adam::new(&mlp, 1e-3);
     mlp.forward_batch(&inputs, ROWS, &mut cache);
-    mlp.backward_batch(&cache, &output_grads, &mut flat, &mut scratch);
+    mlp.backward_batch(&mut cache, &output_grads, &mut flat);
     adam.step_flat(&mut mlp, &flat);
     let forward = count_calls(WARM_CALLS, || mlp.forward_batch(&inputs, ROWS, &mut cache));
     let backward = count_calls(WARM_CALLS, || {
-        mlp.backward_batch(&cache, &output_grads, &mut flat, &mut scratch);
+        mlp.backward_batch(&mut cache, &output_grads, &mut flat);
     });
     let step = count_calls(WARM_CALLS, || adam.step_flat(&mut mlp, &flat));
+
+    let mut halves = [BatchCache::default(), BatchCache::default()];
+    let split_rows = |half: &mut [BatchCache; 2]| {
+        let [a, b] = half;
+        mlp.forward_batch(&inputs[..SPLIT * 9], SPLIT, a);
+        mlp.forward_batch(&inputs[SPLIT * 9..], ROWS - SPLIT, b);
+    };
+    split_rows(&mut halves);
+    let deltas = |half: &mut [BatchCache; 2]| {
+        let [a, b] = half;
+        mlp.backprop_deltas(a, &output_grads[..SPLIT]);
+        mlp.backprop_deltas(b, &output_grads[SPLIT..]);
+    };
+    deltas(&mut halves);
+    let rows_warm = count_calls(WARM_CALLS, || split_rows(&mut halves));
+    let deltas_warm = count_calls(WARM_CALLS, || deltas(&mut halves));
+    let gradients = count_calls(WARM_CALLS, || {
+        let [a, b] = &halves;
+        for part in 0..2 {
+            let range = mlp.gradient_part(part, 2);
+            mlp.accumulate_gradients(&[a, b], range.start, &mut flat[range]);
+        }
+    });
     [
         ("Mlp::forward_batch", forward),
         ("Mlp::backward_batch", backward),
         ("Adam::step_flat", step),
+        ("Mlp::forward_batch (two row segments)", rows_warm),
+        ("Mlp::backprop_deltas (two row segments)", deltas_warm),
+        (
+            "Mlp::accumulate_gradients (two segments, two parts)",
+            gradients,
+        ),
     ]
 }
 
