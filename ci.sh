@@ -52,6 +52,15 @@ echo "==> nn + selector tests at ANUBIS_THREADS=1 and 2"
 ANUBIS_THREADS=1 cargo test -q --release --offline -p anubis-nn -p anubis-selector
 ANUBIS_THREADS=2 cargo test -q --release --offline -p anubis-nn -p anubis-selector
 
+# The portable kernels under the same bit-exactness tests and pinned fit
+# bits: x86-64-v3 has no AVX-512, so this build skips the 512-bit `tanh`
+# and product paths even on a host that has it. RUSTFLAGS replaces the
+# repo's `target-cpu=native`; its own target dir keeps the main build's
+# artifacts intact.
+echo "==> nn + selector tests on the portable (x86-64-v3) path"
+RUSTFLAGS="-C target-cpu=x86-64-v3" CARGO_TARGET_DIR=target/x86-64-v3 \
+    cargo test -q --release --offline -p anubis-nn -p anubis-selector
+
 # Includes the exact work-counter check (tests/obs_trace_determinism.rs
 # against tests/work_counters.expected), the repo's perf check that host
 # load cannot move, and the exact allocation counts of the hot paths

@@ -145,6 +145,30 @@ struct PendingJob {
     remaining_hours: f64,
 }
 
+/// The job queue in arrival order, with a lower bound on its requests.
+#[derive(Debug)]
+struct PendingQueue {
+    jobs: VecDeque<PendingJob>,
+    /// No queued job needs fewer nodes than this: lowered by every push,
+    /// and set to the exact minimum (`u32::MAX` when empty) by every
+    /// backfill scan that reaches the end of the queue.
+    min_needed: u32,
+}
+
+impl PendingQueue {
+    fn new() -> Self {
+        Self {
+            jobs: VecDeque::new(),
+            min_needed: u32::MAX,
+        }
+    }
+
+    fn push(&mut self, job: PendingJob) {
+        self.min_needed = self.min_needed.min(job.nodes_needed);
+        self.jobs.push_back(job);
+    }
+}
+
 #[derive(Debug, Clone)]
 struct ActiveJob {
     nodes: Vec<u32>,
@@ -255,7 +279,7 @@ pub fn simulate(
         push(&mut events, request.submit_hour, EventKind::Arrival(i));
     }
 
-    let mut pending: VecDeque<PendingJob> = VecDeque::new();
+    let mut pending = PendingQueue::new();
     let mut idle: VecDeque<u32> = (0..config.nodes).collect();
     // Running jobs, keyed by their finish event's `seq`: unique, and
     // ascending in start order. Finished jobs leave the map, so its size
@@ -294,7 +318,7 @@ pub fn simulate(
         mix: &SourceMix,
         rng: &mut ChaCha8Rng,
         nodes: &mut [SimNode],
-        pending: &mut VecDeque<PendingJob>,
+        pending: &mut PendingQueue,
         idle: &mut VecDeque<u32>,
         active: &mut BTreeMap<u64, ActiveJob>,
         events: &mut BinaryHeap<Event>,
@@ -304,18 +328,29 @@ pub fn simulate(
         // First-fit backfill: a large job waiting at the head must not
         // idle capacity that smaller jobs behind it could use (the paper
         // schedules best-effort; strict FIFO loses ~3% utilization even
-        // under the Ideal policy).
+        // under the Ideal policy). Once the idle pool is smaller than
+        // every queued request (`min_needed` bounds them from below), no
+        // job further on can start, so the scan stops there: the same
+        // jobs start in the same order, without walking the rest of the
+        // queue on every event.
         let mut queue_index = 0;
-        while queue_index < pending.len() {
-            let fits = pending
-                .get(queue_index)
-                .is_some_and(|job| job.nodes_needed as usize <= idle.len());
-            if !fits {
+        let mut smallest_skipped = u32::MAX;
+        while queue_index < pending.jobs.len() {
+            if idle.len() < pending.min_needed as usize {
+                return;
+            }
+            // (The two `else` arms are unreachable; returning leaves
+            // `min_needed` a valid bound.)
+            let Some(needed) = pending.jobs.get(queue_index).map(|job| job.nodes_needed) else {
+                return;
+            };
+            if needed as usize > idle.len() {
+                smallest_skipped = smallest_skipped.min(needed);
                 queue_index += 1;
                 continue;
             }
-            let Some(job) = pending.remove(queue_index) else {
-                break;
+            let Some(job) = pending.jobs.remove(queue_index) else {
+                return;
             };
             // The fit check above guarantees enough idle nodes. The
             // buffer is pooled: it rides inside the `ActiveJob` and
@@ -439,6 +474,8 @@ pub fn simulate(
             });
             *seq += 1;
         }
+        // The whole queue was scanned: every job left in it was skipped.
+        pending.min_needed = smallest_skipped;
     }
 
     let mut seq_counter = seq;
@@ -468,7 +505,7 @@ pub fn simulate(
             EventKind::Arrival(i) => {
                 let request = &trace[i];
                 if request.nodes <= config.nodes {
-                    pending.push_back(PendingJob {
+                    pending.push(PendingJob {
                         nodes_needed: request.nodes,
                         remaining_hours: request.duration_hours,
                     });
@@ -547,7 +584,7 @@ pub fn simulate(
                     }
                     let remaining = job.remaining_hours - elapsed;
                     if remaining > 0.05 {
-                        pending.push_back(PendingJob {
+                        pending.push(PendingJob {
                             nodes_needed: job.nodes.len() as u32,
                             remaining_hours: remaining,
                         });

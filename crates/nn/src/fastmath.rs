@@ -29,18 +29,25 @@
 // fdlibm constants, spelled as bit patterns so no decimal-literal
 // round-trip is involved; each one was read back out of the shipped
 // libm.so.6's constant pool.
-const LN2_HI: f64 = f64::from_bits(0x3FE6_2E42_FEE0_0000); // high part of ln 2
-const LN2_LO: f64 = f64::from_bits(0x3DEA_39EF_3579_3C76); // ln 2 − LN2_HI
-const INVLN2: f64 = f64::from_bits(0x3FF7_1547_652B_82FE); // 1 / ln 2
+pub(crate) const LN2_HI: f64 = f64::from_bits(0x3FE6_2E42_FEE0_0000); // high part of ln 2
+pub(crate) const LN2_LO: f64 = f64::from_bits(0x3DEA_39EF_3579_3C76); // ln 2 − LN2_HI
+pub(crate) const INVLN2: f64 = f64::from_bits(0x3FF7_1547_652B_82FE); // 1 / ln 2
 const O_THRESHOLD: f64 = f64::from_bits(0x4086_2E42_FEFA_39EF); // exp overflow bound
 const HUGE: f64 = 1.0e300;
 const TINY: f64 = 1.0e-300;
 // Minimax polynomial coefficients for the expm1 primary range.
-const Q1: f64 = f64::from_bits(0xBFA1_1111_1111_10F4);
-const Q2: f64 = f64::from_bits(0x3F5A_01A0_19FE_5585);
-const Q3: f64 = f64::from_bits(0xBF14_CE19_9EAA_DBB7);
-const Q4: f64 = f64::from_bits(0x3ED0_CFCA_86E6_5239);
-const Q5: f64 = f64::from_bits(0xBE8A_FDB7_6E09_C32D);
+pub(crate) const Q1: f64 = f64::from_bits(0xBFA1_1111_1111_10F4);
+pub(crate) const Q2: f64 = f64::from_bits(0x3F5A_01A0_19FE_5585);
+pub(crate) const Q3: f64 = f64::from_bits(0xBF14_CE19_9EAA_DBB7);
+pub(crate) const Q4: f64 = f64::from_bits(0x3ED0_CFCA_86E6_5239);
+pub(crate) const Q5: f64 = f64::from_bits(0xBE8A_FDB7_6E09_C32D);
+
+// `expm1`'s high-word threshold compares for the branchless lanes,
+// rewritten as full-width float compares against the smallest magnitude
+// whose high word passes (the low word of the original compare is
+// ignored, so the two predicates agree on every input).
+pub(crate) const THR_REDUCE: f64 = f64::from_bits(0x3FD6_2E43_0000_0000); // hx > 0x3fd62E42
+pub(crate) const THR_15LN2: f64 = f64::from_bits(0x3FF0_A2B2_0000_0000); // hx < 0x3FF0A2B2
 
 /// Adds `k` to the biased exponent in `y`'s high word — fdlibm's
 /// `GET_HIGH_WORD`/`SET_HIGH_WORD(high + (k << 20))` scaling idiom,
@@ -204,12 +211,6 @@ fn tanh_lane(x: f64) -> f64 {
     let sbit = if big { 0u64 } else { 1u64 << 63 }; // sign of `a`
 
     // ---- expm1(a): argument reduction a = k·ln2 + r ----
-    // High-word threshold compares, rewritten as full-width float
-    // compares against the smallest magnitude whose high word passes
-    // (the low word of the original compare is ignored, so the two
-    // predicates agree on every input).
-    const THR_REDUCE: f64 = f64::from_bits(0x3FD6_2E43_0000_0000); // hx > 0x3fd62E42
-    const THR_15LN2: f64 = f64::from_bits(0x3FF0_A2B2_0000_0000); // hx < 0x3FF0A2B2
     let reduce = two_ax >= THR_REDUCE;
     let k1case = two_ax < THR_15LN2;
     // |a| in (0.5 ln2, 1.5 ln2): k = ±1 with exact hi/lo constants.
@@ -276,14 +277,35 @@ fn tanh_lane(x: f64) -> f64 {
     f64::from_bits(z.to_bits() ^ sign_bit)
 }
 
-/// Applies [`tanh`] to every element in place, four lanes at a time.
+/// Applies [`tanh`] to every element in place, eight or four lanes at a
+/// time.
 ///
-/// Chunks whose four values all fall in `2⁻⁵⁵ <= |x| < 19` run through
-/// the branchless [`tanh_lane`]; anything else (zeros, saturated,
+/// Chunks whose values all fall in `2⁻⁵⁵ <= |x| < 19` run through the
+/// branchless [`tanh_lane`] operations; anything else (zeros, saturated,
 /// non-finite — rare in practice) falls back to the scalar [`tanh`].
-/// Both paths are bit-exact, so the output never depends on how values
-/// happen to be grouped.
+/// Where the target has AVX-512F and AVX-512DQ, eight-lane blocks run
+/// first through `crate::avx512::tanh8`, the same operations on one
+/// 512-bit register; the rest (and the whole slice elsewhere) takes
+/// four-lane chunks, then a scalar tail. Every path is bit-exact, so the
+/// output never depends on how values happen to be grouped.
 pub fn tanh_slice(values: &mut [f64]) {
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "avx512f",
+        target_feature = "avx512dq"
+    ))]
+    let values = {
+        let mut blocks = values.chunks_exact_mut(8);
+        for block in &mut blocks {
+            let block: &mut [f64; 8] = block.try_into().expect("eight-lane block");
+            if !crate::avx512::tanh8(block) {
+                for v in block.iter_mut() {
+                    *v = tanh(*v);
+                }
+            }
+        }
+        blocks.into_remainder()
+    };
     let mut chunks = values.chunks_exact_mut(4);
     for chunk in &mut chunks {
         let mut in_domain = true;

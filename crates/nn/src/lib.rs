@@ -21,6 +21,12 @@
 //! Everything is deterministic given a seed.
 
 pub mod adam;
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx512f",
+    target_feature = "avx512dq"
+))]
+mod avx512;
 pub mod fastmath;
 pub mod mlp;
 pub mod scaler;

@@ -174,9 +174,21 @@ struct Lanes([f64; LANES]);
 
 impl Lanes {
     /// `self[j] + w[j]·x` per lane: one rounding for the product, one for
-    /// the sum, exactly the scalar `acc += w * x`.
+    /// the sum, exactly the scalar `acc += w * x`. One 512-bit multiply
+    /// and add where the target has AVX-512 (`crate::avx512`).
     #[inline(always)]
     fn add_scaled(self, w: Self, x: f64) -> Self {
+        #[cfg(all(
+            target_arch = "x86_64",
+            target_feature = "avx512f",
+            target_feature = "avx512dq"
+        ))]
+        return Self(crate::avx512::add_scaled(self.0, w.0, x));
+        #[cfg(not(all(
+            target_arch = "x86_64",
+            target_feature = "avx512f",
+            target_feature = "avx512dq"
+        )))]
         Self(std::array::from_fn(|j| self.0[j] + w.0[j] * x))
     }
 }

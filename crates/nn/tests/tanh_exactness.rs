@@ -15,10 +15,11 @@ fn assert_matches(x: f64) {
         "tanh({x:e}) [bits {:#018x}]: ours {ours:e} != libm {libm:e}",
         x.to_bits(),
     );
-    // The batched kernel must agree too: a full four-lane chunk plus a
-    // remainder lane exercises both the branchless body (or its scalar
-    // fallback) and the tail path.
-    let mut buf = [x; 5];
+    // The batched kernel must agree too: 13 = 8 + 4 + 1 lanes reach an
+    // eight-lane block (512-bit where the target has AVX-512), a
+    // four-lane chunk and the scalar tail, each through its branchless
+    // body or its scalar fallback.
+    let mut buf = [x; 13];
     anubis_nn::fastmath::tanh_slice(&mut buf);
     for (i, v) in buf.iter().enumerate() {
         assert_eq!(v.to_bits(), libm.to_bits(), "tanh_slice lane {i} for {x:e}");
@@ -31,7 +32,9 @@ fn mixed_domain_chunks_match() {
     // must take the scalar fallback without disturbing neighbours.
     let specials = [0.0, -0.0, 1e-300, 25.0, -40.0, f64::INFINITY, 1e18];
     for (i, &s) in specials.iter().enumerate() {
-        let mut buf = [0.3, -1.7, s, 0.9, 18.99, -0.001, 2.5, 1.0, -1.0];
+        let mut buf = [
+            0.3, -1.7, s, 0.9, 18.99, -0.001, 2.5, 1.0, -1.0, 0.05, -7.5, 3.3, -0.6,
+        ];
         let len = buf.len();
         buf.rotate_left(i % len);
         let expected: Vec<u64> = buf.iter().map(|v| v.tanh().to_bits()).collect();
@@ -113,5 +116,43 @@ fn dense_log_uniform_sweep_matches() {
     // Uniform sweep over the realistic pre-activation range.
     for _ in 0..2_000_000 {
         assert_matches(rng.random_range(-25.0..25.0));
+    }
+}
+
+#[test]
+fn long_buffers_match_lane_by_lane() {
+    // Distinct values in every lane, through `tanh_slice` in long buffers
+    // as the network calls it: mostly eight-lane blocks, whose lanes each
+    // take their own branch of the algorithm. Log-uniform magnitudes over
+    // the branchless domain and a little past both of its ends, so some
+    // blocks fall back to the scalar path.
+    let mut rng = ChaCha8Rng::seed_from_u64(0x51ab);
+    let mut checked = 0usize;
+    for len in (1..=1027).cycle() {
+        if checked >= 1_200_000 {
+            break;
+        }
+        let values: Vec<f64> = (0..len)
+            .map(|_| {
+                let exponent: f64 = rng.random_range(-58.0..5.0);
+                let mantissa: f64 = rng.random_range(1.0..2.0);
+                let sign = if rng.random_range(0..2) == 0 {
+                    1.0
+                } else {
+                    -1.0
+                };
+                sign * mantissa * exponent.exp2()
+            })
+            .collect();
+        let mut out = values.clone();
+        anubis_nn::fastmath::tanh_slice(&mut out);
+        for (lane, (x, y)) in values.iter().zip(&out).enumerate() {
+            assert_eq!(
+                y.to_bits(),
+                x.tanh().to_bits(),
+                "tanh_slice lane {lane} of {len} for {x:e}"
+            );
+        }
+        checked += len;
     }
 }

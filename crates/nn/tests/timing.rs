@@ -5,8 +5,9 @@
 //! `backward` into `Gradients`) against the batched kernels
 //! (`forward_batch`, `backward_batch`) on a Cox-Time-shaped network
 //! (14 inputs → width → width → 1, tanh) with 224-row batches, the
-//! quick preset's minibatch of 32 events × (1 + 6 controls), and the
-//! share of batched forward time spent in `tanh`.
+//! quick preset's minibatch of 32 events × (1 + 6 controls), and
+//! `tanh_slice`'s cost in ns per value and as a share of batched forward
+//! time.
 
 // A wall-clock probe by design; its readings are printed, never asserted.
 #![allow(clippy::disallowed_types, clippy::disallowed_methods)]
@@ -40,8 +41,10 @@ fn seconds_per_call(mut f: impl FnMut()) -> f64 {
 fn time_reference_vs_batched_kernels() {
     for width in [24usize, 32, 64] {
         let mlp = Mlp::new(&[INPUTS, width, width, 1], Activation::Tanh, 7);
+        // Zero-free synthetic data: an exact zero sends its whole chunk to
+        // the scalar `tanh` fallback, which real pre-activations never do.
         let inputs: Vec<f64> = (0..ROWS * INPUTS)
-            .map(|k| ((k * 37 % 29) as f64 - 14.0) * 0.11)
+            .map(|k| ((k * 37 % 29) as f64 - 13.5) * 0.11)
             .collect();
         let output_grads: Vec<f64> = (0..ROWS).map(|r| (r as f64 - 100.0) * 1e-3).collect();
 
@@ -65,7 +68,7 @@ fn time_reference_vs_batched_kernels() {
 
         // The forward pass applies tanh to both hidden layers' outputs.
         let pre: Vec<f64> = (0..ROWS * width * 2)
-            .map(|k| ((k * 13 % 31) as f64 - 15.0) * 0.09)
+            .map(|k| ((k * 13 % 31) as f64 - 14.5) * 0.09)
             .collect();
         let tanh = seconds_per_call(|| {
             let mut values = black_box(&pre).clone();
@@ -79,12 +82,14 @@ fn time_reference_vs_batched_kernels() {
         let rows = ROWS as f64;
         println!(
             "width {width:>2}: per-row reference {:>10.0} rows/s | batched forward {:>10.0} rows/s, \
-             backward {:>10.0} rows/s, forward+backward {:>10.0} rows/s ({:.2}x) | tanh {:.0}% of forward",
+             backward {:>10.0} rows/s, forward+backward {:>10.0} rows/s ({:.2}x) | \
+             tanh {:.2} ns/value, {:.0}% of forward",
             rows / reference,
             rows / forward,
             rows / backward,
             rows / (forward + backward),
             reference / (forward + backward),
+            (tanh - copy).max(0.0) * 1e9 / pre.len() as f64,
             100.0 * (tanh - copy).max(0.0) / forward,
         );
     }

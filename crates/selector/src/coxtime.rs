@@ -110,18 +110,19 @@ impl CoxTimeModel {
     /// Survival probability `S(t|x)`.
     pub fn survival(&self, status: &NodeStatus, t: f64) -> f64 {
         // The grid prefix through the last time ≤ t, evaluated as one batch.
+        let grid = self.grid_through(t);
+        let risks = self.log_risks(status, grid.iter().map(|&(time, _)| time));
+        survival_over(grid, &risks, 0)
+    }
+
+    /// The Breslow grid through its last event time `≤ t`.
+    fn grid_through(&self, t: f64) -> &[(f64, f64)] {
         let prefix = self
             .baseline
             .iter()
             .position(|&(time, _)| time > t)
             .unwrap_or(self.baseline.len());
-        let grid = &self.baseline[..prefix];
-        let risks = self.log_risks(status, grid.iter().map(|&(time, _)| time));
-        let mut cumulative = 0.0;
-        for (k, &(_, delta)) in grid.iter().enumerate() {
-            cumulative += delta * risks.output(k)[0].exp();
-        }
-        (-cumulative).exp()
+        &self.baseline[..prefix]
     }
 
     /// `g(t, x)` for one status at each of `times`, as one network batch:
@@ -567,6 +568,23 @@ fn time_scale_of(samples: &[SurvivalSample]) -> f64 {
 /// bucket's risk set.
 const FINISH_BLOCK_ROWS: usize = 64;
 
+/// Row budget per network batch of [`CoxTimeModel::joint_survival`]: a
+/// decision's members go through in blocks of whole members, so a large
+/// node set over a long horizon never holds more than about this many
+/// rows of activations at once.
+const JOINT_BLOCK_ROWS: usize = 128;
+
+/// `S(t|x) = exp(−Σₖ ΔH₀(tₖ)·e^{g(tₖ,x)})` over `grid`, whose risks are
+/// rows `first..first + grid.len()` of `risks`; the sum runs in grid
+/// order.
+fn survival_over(grid: &[(f64, f64)], risks: &BatchCache, first: usize) -> f64 {
+    let mut cumulative = 0.0;
+    for (k, &(_, delta)) in grid.iter().enumerate() {
+        cumulative += delta * risks.output(first + k)[0].exp();
+    }
+    (-cumulative).exp()
+}
+
 /// Appends one network input row: the normalized time, then the scaled
 /// features.
 fn push_input(inputs: &mut Vec<f64>, t_scaled: f64, x: &[f64]) {
@@ -671,6 +689,36 @@ impl SurvivalModel for CoxTimeModel {
 
     fn incident_probability(&self, status: &NodeStatus, horizon: f64) -> f64 {
         (1.0 - self.survival(status, horizon.max(0.0))).clamp(0.0, 1.0)
+    }
+
+    /// The per-node fold with every member's grid rows in one network
+    /// batch (blocks of whole members up to [`JOINT_BLOCK_ROWS`]) instead
+    /// of one batch per member. Rows of a batch are bit-identical to
+    /// one-row evaluations, and each member's survival, clamp and product
+    /// step run in the default's order, so the result keeps its bits.
+    fn joint_survival(&self, statuses: &[NodeStatus], horizon: f64) -> f64 {
+        let grid = self.grid_through(horizon.max(0.0));
+        let per_block = (JOINT_BLOCK_ROWS / grid.len().max(1)).max(1);
+        let width = 1 + self.scaler.dim();
+        let mut inputs = Vec::with_capacity(per_block.min(statuses.len()) * grid.len() * width);
+        let mut risks = BatchCache::default();
+        let mut survive_all = 1.0;
+        for block in statuses.chunks(per_block) {
+            inputs.clear();
+            for status in block {
+                let x = self.scaler.transform(&status.features());
+                for &(time, _) in grid {
+                    push_input(&mut inputs, time / self.time_scale, &x);
+                }
+            }
+            self.net
+                .forward_batch(&inputs, block.len() * grid.len(), &mut risks);
+            for m in 0..block.len() {
+                let p = (1.0 - survival_over(grid, &risks, m * grid.len())).clamp(0.0, 1.0);
+                survive_all *= 1.0 - p;
+            }
+        }
+        survive_all
     }
 }
 

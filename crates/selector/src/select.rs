@@ -13,11 +13,7 @@ pub fn joint_incident_probability(
     statuses: &[NodeStatus],
     horizon: f64,
 ) -> f64 {
-    let survive_all: f64 = statuses
-        .iter()
-        .map(|s| 1.0 - model.incident_probability(s, horizon).clamp(0.0, 1.0))
-        .product();
-    1.0 - survive_all
+    1.0 - model.joint_survival(statuses, horizon)
 }
 
 /// The residual incident probability after validating with `subset`

@@ -27,6 +27,20 @@ pub trait SurvivalModel {
 
     /// Probability of an incident within `horizon` hours from now.
     fn incident_probability(&self, status: &NodeStatus, horizon: f64) -> f64;
+
+    /// Probability that no node in `statuses` has an incident within
+    /// `horizon` hours: `Π (1 − pₙ)`, each `pₙ` clamped to `[0, 1]`,
+    /// multiplied in status order from `1.0` (`1.0` for an empty set).
+    ///
+    /// An override must return these exact bits; it may only evaluate the
+    /// members together (as [`crate::CoxTimeModel`] does, one network batch
+    /// for the whole set).
+    fn joint_survival(&self, statuses: &[NodeStatus], horizon: f64) -> f64 {
+        statuses
+            .iter()
+            .map(|s| 1.0 - self.incident_probability(s, horizon).clamp(0.0, 1.0))
+            .product()
+    }
 }
 
 /// Harrell's concordance index over event samples: the fraction of

@@ -1,13 +1,70 @@
 //! Property-based tests for selection and survival invariants.
 
 use anubis_benchsuite::BenchmarkId;
+use anubis_hwsim::fault::IncidentCategory;
 use anubis_selector::{
     model_accuracy, select_benchmarks, select_benchmarks_celf, select_benchmarks_eager,
-    CoverageTable, ExponentialModel, ExponentialPerCountModel, NodeStatus, SurvivalModel,
-    SurvivalSample,
+    CoverageTable, CoxTimeConfig, CoxTimeModel, ExponentialModel, ExponentialPerCountModel,
+    NodeStatus, SurvivalModel, SurvivalSample,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
+
+/// A small Cox-Time model, fitted once per test binary: a healthy and a
+/// worn population with exponential times to the next incident.
+fn coxtime_model() -> &'static CoxTimeModel {
+    static MODEL: OnceLock<CoxTimeModel> = OnceLock::new();
+    MODEL.get_or_init(|| {
+        let samples: Vec<SurvivalSample> = (0..240u32)
+            .map(|k| {
+                let worn = k % 2 == 1;
+                let mut status = NodeStatus::fresh();
+                status.advance(200.0 + f64::from(k * 7 % 400));
+                for _ in 0..if worn { 8 + k % 5 } else { k % 3 } {
+                    status.record_incident(IncidentCategory::ALL[(k % 9) as usize]);
+                }
+                status.hours_since_last_incident = f64::from(k * 13 % 50);
+                let mean = if worn { 60.0 } else { 700.0 };
+                let u = (f64::from(k * 37 % 97) + 0.5) / 97.0;
+                SurvivalSample {
+                    status,
+                    duration: (-mean * u.ln()).min(2400.0),
+                    event: k % 7 != 0,
+                }
+            })
+            .collect();
+        let config = CoxTimeConfig {
+            epochs: 4,
+            hidden: vec![16, 16],
+            baseline_buckets: 32,
+            ..Default::default()
+        };
+        CoxTimeModel::fit(&samples, &config).expect("the samples hold events")
+    })
+}
+
+/// Arbitrary node statuses, with fresh ones (all-zero covariates) drawn
+/// often enough that sets repeat them.
+fn status_strategy() -> impl Strategy<Value = NodeStatus> {
+    let worn = (
+        0.0f64..3000.0,
+        0.0f64..1.0,
+        prop::collection::vec(0u32..6, 9..10),
+    )
+        .prop_map(|(uptime, recency, counts)| {
+            let mut status = NodeStatus::fresh();
+            status.advance(uptime);
+            for (category, &count) in IncidentCategory::ALL.iter().zip(&counts) {
+                for _ in 0..count {
+                    status.record_incident(*category);
+                }
+            }
+            status.hours_since_last_incident = recency * uptime;
+            status
+        });
+    prop_oneof![Just(NodeStatus::fresh()), worn]
+}
 
 fn coverage_strategy() -> impl Strategy<Value = CoverageTable> {
     prop::collection::vec((0usize..31, 0u64..40), 0..120).prop_map(|records| {
@@ -198,6 +255,34 @@ proptest! {
         if table.total_defects() > 0 {
             prop_assert!((c_full - 1.0).abs() < 1e-12, "ALL covers everything recorded");
         }
+    }
+
+    /// Cox-Time's batched joint survival (one network batch over every
+    /// member's grid rows) returns the per-node fold's exact bits: over
+    /// empty and repeated sets, horizons at or below zero, below the
+    /// first grid time (no grid rows), inside the grid and past its end,
+    /// and sets large enough to span several row blocks.
+    #[test]
+    fn coxtime_joint_survival_matches_per_node_fold_bitwise(
+        statuses in prop::collection::vec(status_strategy(), 0..41),
+        region in 0usize..4,
+        fraction in 0.0f64..1.0,
+    ) {
+        let model = coxtime_model();
+        let grid = model.baseline();
+        let (first, last) = (grid[0].0, grid[grid.len() - 1].0);
+        let horizon = match region {
+            0 => -100.0 * fraction,
+            1 => first * fraction,
+            2 => first + (last - first) * fraction,
+            _ => last * (1.0 + fraction) + 1.0,
+        };
+        let fold: f64 = statuses
+            .iter()
+            .map(|s| 1.0 - model.incident_probability(s, horizon).clamp(0.0, 1.0))
+            .product();
+        let joint = model.joint_survival(&statuses, horizon);
+        prop_assert_eq!(joint.to_bits(), fold.to_bits());
     }
 
     /// Survival-model sanity under arbitrary fitted data: probabilities

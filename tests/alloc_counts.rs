@@ -24,6 +24,7 @@
 //! an allocation whose unused value the optimizer removed (at `--release`
 //! it then does not exist; the default test profile still counts it).
 
+use anubis_bench::fig8::table6_coverage_history;
 use anubis_benchsuite::{BenchmarkId, RunData};
 use anubis_cluster::{simulate, ClusterSimConfig, Policy};
 use anubis_fleetd::{FleetdConfig, ShardWorker, TickContext};
@@ -33,7 +34,7 @@ use anubis_metrics::{pairwise_similarity_matrix_threads, Sample};
 use anubis_nn::{Activation, Adam, BatchCache, Mlp};
 use anubis_selector::{
     celf_core, warmstart_merge_into, CelfScratch, CoverageMasks, CoverageTable, CoxTimeConfig,
-    CoxTimeModel, SurvivalSample,
+    CoxTimeModel, Selector, SelectorConfig, SurvivalSample,
 };
 use anubis_traces::{
     generate_allocation_trace, generate_incident_trace, AllocationConfig, IncidentTraceConfig,
@@ -352,8 +353,8 @@ fn shard_scenarios() -> [(&'static str, u64); 2] {
     ]
 }
 
-/// Cox-Time `fit` (training and the Breslow baseline) on a small trace.
-fn coxtime_fit() -> u64 {
+/// A small trace's survival samples and a small Cox-Time configuration.
+fn small_coxtime_inputs() -> (Vec<SurvivalSample>, CoxTimeConfig) {
     let samples = generate_incident_trace(&IncidentTraceConfig {
         nodes: 60,
         ..IncidentTraceConfig::default()
@@ -366,6 +367,12 @@ fn coxtime_fit() -> u64 {
         threads: 1,
         ..CoxTimeConfig::default()
     };
+    (samples, config)
+}
+
+/// Cox-Time `fit` (training and the Breslow baseline) on a small trace.
+fn coxtime_fit() -> u64 {
+    let (samples, config) = small_coxtime_inputs();
     let fit = || CoxTimeModel::fit(&samples, &config).expect("trace has events");
     fit();
     count(fit).0
@@ -400,8 +407,9 @@ fn executor() -> [(&'static str, u64); 5] {
 }
 
 /// `cluster::simulate`, whose event loop allocates jobs through
-/// `try_allocate`, under a validating and a non-validating policy.
-fn cluster_sim() -> [(&'static str, u64); 2] {
+/// `try_allocate`, under the full set, no validation, and a Cox-Time
+/// Selector (whose count includes its model inference per decision).
+fn cluster_sim() -> [(&'static str, u64); 3] {
     let config = ClusterSimConfig {
         nodes: 32,
         horizon_hours: 240.0,
@@ -415,6 +423,12 @@ fn cluster_sim() -> [(&'static str, u64); 2] {
         simulate(&config, &jobs, policy);
         count(|| simulate(&config, &jobs, policy)).0
     };
+    let (samples, coxtime) = small_coxtime_inputs();
+    let selector = Selector::new(
+        Box::new(CoxTimeModel::fit(&samples, &coxtime).expect("trace has events")),
+        table6_coverage_history(),
+        SelectorConfig::default(),
+    );
     [
         (
             "cluster::simulate FullSet (try_allocate)",
@@ -423,6 +437,10 @@ fn cluster_sim() -> [(&'static str, u64); 2] {
         (
             "cluster::simulate Absence (try_allocate)",
             run(&Policy::Absence),
+        ),
+        (
+            "cluster::simulate Selector (try_allocate)",
+            run(&Policy::Selector(&selector)),
         ),
     ]
 }
