@@ -33,6 +33,12 @@ cmp target/fleetd-smoke-t1.txt target/fleetd-smoke-t4.txt
 cmp target/fleetd-smoke-t1.jsonl target/fleetd-smoke-t4.jsonl
 cmp target/fleetd-smoke-t1.txt target/fleetd-smoke-s1.txt
 cmp target/fleetd-smoke-t1.jsonl target/fleetd-smoke-s1.jsonl
+# 100 shards of 20 nodes: every shard is shorter than the shard loop's
+# 32-node prefetch lookahead.
+ANUBIS_THREADS=2 ./target/release/repro fleetd --nodes 2000 --shards 100 --ticks 50 \
+    --jsonl=target/fleetd-smoke-s100.jsonl > target/fleetd-smoke-s100.txt
+cmp target/fleetd-smoke-t1.txt target/fleetd-smoke-s100.txt
+cmp target/fleetd-smoke-t1.jsonl target/fleetd-smoke-s100.jsonl
 
 echo "==> Cox-Time experiment smoke (byte-determinism across threads)"
 for exp in table3 fig8; do

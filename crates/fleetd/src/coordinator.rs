@@ -221,8 +221,13 @@ pub struct Coordinator {
     pending: VecDeque<JobArrival>,
     /// Each job's member nodes, ascending, indexed by job id. A job is
     /// live while its list is non-empty: completing or killing it takes
-    /// (and frees) the list.
+    /// (and frees) the list. A slot stays taken until phase 2 processes
+    /// the job's one `due` entry, then goes to `free_jobs`, so the table
+    /// holds at most as many slots as jobs ever had due entries pending
+    /// at once.
     jobs: Vec<Vec<u32>>,
+    /// Slots of `jobs` whose due entry has been processed, for reuse.
+    free_jobs: Vec<u32>,
     job_of: Vec<u32>,
     due: BTreeMap<u32, Vec<u32>>,
     repair_queue: VecDeque<(u32, u32)>,
@@ -255,6 +260,7 @@ impl Coordinator {
             alloc,
             pending: VecDeque::new(),
             jobs: Vec::new(),
+            free_jobs: Vec::new(),
             job_of: vec![NO_JOB; cfg.nodes as usize],
             due: BTreeMap::new(),
             repair_queue: VecDeque::new(),
@@ -388,9 +394,12 @@ impl Coordinator {
         self.repaired_now.sort_unstable();
 
         // 2. Jobs whose duration elapsed. A killed job's list is already
-        // empty.
+        // empty. This is the job's only due entry, so its slot is free
+        // now; freeing it at kill time instead would let the stale entry
+        // complete the next job placed in that slot.
         for job_id in self.due.remove(&tick).unwrap_or_default() {
             let members = self.take_members(job_id);
+            self.free_jobs.push(job_id);
             if members.is_empty() {
                 continue;
             }
@@ -432,7 +441,10 @@ impl Coordinator {
                 Some(a) => a,
                 None => break,
             };
-            let job_id = self.jobs.len() as u32;
+            let job_id = self.free_jobs.pop().unwrap_or_else(|| {
+                self.jobs.push(Vec::new());
+                self.jobs.len() as u32 - 1
+            });
             let mut members = Vec::with_capacity(want);
             while members.len() < want && cursor < self.job_of.len() {
                 if self.table.states()[cursor].is_healthy() {
@@ -443,7 +455,9 @@ impl Coordinator {
                 }
                 cursor += 1;
             }
-            self.jobs.push(members);
+            if let Some(slot) = self.jobs.get_mut(job_id as usize) {
+                *slot = members;
+            }
             let duration_ticks =
                 ((arrival.duration_hours / self.cfg.tick_hours).ceil() as u32).max(1);
             self.due
@@ -637,6 +651,42 @@ mod modelcheck;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn job_table_holds_no_more_slots_than_pending_due_entries() {
+        let mut fleet = Coordinator::new(FleetdConfig {
+            nodes: 400,
+            shards: 4,
+            ..FleetdConfig::default()
+        });
+        let mut peak_pending = 0;
+        for _ in 0..2_000 {
+            fleet.step();
+            let pending: usize = fleet.due.values().map(Vec::len).sum();
+            peak_pending = peak_pending.max(pending);
+            assert_eq!(
+                fleet.jobs.len(),
+                pending + fleet.free_jobs.len(),
+                "every slot is either pending its due entry or free"
+            );
+            assert!(
+                fleet.jobs.len() <= peak_pending,
+                "{} slots for at most {peak_pending} pending jobs",
+                fleet.jobs.len()
+            );
+        }
+        let totals = fleet.totals();
+        assert!(
+            totals.jobs_killed > 0 && totals.jobs_completed > 0,
+            "the run must both kill and complete jobs"
+        );
+        assert!(
+            (fleet.jobs.len() as u64) < totals.jobs_started / 10,
+            "{} slots for {} jobs started",
+            fleet.jobs.len(),
+            totals.jobs_started
+        );
+    }
 
     #[test]
     fn fresh_coordinator_census_covers_the_fleet() {

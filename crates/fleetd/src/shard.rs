@@ -18,6 +18,18 @@
 //! tick over healthy nodes allocates nothing. Validation allocates only
 //! when a sample makes [`EcdfSketch::append`] fill a sketch level for the
 //! first time. The root `tests/alloc_counts.rs` pins both counts.
+//!
+//! The tick's scan over its range reads only dense per-node data: the
+//! incident source's next-incident hours
+//! ([`ShardIncidentSource::is_due`]), the lifecycle states, statuses,
+//! degradation and cooldowns. The cold state, each node's incident
+//! stream and noise RNG (two ChaCha generators, ~300 bytes a node), is
+//! read only for a node with an incident due or a validation to run,
+//! a few percent of a tick's nodes. Those reads missed the cache, so the
+//! scan prefetches them `LOOKAHEAD` nodes ahead. Neither change can
+//! move a byte: a node that is not due has nothing to poll, so skipping
+//! its poll draws nothing, and a prefetch is only a cache hint. Every
+//! draw, sketch append and proposal happens in the same order as before.
 
 use crate::config::FleetdConfig;
 use anubis_arena::Arena;
@@ -25,11 +37,19 @@ use anubis_hwsim::NoiseModel;
 use anubis_lifecycle::{LifecycleEvent, NodeState};
 use anubis_metrics::EcdfSketch;
 use anubis_selector::NodeStatus;
-use anubis_traces::{node_stream_seed, IncidentEvent, ShardIncidentSource};
+use anubis_traces::{node_stream_seed, prefetch, IncidentEvent, ShardIncidentSource};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::ops::Range;
+
+/// How many nodes ahead of the one it is visiting [`ShardWorker::tick`]
+/// prefetches cold per-node state. On a 2-vCPU Xeon host, the serial
+/// shard phase of a 100k-node, 16-shard, 500-tick run took 1.41–1.48 s
+/// without the prefetch and 0.94–1.16 s with it at 32; distances 8 and 96
+/// measured the same (1.04–1.16 s). A shard's first nodes go unprefetched
+/// and its last lookaheads fall off its end, which changes only speed.
+const LOOKAHEAD: usize = 32;
 
 /// What one shard observed and proposes for one tick. The coordinator
 /// reads it after the parallel shard phase; buffers persist across ticks,
@@ -207,9 +227,12 @@ impl ShardWorker {
         let mut events = self.events_pool.scope();
         for node in self.lo..self.hi {
             let i = (node - self.lo) as usize;
+            self.prefetch_cold_state(i + LOOKAHEAD, ctx.t1, states);
             self.report.node_ticks += 1;
             events.clear();
-            self.incidents.poll_node(node, ctx.t1, &mut events);
+            if self.incidents.is_due(i, ctx.t1) {
+                self.incidents.poll_node(node, ctx.t1, &mut events);
+            }
             let state = states[node as usize];
             for event in &*events {
                 self.statuses[i].record_incident(event.category);
@@ -260,6 +283,25 @@ impl ShardWorker {
                     .proposals
                     .push((node, LifecycleEvent::RiskCrossed));
             }
+        }
+    }
+
+    /// Starts loading the cold per-node state that the tick will read
+    /// when it reaches the node at offset `i`: its incident stream if an
+    /// incident is due, and its noise RNG if it is due (damage draws) or
+    /// validating (the benchmark's noise). Past the shard's end it does
+    /// nothing.
+    fn prefetch_cold_state(&self, i: usize, t1: f64, states: &[NodeState]) {
+        let due = self.incidents.is_due(i, t1);
+        if due {
+            self.incidents.prefetch(i);
+        }
+        let validating = || {
+            let state = states.get(self.lo as usize + i);
+            state.is_some_and(|state| state.is_validating())
+        };
+        if let Some(rng) = self.noise_rngs.get(i).filter(|_| due || validating()) {
+            prefetch(rng);
         }
     }
 }

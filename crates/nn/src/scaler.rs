@@ -62,11 +62,24 @@ impl StandardScaler {
     ///
     /// Panics if `row` does not match the fitted dimension.
     pub fn transform(&self, row: &[f64]) -> Vec<f64> {
+        let mut out = Vec::with_capacity(row.len());
+        self.transform_into(row, &mut out);
+        out
+    }
+
+    /// Appends the standardized `row` to `out` (the values
+    /// [`StandardScaler::transform`] returns, without allocating a row).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` does not match the fitted dimension.
+    pub fn transform_into(&self, row: &[f64], out: &mut Vec<f64>) {
         assert_eq!(row.len(), self.means.len(), "feature dimension mismatch");
-        row.iter()
-            .zip(self.means.iter().zip(&self.std_devs))
-            .map(|(&x, (&m, &s))| (x - m) / s)
-            .collect()
+        out.extend(
+            row.iter()
+                .zip(self.means.iter().zip(&self.std_devs))
+                .map(|(&x, (&m, &s))| (x - m) / s),
+        );
     }
 
     /// Standardizes many rows.

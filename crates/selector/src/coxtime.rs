@@ -127,24 +127,43 @@ impl CoxTimeModel {
 
     /// `g(t, x)` for one status at each of `times`, as one network batch:
     /// row `k` of the returned cache holds the `k`-th time's risk,
-    /// bit-identical to a one-row evaluation. Features are scaled once.
+    /// bit-identical to a one-row evaluation.
     fn log_risks(
         &self,
         status: &NodeStatus,
         times: impl ExactSizeIterator<Item = f64>,
     ) -> BatchCache {
-        let x = self.scaler.transform(&status.features());
+        let rows = times.len();
         // Sized once: probes run per node per scoring pass, and a growing
         // buffer fragments the heap (peak RSS +1.1 MiB on policy-sim).
-        let mut inputs = Vec::with_capacity(times.len() * (1 + x.len()));
-        let mut rows = 0;
-        for t in times {
-            push_input(&mut inputs, t / self.time_scale, &x);
-            rows += 1;
-        }
+        let mut inputs = Vec::with_capacity(rows * (1 + self.scaler.dim()));
+        self.push_rows(&mut inputs, status, times);
         let mut cache = BatchCache::default();
         self.net.forward_batch(&inputs, rows, &mut cache);
         cache
+    }
+
+    /// Appends one network input row per time in `times`: the normalized
+    /// time, then `status`'s scaled features. The features are scaled
+    /// once, straight into the first row, and copied to the later ones.
+    fn push_rows(
+        &self,
+        inputs: &mut Vec<f64>,
+        status: &NodeStatus,
+        times: impl Iterator<Item = f64>,
+    ) {
+        let mut scaled = None;
+        for t in times {
+            inputs.push(t / self.time_scale);
+            let start = inputs.len();
+            match scaled {
+                None => {
+                    self.scaler.transform_into(&status.feature_array(), inputs);
+                    scaled = Some(start..inputs.len());
+                }
+                Some(ref x) => inputs.extend_from_within(x.clone()),
+            }
+        }
     }
 
     /// The fitted Breslow grid (for diagnostics).
@@ -706,10 +725,7 @@ impl SurvivalModel for CoxTimeModel {
         for block in statuses.chunks(per_block) {
             inputs.clear();
             for status in block {
-                let x = self.scaler.transform(&status.features());
-                for &(time, _) in grid {
-                    push_input(&mut inputs, time / self.time_scale, &x);
-                }
+                self.push_rows(&mut inputs, status, grid.iter().map(|&(time, _)| time));
             }
             self.net
                 .forward_batch(&inputs, block.len() * grid.len(), &mut risks);

@@ -56,12 +56,23 @@ impl NodeStatus {
     /// Dense feature vector for the survival models: uptime, recency,
     /// count, MTBI, then per-category counts.
     pub fn features(&self) -> Vec<f64> {
-        let mut features = Vec::with_capacity(4 + 9);
-        features.push(self.uptime_hours);
-        features.push(self.hours_since_last_incident);
-        features.push(f64::from(self.incident_count));
-        features.push(self.mtbi_hours());
-        features.extend(self.category_counts.iter().map(|&c| f64::from(c)));
+        self.feature_array().to_vec()
+    }
+
+    /// [`NodeStatus::features`] on the stack, for callers that must not
+    /// allocate per node.
+    pub fn feature_array(&self) -> [f64; Self::FEATURE_DIM] {
+        let head = [
+            self.uptime_hours,
+            self.hours_since_last_incident,
+            f64::from(self.incident_count),
+            self.mtbi_hours(),
+        ];
+        let counts = self.category_counts.iter().map(|&c| f64::from(c));
+        let mut features = [0.0; Self::FEATURE_DIM];
+        for (slot, value) in features.iter_mut().zip(head.into_iter().chain(counts)) {
+            *slot = value;
+        }
         features
     }
 

@@ -38,6 +38,6 @@ pub use incident::{
     IncidentTrace, IncidentTraceConfig, SourceMix, TicketDurationModel,
 };
 pub use stream::{
-    node_stream_seed, shard_ranges, AllocationStream, IncidentStreamConfig, JobArrival,
+    node_stream_seed, prefetch, shard_ranges, AllocationStream, IncidentStreamConfig, JobArrival,
     ShardIncidentSource,
 };

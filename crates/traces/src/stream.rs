@@ -21,6 +21,17 @@
 //!   owns a contiguous node range, ranges ascend with `s`, and sizes
 //!   differ by at most one. Concatenating per-shard results in shard
 //!   order therefore yields global node order.
+//!
+//! [`ShardIncidentSource`] splits each node's state into a hot and a cold
+//! half. The hot half is one dense `f64` per node, the hour of its next
+//! incident, so a shard's per-tick "is anything due?" scan
+//! ([`ShardIncidentSource::is_due`]) reads 8 bytes a node. The cold half
+//! (the node's ChaCha stream, frailty and wear, ~150 bytes) is touched
+//! only when the node is due, about once every 40 ticks at the default
+//! rates, and [`ShardIncidentSource::prefetch`] lets the scan ask for it
+//! a few nodes early. Neither changes a draw: a node whose next incident
+//! is not before the window end has nothing to poll, and [`prefetch`]
+//! only warms the cache.
 
 use crate::allocation::AllocationConfig;
 use crate::incident::{IncidentEvent, SourceMix, TicketDurationModel};
@@ -95,15 +106,15 @@ impl Default for IncidentStreamConfig {
     }
 }
 
-/// One node's private incident-process state.
+/// One node's private incident-process state: the cold half, read only
+/// when the node has an incident due (the hot half, the hour of its next
+/// incident, is [`ShardIncidentSource`]'s dense `next_hours`).
 #[derive(Debug, Clone)]
 struct NodeStream {
     /// The node's private RNG; every draw for this node comes from here.
     rng: ChaCha8Rng,
     /// Per-node frailty multiplier (lemon nodes fail more).
     frailty: f64,
-    /// Absolute hour of the next incident.
-    next_hour: f64,
     /// Accumulated incidents since the last full repair.
     wear: u32,
 }
@@ -119,6 +130,9 @@ struct NodeStream {
 pub struct ShardIncidentSource {
     config: IncidentStreamConfig,
     range: Range<u32>,
+    /// Absolute hour of each node's next incident, by offset in `range`.
+    next_hours: Vec<f64>,
+    /// Each node's stream, frailty and wear, by offset in `range`.
     streams: Vec<NodeStream>,
     mix: SourceMix,
     tickets: TicketDurationModel,
@@ -128,22 +142,23 @@ impl ShardIncidentSource {
     /// Creates the source for the nodes in `range` (typically one entry
     /// of [`shard_ranges`]).
     pub fn new(config: &IncidentStreamConfig, range: Range<u32>) -> Self {
+        let mut next_hours = Vec::with_capacity(range.len());
         let mut streams = Vec::with_capacity(range.len());
         for node in range.clone() {
             let mut rng = ChaCha8Rng::seed_from_u64(node_stream_seed(config.seed, node, 0));
             let frailty = log_normal(&mut rng, 0.0, config.frailty_sigma);
             let rate = frailty / config.base_mtbi_hours.max(1e-9);
-            let next_hour = exponential(&mut rng, rate);
+            next_hours.push(exponential(&mut rng, rate));
             streams.push(NodeStream {
                 rng,
                 frailty,
-                next_hour,
                 wear: 0,
             });
         }
         Self {
             config: config.clone(),
             range,
+            next_hours,
             streams,
             mix: SourceMix::azure_like(),
             tickets: TicketDurationModel::figure2(),
@@ -162,6 +177,23 @@ impl ShardIncidentSource {
             / self.config.base_mtbi_hours.max(1e-9)
     }
 
+    /// Whether the node at offset `index` of the range has an incident
+    /// with `start_hour < until_hour` still to poll. Reads only the dense
+    /// next-incident array; `false` past the range's end.
+    pub fn is_due(&self, index: usize, until_hour: f64) -> bool {
+        self.next_hours
+            .get(index)
+            .is_some_and(|&next_hour| next_hour < until_hour)
+    }
+
+    /// Starts loading the cold state of the node at offset `index` of the
+    /// range into the cache (see [`prefetch`]); no-op past the range's end.
+    pub fn prefetch(&self, index: usize) {
+        if let Some(stream) = self.streams.get(index) {
+            prefetch(stream);
+        }
+    }
+
     /// Appends every incident of `node` with `start_hour < until_hour`
     /// to `out`, advancing the node's stream. Events arrive in start-hour
     /// order; repeated polling with growing windows never re-emits.
@@ -173,8 +205,8 @@ impl ShardIncidentSource {
         else {
             return;
         };
-        while self.streams[index].next_hour < until_hour {
-            let start_hour = self.streams[index].next_hour;
+        while self.next_hours[index] < until_hour {
+            let start_hour = self.next_hours[index];
             let stream = &mut self.streams[index];
             let ticket_hours = self.tickets.sample(&mut stream.rng);
             let category = self.mix.sample(&mut stream.rng);
@@ -186,9 +218,8 @@ impl ShardIncidentSource {
             });
             stream.wear = stream.wear.saturating_add(1);
             let rate = self.rate(&self.streams[index]);
-            let stream = &mut self.streams[index];
-            let gap = exponential(&mut stream.rng, rate);
-            stream.next_hour = start_hour + gap;
+            let gap = exponential(&mut self.streams[index].rng, rate);
+            self.next_hours[index] = start_hour + gap;
         }
     }
 
@@ -205,6 +236,27 @@ impl ShardIncidentSource {
             self.streams[index].wear = 0;
         }
     }
+}
+
+/// Asks the CPU to start loading every cache line of `value`, so a read
+/// a few hundred cycles later finds it warm. A hint only: it changes no
+/// value the program can observe. On targets other than x86_64 it does
+/// nothing.
+#[inline]
+pub fn prefetch<T>(value: &T) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let start = std::ptr::from_ref(value).cast::<i8>();
+        for offset in (0..std::mem::size_of::<T>()).step_by(64) {
+            // SAFETY: `_mm_prefetch` needs only SSE, which every x86_64
+            // target has. It never faults and writes nothing, and the
+            // address lies inside `value`.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(start.wrapping_add(offset)) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = value;
 }
 
 /// Streaming Poisson job-arrival source (the coordinator-side twin of
