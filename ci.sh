@@ -17,6 +17,12 @@ cargo run -p anubis-xtask --offline -- analyze --json target/analysis.sarif.json
 echo "==> release build (every workspace binary, repro included)"
 cargo build --release --offline --workspace
 
+# perfbench is its own workspace with its own lock file: a workspace API
+# change that breaks the benchmark, or a manifest change that would
+# rewrite perfbench/Cargo.lock, fails here.
+echo "==> perfbench build (locked)"
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> examples (run end to end; quickstart asserts both gray failures are caught)"
 for ex in quickstart cluster_buildout proactive_fleet network_scan; do
     cargo run -q --release --offline --example "$ex" > "target/example-$ex.txt"
@@ -33,8 +39,8 @@ cmp target/fleetd-smoke-t1.txt target/fleetd-smoke-t4.txt
 cmp target/fleetd-smoke-t1.jsonl target/fleetd-smoke-t4.jsonl
 cmp target/fleetd-smoke-t1.txt target/fleetd-smoke-s1.txt
 cmp target/fleetd-smoke-t1.jsonl target/fleetd-smoke-s1.jsonl
-# 100 shards of 20 nodes: every shard is shorter than the shard loop's
-# 32-node prefetch lookahead.
+# 100 shards of 20 nodes: every shard, and so every attention list, is
+# shorter than the shard loop's 32-entry prefetch lookahead.
 ANUBIS_THREADS=2 ./target/release/repro fleetd --nodes 2000 --shards 100 --ticks 50 \
     --jsonl=target/fleetd-smoke-s100.jsonl > target/fleetd-smoke-s100.txt
 cmp target/fleetd-smoke-t1.txt target/fleetd-smoke-s100.txt

@@ -10,8 +10,8 @@
 //! 1. finish repairs that came due and return those nodes to service,
 //! 2. complete jobs whose duration elapsed,
 //! 3. ingest job arrivals and place the pending queue FIFO onto healthy
-//!    nodes (ascending node order, walking the states only as far as the
-//!    placed jobs need),
+//!    nodes (ascending node order, jumping from one healthy node to the
+//!    next through the table's healthy bitset),
 //! 4. run every shard's [`ShardWorker::tick`] on the deterministic
 //!    executor (this is the only parallel phase),
 //! 5. apply shard proposals **in fixed shard order** — quarantines kill
@@ -345,10 +345,11 @@ impl Coordinator {
         // 5. Apply proposals in fixed shard order (= global node order).
         // Shard-side counters are suppressed under the executor, so the
         // node-tick work count is summed here, on the coordinating thread.
-        let mut node_ticks = 0usize;
+        let (mut node_ticks, mut nodes_visited) = (0usize, 0usize);
         for shard_id in 0..self.shards.len() {
             let report = self.shards[shard_id].report();
             node_ticks += report.node_ticks;
+            nodes_visited += report.nodes_visited;
             summary.incidents += report.incidents;
             summary.samples += report.samples;
             summary.proposals += report.proposals.len();
@@ -358,6 +359,7 @@ impl Coordinator {
             }
         }
         anubis_obs::counter!("fleetd.node_ticks", node_ticks as i64);
+        anubis_obs::counter!("fleetd.nodes_visited", nodes_visited as i64);
         self.end_tick(summary)
     }
 
@@ -422,9 +424,10 @@ impl Coordinator {
             }
         }
         // The healthy census caps what placement can take; the cursor
-        // then walks the states only as far as the placed jobs need.
-        // Placement only turns nodes behind the cursor busy, so the walk
-        // sees the tick's healthy set in ascending order.
+        // then jumps from healthy node to healthy node (the table's
+        // bitset) only as far as the placed jobs need. Placement only
+        // turns nodes behind the cursor busy, so the walk sees the tick's
+        // healthy set in ascending order.
         let healthy = self.table.counts().healthy;
         let mut placed = 0usize;
         let mut cursor = 0usize;
@@ -446,14 +449,14 @@ impl Coordinator {
                 self.jobs.len() as u32 - 1
             });
             let mut members = Vec::with_capacity(want);
-            while members.len() < want && cursor < self.job_of.len() {
-                if self.table.states()[cursor].is_healthy() {
-                    self.table
-                        .apply_if_legal(cursor, LifecycleEvent::JobAssigned);
-                    self.job_of[cursor] = job_id;
-                    members.push(cursor as u32);
-                }
-                cursor += 1;
+            while members.len() < want {
+                let Some(node) = self.table.next_healthy(cursor) else {
+                    break;
+                };
+                self.table.apply_if_legal(node, LifecycleEvent::JobAssigned);
+                self.job_of[node] = job_id;
+                members.push(node as u32);
+                cursor = node + 1;
             }
             if let Some(slot) = self.jobs.get_mut(job_id as usize) {
                 *slot = members;

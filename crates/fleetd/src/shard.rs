@@ -2,13 +2,14 @@
 //!
 //! A [`ShardWorker`] owns everything about its contiguous node range
 //! that the coordinator does not need for decisions: the streaming
-//! incident source, per-node status covariates, hidden degradation, the
-//! per-node benchmark-noise RNGs, and the shard's [`EcdfSketch`] of
-//! validation scores. Each tick the worker runs the Validator/Selector
-//! loop over its range — ingest incidents, score incident risk against
-//! the horizon, execute the validations the coordinator scheduled — and
-//! emits *proposals* ([`anubis_lifecycle::LifecycleEvent`]s per node)
-//! instead of mutating lifecycle state itself: the coordinator owns the
+//! incident source (which also keeps each node's wear, its incidents
+//! since the last repair), hidden degradation, the per-node
+//! benchmark-noise RNGs, and the shard's [`EcdfSketch`] of validation
+//! scores. Each tick the worker runs the Validator/Selector loop over its
+//! range — ingest incidents, score incident risk against the horizon,
+//! execute the validations the coordinator scheduled — and emits
+//! *proposals* ([`anubis_lifecycle::LifecycleEvent`]s per node) instead
+//! of mutating lifecycle state itself: the coordinator owns the
 //! [`anubis_lifecycle::LifecycleTable`] and applies proposals in fixed
 //! shard order. That split (workers own data movement, the primary owns
 //! decisions) is what keeps the whole service byte-reproducible.
@@ -19,36 +20,38 @@
 //! when a sample makes [`EcdfSketch::append`] fill a sketch level for the
 //! first time. The root `tests/alloc_counts.rs` pins both counts.
 //!
-//! The tick's scan over its range reads only dense per-node data: the
-//! incident source's next-incident hours
-//! ([`ShardIncidentSource::is_due`]), the lifecycle states, statuses,
-//! degradation and cooldowns. The cold state, each node's incident
-//! stream and noise RNG (two ChaCha generators, ~300 bytes a node), is
-//! read only for a node with an incident due or a validation to run,
-//! a few percent of a tick's nodes. Those reads missed the cache, so the
-//! scan prefetches them `LOOKAHEAD` nodes ahead. Neither change can
-//! move a byte: a node that is not due has nothing to poll, so skipping
-//! its poll draws nothing, and a prefetch is only a cache hint. Every
-//! draw, sketch append and proposal happens in the same order as before.
+//! A tick does per-node work only for the few nodes that have some, a
+//! few percent of its range. An *attention pass* first reads four dense
+//! per-node arrays (the next-incident hours, the lifecycle states, the
+//! cooldowns and the wear) and lists, in ascending order, every node
+//! that has an incident due, is validating, or is healthy, past its
+//! cooldown and over the risk threshold. The per-node body then runs on
+//! that list alone. The list is exact: for any other node the body would
+//! poll nothing, draw nothing and propose nothing, and processing a node
+//! reads and writes only that node's entries. The cold state of a listed
+//! node, its incident stream and noise RNG (two ChaCha generators, ~300
+//! bytes), misses the cache, so the body prefetches it `LOOKAHEAD` list
+//! entries ahead. Every draw, sketch append and proposal happens in the
+//! same order as in a visit of every node.
 
 use crate::config::FleetdConfig;
 use anubis_arena::Arena;
 use anubis_hwsim::NoiseModel;
 use anubis_lifecycle::{LifecycleEvent, NodeState};
 use anubis_metrics::EcdfSketch;
-use anubis_selector::NodeStatus;
 use anubis_traces::{node_stream_seed, prefetch, IncidentEvent, ShardIncidentSource};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::ops::Range;
 
-/// How many nodes ahead of the one it is visiting [`ShardWorker::tick`]
-/// prefetches cold per-node state. On a 2-vCPU Xeon host, the serial
-/// shard phase of a 100k-node, 16-shard, 500-tick run took 1.41–1.48 s
-/// without the prefetch and 0.94–1.16 s with it at 32; distances 8 and 96
-/// measured the same (1.04–1.16 s). A shard's first nodes go unprefetched
-/// and its last lookaheads fall off its end, which changes only speed.
+/// How many entries of its attention list ahead of the node it is
+/// visiting [`ShardWorker::tick`] prefetches cold per-node state.
+/// Measured while the tick still visited every node, on a 2-vCPU Xeon
+/// host: the serial shard phase of a 100k-node, 16-shard, 500-tick run
+/// took 1.41–1.48 s without the prefetch and 0.94–1.16 s with it 32
+/// nodes ahead; distances 8 and 96 measured the same (1.04–1.16 s). A
+/// shard's first listed nodes go unprefetched, which changes only speed.
 const LOOKAHEAD: usize = 32;
 
 /// What one shard observed and proposes for one tick. The coordinator
@@ -63,8 +66,11 @@ pub struct ShardReport {
     pub incidents: usize,
     /// Benchmark samples appended to the shard sketch this tick.
     pub samples: usize,
-    /// Nodes the shard loop visited this tick.
+    /// Nodes the shard owns, each ticked once this tick.
     pub node_ticks: usize,
+    /// Nodes on this tick's attention list, the ones the per-node body
+    /// ran for (see the module docs).
+    pub nodes_visited: usize,
 }
 
 impl ShardReport {
@@ -74,6 +80,7 @@ impl ShardReport {
         self.incidents = 0;
         self.samples = 0;
         self.node_ticks = 0;
+        self.nodes_visited = 0;
     }
 }
 
@@ -83,7 +90,6 @@ pub struct ShardWorker {
     lo: u32,
     hi: u32,
     incidents: ShardIncidentSource,
-    statuses: Vec<NodeStatus>,
     degradation: Vec<f64>,
     noise_rngs: Vec<ChaCha8Rng>,
     cooldown_until: Vec<u32>,
@@ -92,6 +98,9 @@ pub struct ShardWorker {
     events_pool: Arena<Vec<IncidentEvent>>,
     report: ShardReport,
     risk: WearRisk,
+    /// This tick's attention list: ascending offsets of the nodes with
+    /// work. Sized to the range up front, so building it never allocates.
+    attention: Vec<u32>,
     // Copied damage and score parameters (the shard never sees the full
     // config after construction).
     damage_probability: f64,
@@ -101,15 +110,14 @@ pub struct ShardWorker {
 }
 
 impl Clone for ShardWorker {
-    /// Clones the full worker state with a *fresh* (empty) scratch pool —
-    /// pooled buffers are reusable capacity, not state, so the clone is
-    /// behaviorally identical.
+    /// Clones the full worker state with a *fresh* (empty) scratch pool
+    /// and attention list — per-tick buffers are reusable capacity, not
+    /// state, so the clone is behaviorally identical.
     fn clone(&self) -> Self {
         Self {
             lo: self.lo,
             hi: self.hi,
             incidents: self.incidents.clone(),
-            statuses: self.statuses.clone(),
             degradation: self.degradation.clone(),
             noise_rngs: self.noise_rngs.clone(),
             cooldown_until: self.cooldown_until.clone(),
@@ -118,6 +126,7 @@ impl Clone for ShardWorker {
             events_pool: Arena::new(),
             report: self.report.clone(),
             risk: self.risk.clone(),
+            attention: Vec::with_capacity(self.attention.capacity()),
             damage_probability: self.damage_probability,
             damage_min: self.damage_min,
             damage_max: self.damage_max,
@@ -164,7 +173,6 @@ impl ShardWorker {
             lo: range.start,
             hi: range.end,
             incidents: ShardIncidentSource::new(&stream, range),
-            statuses: vec![NodeStatus::fresh(); n],
             degradation: vec![0.0; n],
             noise_rngs,
             cooldown_until: vec![0; n],
@@ -173,6 +181,7 @@ impl ShardWorker {
             events_pool: Arena::new(),
             report: ShardReport::default(),
             risk: WearRisk::new(config),
+            attention: Vec::with_capacity(n),
             damage_probability: config.damage_probability,
             damage_min: config.damage_min,
             damage_max: config.damage_max,
@@ -219,32 +228,33 @@ impl ShardWorker {
         for &node in &repaired[first..last] {
             let i = (node - self.lo) as usize;
             self.degradation[i] = 0.0;
-            self.statuses[i] = NodeStatus::fresh();
             self.cooldown_until[i] = ctx.tick.saturating_add(ctx.cooldown_ticks);
             self.incidents.reset_wear(node);
         }
+        self.report.node_ticks = (self.hi - self.lo) as usize;
+        let states = &states[self.lo as usize..self.hi as usize];
+        self.collect_attention(ctx, states);
+        self.report.nodes_visited = self.attention.len();
 
         let mut events = self.events_pool.scope();
-        for node in self.lo..self.hi {
-            let i = (node - self.lo) as usize;
-            self.prefetch_cold_state(i + LOOKAHEAD, ctx.t1, states);
-            self.report.node_ticks += 1;
+        for k in 0..self.attention.len() {
+            if let Some(&ahead) = self.attention.get(k + LOOKAHEAD) {
+                self.prefetch_cold_state(ahead as usize, ctx.t1, states);
+            }
+            let i = self.attention[k] as usize;
+            let node = self.lo + i as u32;
             events.clear();
             if self.incidents.is_due(i, ctx.t1) {
                 self.incidents.poll_node(node, ctx.t1, &mut events);
             }
-            let state = states[node as usize];
-            for event in &*events {
-                self.statuses[i].record_incident(event.category);
+            let state = states[i];
+            for _ in &*events {
                 if self.noise_rngs[i].random::<f64>() < self.damage_probability {
                     let damage = self.noise_rngs[i].random_range(self.damage_min..self.damage_max);
                     self.degradation[i] = (self.degradation[i] + damage).min(0.9);
                 }
             }
             self.report.incidents += events.len();
-            if state.in_service() {
-                self.statuses[i].advance(ctx.t1 - ctx.t0);
-            }
             // An incident under stress (serving a job or mid-validation)
             // confirms the defect outright.
             if !events.is_empty() && (state.is_busy() || state.is_validating()) {
@@ -277,7 +287,7 @@ impl ShardWorker {
             }
             if state.is_healthy()
                 && ctx.tick >= self.cooldown_until[i]
-                && self.risk.crosses(self.statuses[i].incident_count, ctx)
+                && self.risk.crosses(self.incidents.wear()[i], ctx)
             {
                 self.report
                     .proposals
@@ -286,20 +296,43 @@ impl ShardWorker {
         }
     }
 
+    /// Fills `attention` with the ascending offsets of this tick's nodes
+    /// with work: an incident due, a validation to run, or a healthy node
+    /// past its cooldown whose wear crosses the risk threshold. `states`
+    /// is the shard's own slice of the snapshot. Only a due node's wear
+    /// changes during the tick, and a due node is listed anyway, so the
+    /// risk test here agrees with the one the tick's body runs.
+    fn collect_attention(&mut self, ctx: &TickContext, states: &[NodeState]) {
+        self.attention.clear();
+        let hot = self
+            .incidents
+            .next_hours()
+            .iter()
+            .zip(states)
+            .zip(&self.cooldown_until)
+            .zip(self.incidents.wear());
+        for (i, (((&next_hour, &state), &cooldown_until), &wear)) in hot.enumerate() {
+            let due = next_hour < ctx.t1;
+            // `&`, not `&&`: no branch on the (unpredictable) state.
+            let risky =
+                state.is_healthy() & (ctx.tick >= cooldown_until) & self.risk.crosses(wear, ctx);
+            if due | state.is_validating() | risky {
+                self.attention.push(i as u32);
+            }
+        }
+    }
+
     /// Starts loading the cold per-node state that the tick will read
     /// when it reaches the node at offset `i`: its incident stream if an
     /// incident is due, and its noise RNG if it is due (damage draws) or
-    /// validating (the benchmark's noise). Past the shard's end it does
-    /// nothing.
+    /// validating (the benchmark's noise). `states` is the shard's own
+    /// slice of the snapshot.
     fn prefetch_cold_state(&self, i: usize, t1: f64, states: &[NodeState]) {
         let due = self.incidents.is_due(i, t1);
         if due {
             self.incidents.prefetch(i);
         }
-        let validating = || {
-            let state = states.get(self.lo as usize + i);
-            state.is_some_and(|state| state.is_validating())
-        };
+        let validating = || states.get(i).is_some_and(|state| state.is_validating());
         if let Some(rng) = self.noise_rngs.get(i).filter(|_| due || validating()) {
             prefetch(rng);
         }
@@ -420,12 +453,7 @@ mod tests {
         for t in 0..40 {
             shard.tick(&ctx(t, 4.0), table.states(), &[]);
         }
-        let most = shard
-            .statuses
-            .iter()
-            .map(|s| s.incident_count)
-            .max()
-            .unwrap_or(0);
+        let most = shard.incidents.wear().iter().copied().max().unwrap_or(0);
         assert!(most > 0, "40 stressed ticks must produce incidents");
         let memo = &shard.risk.crosses_by_wear;
         assert_eq!(memo.len(), most as usize + 1);
@@ -484,7 +512,7 @@ mod tests {
         for t in 0..40 {
             shard.tick(&ctx(t, 6.0), table.states(), &[]);
         }
-        let worn: u32 = shard.statuses.iter().map(|s| s.incident_count).sum();
+        let worn: u32 = shard.incidents.wear().iter().sum();
         assert!(worn > 0, "40 stressed ticks must produce incidents");
         // Zero-width window: the repair directive applies, no new events.
         let context = TickContext {
@@ -493,9 +521,6 @@ mod tests {
         };
         shard.tick(&context, table.states(), &[1]);
         assert_eq!(shard.degradation_of(1), 0.0);
-        assert_eq!(
-            shard.statuses[1].incident_count, 0,
-            "repair must reset the status covariates"
-        );
+        assert_eq!(shard.incidents.wear()[1], 0, "repair must reset the wear");
     }
 }

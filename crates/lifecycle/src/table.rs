@@ -7,7 +7,9 @@
 //! sanctioned middle ground: a flat `Vec<NodeState>` indexed by node, where every change
 //! still routes through the one [`transition`] function, per-state
 //! population counts are maintained incrementally (`O(1)` snapshots for
-//! per-tick summaries), and an optional journal records every applied
+//! per-tick summaries), a bitset of the healthy nodes lets a placer jump
+//! to the next free node ([`LifecycleTable::next_healthy`]) instead of
+//! walking the states, and an optional journal records every applied
 //! transition so tests can replay the whole history through
 //! [`transition`] and prove the discipline held.
 
@@ -56,7 +58,8 @@ impl StateCounts {
 }
 
 /// A bulk per-node lifecycle table: flat state storage, incremental
-/// per-state counts, and an optional transition journal.
+/// per-state counts, a healthy-node bitset, and an optional transition
+/// journal.
 ///
 /// # Examples
 ///
@@ -72,6 +75,9 @@ impl StateCounts {
 pub struct LifecycleTable {
     states: Vec<NodeState>,
     counts: StateCounts,
+    /// Bit `node % 64` of word `node / 64` is set exactly when `node` is
+    /// healthy; bits past the last node stay clear.
+    healthy: Vec<u64>,
     journal: Option<Vec<TransitionRecord>>,
 }
 
@@ -91,12 +97,19 @@ fn bump(counts: &mut StateCounts, state: NodeState, delta: isize) {
 impl LifecycleTable {
     /// A table of `nodes` fresh (healthy) nodes with the journal off.
     pub fn new(nodes: usize) -> Self {
+        let mut healthy = Vec::with_capacity(nodes.div_ceil(64));
+        healthy.resize(nodes / 64, u64::MAX);
+        let tail = nodes % 64;
+        if tail > 0 {
+            healthy.push((1 << tail) - 1);
+        }
         Self {
             states: vec![NodeState::HEALTHY; nodes],
             counts: StateCounts {
                 healthy: nodes,
                 ..StateCounts::default()
             },
+            healthy,
             journal: None,
         }
     }
@@ -129,6 +142,18 @@ impl LifecycleTable {
         self.counts
     }
 
+    /// The first healthy node at or after `from`, or `None` when there is
+    /// none. Scans the healthy bitset a 64-node word at a time.
+    pub fn next_healthy(&self, from: usize) -> Option<usize> {
+        let mut word = from / 64;
+        let mut bits = self.healthy.get(word)? & (u64::MAX << (from % 64));
+        while bits == 0 {
+            word += 1;
+            bits = *self.healthy.get(word)?;
+        }
+        Some(word * 64 + bits.trailing_zeros() as usize)
+    }
+
     /// Shared implementation of [`LifecycleTable::apply`] /
     /// [`LifecycleTable::apply_if_legal`]. Uniquely named on purpose: the
     /// A001 pass walks a name-based call graph from the public surface,
@@ -150,6 +175,11 @@ impl LifecycleTable {
         *slot = to;
         bump(&mut self.counts, from, -1);
         bump(&mut self.counts, to, 1);
+        if from.is_healthy() != to.is_healthy() {
+            if let Some(word) = self.healthy.get_mut(node / 64) {
+                *word ^= 1 << (node % 64);
+            }
+        }
         if let Some(journal) = self.journal.as_mut() {
             journal.push(TransitionRecord {
                 node: node.min(u32::MAX as usize) as u32,

@@ -4,7 +4,7 @@
 //! named outside the crate. The coordinator that applies these events is
 //! model-checked in `anubis-fleetd` (`coordinator/modelcheck.rs`).
 
-use anubis_lifecycle::{transition, LifecycleEvent, NodeLifecycle};
+use anubis_lifecycle::{transition, LifecycleEvent, LifecycleTable, NodeLifecycle};
 use proptest::prelude::*;
 
 const ALL_EVENTS: [LifecycleEvent; 10] = [
@@ -49,6 +49,40 @@ proptest! {
                     prop_assert_eq!(err.event, event);
                 }
             }
+        }
+    }
+
+    /// `LifecycleTable::next_healthy` (a word scan of the healthy bitset)
+    /// agrees with a linear scan of `states()` from every start, past the
+    /// end included, after random transitions. The sizes straddle the
+    /// bitset's 64-node words.
+    #[test]
+    fn next_healthy_matches_a_linear_scan(
+        nodes in prop::sample::select(vec![0usize, 1, 63, 64, 65, 130]),
+        steps in prop::collection::vec((0usize..130, arb_event()), 0..400)
+    ) {
+        let mut table = LifecycleTable::new(nodes);
+        // Round 0 checks the fresh table.
+        let rounds = std::iter::once(&steps[..0]).chain(steps.chunks(100));
+        for (round, chunk) in rounds.enumerate() {
+            for &(node, event) in chunk {
+                // Illegal events are rejected and change nothing.
+                table.apply_if_legal(node % nodes.max(1), event);
+            }
+            let states = table.states();
+            for from in 0..nodes + 66 {
+                let linear = states
+                    .iter()
+                    .enumerate()
+                    .skip(from)
+                    .find(|(_, state)| state.is_healthy())
+                    .map(|(node, _)| node);
+                prop_assert_eq!(table.next_healthy(from), linear, "round {}, from {}", round, from);
+            }
+            prop_assert_eq!(
+                (0..nodes).filter(|&n| table.next_healthy(n) == Some(n)).count(),
+                table.counts().healthy
+            );
         }
     }
 }

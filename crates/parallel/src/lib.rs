@@ -22,15 +22,17 @@
 //! `ANUBIS_THREADS=3` all produce bit-identical results; the property
 //! tests in `tests/proptests.rs` pin that down. The same invariance
 //! extends to `anubis-obs` traces: work dispatched through the executor
-//! never records (worker threads have no recorder enabled, and the inline
-//! single-worker path holds an `anubis_obs::suppress` guard), so a trace's
-//! bytes are independent of the thread count too.
+//! never records (spawned workers have no recorder enabled, and the
+//! calling thread runs its share under an `anubis_obs::suppress` guard),
+//! so a trace's bytes are independent of the thread count too.
 //!
 //! The executor spawns its workers per call, which costs tens of
-//! microseconds. A loop of many short steps that each split in two uses
-//! [`with_helper`] instead: one helper thread lives for the whole loop,
-//! and [`Helper::join`] offers it one half of a step while the caller runs
-//! the other (and takes the half back if the helper has not started it).
+//! microseconds; the calling thread is one of them, so `threads` workers
+//! take `threads − 1` spawns. A loop of many short steps that each split
+//! in two uses [`with_helper`] instead: one helper thread lives for the
+//! whole loop, and [`Helper::join`] offers it one half of a step while
+//! the caller runs the other (and takes the half back if the helper has
+//! not started it).
 //! The same contract holds with two slots and no reduction: each half
 //! writes only what it borrows mutably (the borrow checker keeps the
 //! halves disjoint), its result comes back in its own slot, and a half
@@ -108,11 +110,13 @@ pub fn resolve_threads(threads: usize) -> usize {
 }
 
 /// Runs `tasks` on up to `threads` workers and returns their results in
-/// task order. Workers share one queue and each claims the next task
-/// whenever it goes idle, so one slow task never holds up tasks queued
-/// behind it on the same worker. Which worker runs a task depends on
-/// timing; the result does not, because every result is tagged with its
-/// task index and assembled in index order.
+/// task order. The calling thread is one of the workers: it spawns the
+/// other `workers − 1` and claims tasks beside them. Workers share one
+/// queue and each claims the next task whenever it goes idle, so one
+/// slow task never holds up tasks queued behind it on the same worker.
+/// Which worker runs a task depends on timing; the result does not,
+/// because every result is tagged with its task index and assembled in
+/// index order.
 // The executor is the one sanctioned `std::thread` user, and its task
 // queue the one sanctioned `Mutex`: the lock orders claims, never results.
 #[allow(clippy::disallowed_methods, clippy::disallowed_types)]
@@ -123,12 +127,12 @@ where
     F: Fn(usize, T) -> R + Sync,
 {
     let workers = resolve_threads(threads).min(tasks.len());
+    // Every task runs without recording, on any worker: `anubis-obs`
+    // recording is thread-local and only ever enabled on the coordinating
+    // thread, so spawned workers never record, and the caller's own claims
+    // (or the whole inline run) hold a suppress guard. Trace content is
+    // therefore independent of the resolved worker count.
     if workers <= 1 {
-        // The inline path must look exactly like worker execution to the
-        // observability layer: `anubis-obs` recording is thread-local and
-        // only ever enabled on the coordinating thread, so worker threads
-        // never record — suppressing here keeps trace content independent
-        // of the resolved worker count.
         let _quiet = anubis_obs::suppress();
         return tasks
             .into_iter()
@@ -141,32 +145,35 @@ where
     // task cannot poison it; recovering from poison anyway keeps the
     // other workers draining the queue.
     let claim = || queue.lock().unwrap_or_else(PoisonError::into_inner).next();
-    let run = &run;
-    let claim = &claim;
+    let drain = || {
+        let mut done = Vec::new();
+        while let Some((i, task)) = claim() {
+            done.push((i, run(i, task)));
+        }
+        done
+    };
+    let drain = &drain;
     let mut tagged: Vec<(usize, R)> = Vec::new();
     let mut panic_payload = None;
     thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut done = Vec::new();
-                    while let Some((i, task)) = claim() {
-                        done.push((i, run(i, task)));
-                    }
-                    done
-                })
-            })
-            .collect();
-        for handle in handles {
-            match handle.join() {
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(drain)).collect();
+        // A panic in one of the caller's tasks waits, like a worker's,
+        // until every worker has stopped.
+        let mine = {
+            let _quiet = anubis_obs::suppress();
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(drain))
+        };
+        for outcome in
+            std::iter::once(mine).chain(handles.into_iter().map(thread::ScopedJoinHandle::join))
+        {
+            match outcome {
                 Ok(pairs) => tagged.extend(pairs),
                 Err(payload) => panic_payload = Some(payload),
             }
         }
     });
     if let Some(payload) = panic_payload {
-        // Re-raise the worker's panic on the caller thread (the scope has
-        // already joined every other worker).
+        // Re-raise a task's panic on the caller (every worker has joined).
         std::panic::resume_unwind(payload);
     }
     tagged.sort_unstable_by_key(|(i, _)| *i);
@@ -592,21 +599,28 @@ mod tests {
     fn skewed_costs_keep_slot_order_and_run_each_task_once() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         const TASKS: usize = 24;
+        // A heavy first task is the one the calling thread claims first.
         for heavy in [0, TASKS / 2, TASKS - 1] {
             let rounds = |i: usize| if i == heavy { 100_000 } else { 1_000 };
-            for threads in [1, 2, 3, 8] {
+            let expect: Vec<(usize, u64)> = (0..TASKS).map(|i| (i, spin(rounds(i)))).collect();
+            for threads in [1, 2, 3, 4, 8] {
                 let runs: Vec<AtomicUsize> = (0..TASKS).map(|_| AtomicUsize::new(0)).collect();
                 let out = map_indexed(TASKS, threads, |i| {
                     runs[i].fetch_add(1, Ordering::Relaxed);
                     (i, spin(rounds(i)))
                 });
-                for (slot, &(i, value)) in out.iter().enumerate() {
-                    assert_eq!(slot, i, "heavy {heavy}, threads {threads}");
-                    assert_eq!(value, spin(rounds(i)));
-                }
+                assert_eq!(out, expect, "heavy {heavy}, threads {threads}");
                 assert!(
                     runs.iter().all(|r| r.load(Ordering::Relaxed) == 1),
                     "heavy {heavy}, threads {threads}: every task runs exactly once"
+                );
+                let mut items: Vec<usize> = (0..TASKS).collect();
+                let chunked = map_chunks_mut(&mut items, 1, threads, |c, chunk| {
+                    (c, chunk.iter().map(|&i| spin(rounds(i))).sum::<u64>())
+                });
+                assert_eq!(
+                    chunked, expect,
+                    "map_chunks_mut, heavy {heavy}, threads {threads}"
                 );
             }
         }
@@ -691,6 +705,51 @@ mod tests {
             finished.load(Ordering::SeqCst),
             "join unwound while its helper half ran"
         );
+    }
+
+    #[test]
+    // Pinning one task to each lane and watching the other lane finish
+    // needs counters and flags shared across threads.
+    #[allow(clippy::disallowed_types, clippy::disallowed_methods)]
+    fn a_task_panic_is_raised_once_every_lane_has_stopped() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        let caller = thread::current().id();
+        // Two tasks on two lanes: each task waits until both have started,
+        // so each lane claims exactly one. The task on `panicking_lane`
+        // panics at once; the other keeps running a while, then finishes.
+        for caller_panics in [true, false] {
+            let (started, finished) = (AtomicUsize::new(0), AtomicBool::new(false));
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                map_indexed(2, 2, |_| {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    let mut waits = 0u64;
+                    while started.load(Ordering::SeqCst) < 2 {
+                        waits += 1;
+                        assert!(waits < 1 << 26, "the second lane never claimed a task");
+                        thread::yield_now();
+                    }
+                    if (thread::current().id() == caller) == caller_panics {
+                        panic!("lane");
+                    }
+                    spin(2_000_000);
+                    finished.store(true, Ordering::SeqCst);
+                })
+            }));
+            let payload = caught.expect_err("the task's panic reaches the caller");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"lane"));
+            assert!(
+                finished.load(Ordering::SeqCst),
+                "caller_panics {caller_panics}: raised while the other lane ran"
+            );
+        }
+        // At one thread every task is the caller's.
+        let caught = std::panic::catch_unwind(|| {
+            map_indexed(3, 1, |i| {
+                assert!(i != 1, "inline");
+                i
+            })
+        });
+        assert!(caught.is_err());
     }
 
     #[test]

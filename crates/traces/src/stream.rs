@@ -23,15 +23,16 @@
 //!   order therefore yields global node order.
 //!
 //! [`ShardIncidentSource`] splits each node's state into a hot and a cold
-//! half. The hot half is one dense `f64` per node, the hour of its next
-//! incident, so a shard's per-tick "is anything due?" scan
-//! ([`ShardIncidentSource::is_due`]) reads 8 bytes a node. The cold half
-//! (the node's ChaCha stream, frailty and wear, ~150 bytes) is touched
-//! only when the node is due, about once every 40 ticks at the default
-//! rates, and [`ShardIncidentSource::prefetch`] lets the scan ask for it
-//! a few nodes early. Neither changes a draw: a node whose next incident
-//! is not before the window end has nothing to poll, and [`prefetch`]
-//! only warms the cache.
+//! half. The hot half is two dense arrays: the hour of each node's next
+//! incident ([`ShardIncidentSource::next_hours`]) and its wear, the
+//! incidents since its last full repair ([`ShardIncidentSource::wear`]).
+//! A shard's per-tick pass over its range reads those 12 bytes a node.
+//! The cold half (the node's ChaCha stream and frailty, ~150 bytes) is
+//! touched only when the node is due, about once every 40 ticks at the
+//! default rates, and [`ShardIncidentSource::prefetch`] lets the shard
+//! ask for it a few nodes early. Neither changes a draw: a node whose
+//! next incident is not before the window end has nothing to poll, and
+//! [`prefetch`] only warms the cache.
 
 use crate::allocation::AllocationConfig;
 use crate::incident::{IncidentEvent, SourceMix, TicketDurationModel};
@@ -107,16 +108,14 @@ impl Default for IncidentStreamConfig {
 }
 
 /// One node's private incident-process state: the cold half, read only
-/// when the node has an incident due (the hot half, the hour of its next
-/// incident, is [`ShardIncidentSource`]'s dense `next_hours`).
+/// when the node has an incident due (the hot half, its next-incident
+/// hour and wear, is [`ShardIncidentSource`]'s dense arrays).
 #[derive(Debug, Clone)]
 struct NodeStream {
     /// The node's private RNG; every draw for this node comes from here.
     rng: ChaCha8Rng,
     /// Per-node frailty multiplier (lemon nodes fail more).
     frailty: f64,
-    /// Accumulated incidents since the last full repair.
-    wear: u32,
 }
 
 /// Streaming incident source for one contiguous shard of the fleet.
@@ -132,7 +131,10 @@ pub struct ShardIncidentSource {
     range: Range<u32>,
     /// Absolute hour of each node's next incident, by offset in `range`.
     next_hours: Vec<f64>,
-    /// Each node's stream, frailty and wear, by offset in `range`.
+    /// Incidents each node has had since its last full repair, by offset
+    /// in `range`.
+    wear: Vec<u32>,
+    /// Each node's stream and frailty, by offset in `range`.
     streams: Vec<NodeStream>,
     mix: SourceMix,
     tickets: TicketDurationModel,
@@ -149,14 +151,11 @@ impl ShardIncidentSource {
             let frailty = log_normal(&mut rng, 0.0, config.frailty_sigma);
             let rate = frailty / config.base_mtbi_hours.max(1e-9);
             next_hours.push(exponential(&mut rng, rate));
-            streams.push(NodeStream {
-                rng,
-                frailty,
-                wear: 0,
-            });
+            streams.push(NodeStream { rng, frailty });
         }
         Self {
             config: config.clone(),
+            wear: vec![0; range.len()],
             range,
             next_hours,
             streams,
@@ -170,11 +169,15 @@ impl ShardIncidentSource {
         self.range.clone()
     }
 
-    /// Current hazard rate of a node (incidents per hour).
-    fn rate(&self, stream: &NodeStream) -> f64 {
-        let k = stream.wear.min(self.config.wear_cap);
-        stream.frailty * self.config.wear_factor.powi(k as i32)
-            / self.config.base_mtbi_hours.max(1e-9)
+    /// Each node's next-incident hour, by offset in the range.
+    pub fn next_hours(&self) -> &[f64] {
+        &self.next_hours
+    }
+
+    /// Each node's wear, the incidents polled since its last full repair
+    /// ([`ShardIncidentSource::reset_wear`]), by offset in the range.
+    pub fn wear(&self) -> &[u32] {
+        &self.wear
     }
 
     /// Whether the node at offset `index` of the range has an incident
@@ -216,9 +219,10 @@ impl ShardIncidentSource {
                 ticket_hours,
                 category,
             });
-            stream.wear = stream.wear.saturating_add(1);
-            let rate = self.rate(&self.streams[index]);
-            let gap = exponential(&mut self.streams[index].rng, rate);
+            let wear = self.wear[index].saturating_add(1);
+            self.wear[index] = wear;
+            let rate = rate(&self.config, stream.frailty, wear);
+            let gap = exponential(&mut stream.rng, rate);
             self.next_hours[index] = start_hour + gap;
         }
     }
@@ -231,11 +235,18 @@ impl ShardIncidentSource {
         if let Some(index) = node
             .checked_sub(self.range.start)
             .map(|i| i as usize)
-            .filter(|&i| i < self.streams.len())
+            .filter(|&i| i < self.wear.len())
         {
-            self.streams[index].wear = 0;
+            self.wear[index] = 0;
         }
     }
+}
+
+/// The hazard rate (incidents per hour) of a node with `frailty` and
+/// `wear` past incidents.
+fn rate(config: &IncidentStreamConfig, frailty: f64, wear: u32) -> f64 {
+    let k = wear.min(config.wear_cap);
+    frailty * config.wear_factor.powi(k as i32) / config.base_mtbi_hours.max(1e-9)
 }
 
 /// Asks the CPU to start loading every cache line of `value`, so a read
@@ -420,13 +431,15 @@ mod tests {
         let mut source = ShardIncidentSource::new(&config, 0..1);
         let mut events = Vec::new();
         source.poll_node(0, 500.0, &mut events);
-        let worn_rate = source.rate(&source.streams[0]);
+        assert_eq!(source.wear(), [events.len() as u32]);
+        let frailty = source.streams[0].frailty;
+        let worn_rate = rate(&config, frailty, source.wear()[0]);
         source.reset_wear(0);
-        let fresh_rate = source.rate(&source.streams[0]);
+        let fresh_rate = rate(&config, frailty, source.wear()[0]);
         if !events.is_empty() {
             assert!(fresh_rate < worn_rate, "reset must drop the hazard");
         }
-        assert_eq!(source.streams[0].wear, 0);
+        assert_eq!(source.wear(), [0]);
     }
 
     #[test]

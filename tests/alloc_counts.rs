@@ -20,7 +20,9 @@
 //!   expected one and saying why in CHANGES.md.
 //!
 //! What this cannot see: branches no scenario runs, the multi-thread
-//! executor path (worker threads count on their own thread-locals), and
+//! executor path (the calling thread claims tasks beside the workers it
+//! spawns, so which allocations land on the counting thread depends on
+//! timing, and the workers count on their own thread-locals), and
 //! an allocation whose unused value the optimizer removed (at `--release`
 //! it then does not exist; the default test profile still counts it).
 
