@@ -12,12 +12,24 @@
 //! [`BenchmarkId`] enumerates the suite; [`runner`] executes (sub)sets in
 //! the paper's two-phase order.
 
-// Panic-freedom: this crate runs in the fleet-facing validation path, so
-// clippy rejects unwrap/expect/panic! in its library code (tests may
-// unwrap freely).
+// Panic-freedom: clippy rejects every panic path in this crate's library
+// code: unwrap/expect/panic!/unreachable!, indexing and slicing, integer
+// `/` and `%`, and the assert family (disallowed in `clippy.toml`), plus
+// float `==`. A justified site carries `#[expect(lint, reason = "…")]`,
+// which fails once the site is gone; tests may panic freely.
 #![cfg_attr(
     not(test),
-    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::integer_division_remainder_used,
+        clippy::float_cmp,
+        clippy::disallowed_macros
+    )
 )]
 
 pub mod id;

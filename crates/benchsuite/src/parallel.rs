@@ -63,16 +63,16 @@ pub fn run_set_parallel(
             Ok(rows)
         });
 
+    // The rows arrive node-major in fleet order: each node's id repeats
+    // once per benchmark of the set.
     let mut data = RunData::default();
-    let mut index = 0usize;
+    let mut ids = nodes
+        .iter()
+        .flat_map(|node| std::iter::repeat_n(node.id(), set.len()));
     for chunk in per_chunk {
-        let rows = chunk?;
-        let chunk_nodes = rows.len() / set.len();
-        for (i, (bench, sample)) in rows.into_iter().enumerate() {
-            let id = nodes[index + i / set.len()].id();
+        for ((bench, sample), id) in chunk?.into_iter().zip(&mut ids) {
             data.results.entry(bench).or_default().push((id, sample));
         }
-        index += chunk_nodes;
     }
     Ok(data)
 }

@@ -223,7 +223,7 @@ pub fn run_benchmark(id: BenchmarkId, node: &mut NodeSim) -> Result<Sample, Suit
         | BenchmarkId::MultiNodeAllReduce
         | BenchmarkId::MultiNodeAllGather
         | BenchmarkId::MultiNodeAllToAll
-        | BenchmarkId::MultiNodeTraining => unreachable!("phase checked above"),
+        | BenchmarkId::MultiNodeTraining => return Err(SuiteError::PhaseMismatch(id)),
     };
     Ok(Sample::new(values)?)
 }
@@ -235,11 +235,15 @@ const E2E_WARMUP_TRIM: usize = 32;
 fn train(node: &mut NodeSim, model: ModelId, steps: usize) -> Vec<f64> {
     let options = TrainingOptions::validation(steps + E2E_WARMUP_TRIM);
     let series = simulate_training(node, &model.config(), &options);
-    series[E2E_WARMUP_TRIM..].to_vec()
+    series.into_iter().skip(E2E_WARMUP_TRIM).collect()
 }
 
 /// Runs one **multi-node** benchmark over a node set and fabric, returning
 /// one sample per node (parallel to `nodes`).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "scan pairs index the nodes, and `members` is checked to be as long"
+)]
 pub fn run_benchmark_multi(
     id: BenchmarkId,
     nodes: &mut [NodeSim],
@@ -312,7 +316,7 @@ pub fn run_benchmark_multi(
             let sample = Sample::new(series)?;
             Ok(vec![sample; nodes.len()])
         }
-        _ => unreachable!("phase checked above"),
+        _ => Err(SuiteError::PhaseMismatch(id)),
     }
 }
 
@@ -367,10 +371,10 @@ pub fn run_set(
         .copied()
         .filter(|b| b.spec().phase == Phase::MultiNode)
         .collect();
-    if !multi.is_empty() {
+    if let Some(&first_multi) = multi.first() {
         let fabric = match fabric {
             Some(f) => f,
-            None => return Err(SuiteError::MissingFabric(multi[0])),
+            None => return Err(SuiteError::MissingFabric(first_multi)),
         };
         if nodes.len() >= 2 {
             for bench in multi {

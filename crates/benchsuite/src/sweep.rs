@@ -53,14 +53,10 @@ pub fn default_size_grid() -> Vec<u64> {
 
 /// Sweeps the intra-node all-reduce across message sizes and locates the
 /// saturation point (the smallest size achieving `saturation` — e.g. 0.95
-/// — of the plateau bandwidth).
-///
-/// # Panics
-///
-/// Panics if `sizes` is empty; callers pass [`default_size_grid`] or a
-/// non-empty custom grid.
+/// — of the plateau bandwidth). An empty `sizes` yields no points, a zero
+/// plateau and a zero saturation size; callers pass [`default_size_grid`]
+/// or a non-empty custom grid.
 pub fn sweep_nvlink_allreduce(node: &mut NodeSim, sizes: &[u64], saturation: f64) -> SweepResult {
-    assert!(!sizes.is_empty(), "sweep needs at least one size");
     let mut points: Vec<SweepPoint> = sizes
         .iter()
         .map(|&bytes| SweepPoint {
@@ -69,8 +65,6 @@ pub fn sweep_nvlink_allreduce(node: &mut NodeSim, sizes: &[u64], saturation: f64
         })
         .collect();
     points.sort_by_key(|p| p.bytes);
-    // The assert above guarantees a last point; the fallback value is
-    // unreachable and only keeps this path panic-free.
     let last = points.last().copied().unwrap_or(SweepPoint {
         bytes: 0,
         bandwidth: 0.0,

@@ -102,6 +102,10 @@ impl Policy<'_> {
 
     /// Decides the pre-job validation for a node set with the given job
     /// horizon.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`index_sample` draws indices below `BenchmarkId::ALL.len()`"
+    )]
     pub fn decide(
         &self,
         statuses: &[NodeStatus],

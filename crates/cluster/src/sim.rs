@@ -133,6 +133,10 @@ struct SimNode {
 /// Applies a lifecycle event to a node. The simulator's event sequences
 /// are legal by construction, so an illegal transition here is a
 /// simulator bug, asserted in debug builds.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "a debug-only check that the simulator's event sequences are legal"
+)]
 fn drive(node: &mut SimNode, event: LifecycleEvent) {
     let applied = node.life.apply(event);
     debug_assert!(applied.is_ok(), "sim lifecycle violation: {applied:?}");
@@ -246,6 +250,10 @@ impl Ord for Event {
 /// assert!(outcome.avg_utilization > 0.6);
 /// assert_eq!(outcome.jobs_interrupted, 0);
 /// ```
+#[expect(
+    clippy::indexing_slicing,
+    reason = "node ids index the `config.nodes` sim nodes, day slots stay inside the horizon's day count, and job offsets index the job's own lists"
+)]
 pub fn simulate(
     config: &ClusterSimConfig,
     trace: &[AllocationRequest],
@@ -311,6 +319,11 @@ pub fn simulate(
 
     // Allocation: called whenever nodes free up or jobs arrive.
     #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::disallowed_macros,
+        clippy::indexing_slicing,
+        reason = "node ids index the `config.nodes` sim nodes; a debug-only check that a placement fills the request"
+    )]
     fn try_allocate(
         now: f64,
         config: &ClusterSimConfig,

@@ -273,6 +273,7 @@ impl FleetdConfig {
     }
 
     /// The resolved validations-per-tick cap.
+    #[expect(clippy::integer_division_remainder_used, reason = "a constant divisor")]
     pub fn validation_cap(&self) -> u32 {
         if self.validations_per_tick == 0 {
             (self.nodes / 64).max(8)

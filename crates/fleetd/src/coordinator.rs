@@ -315,6 +315,10 @@ impl Coordinator {
     }
 
     /// Executes one tick and returns its summary.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`shard_id` and `i` are loop indices below the lengths they index"
+    )]
     pub fn step(&mut self) -> TickSummary {
         let t0 = f64::from(self.tick) * self.cfg.tick_hours;
         let t1 = f64::from(self.tick + 1) * self.cfg.tick_hours;
@@ -366,6 +370,10 @@ impl Coordinator {
     /// Phases 1–3 of a tick: finish due repairs, complete due jobs, then
     /// queue `self.arrivals` (drained) and place the pending queue.
     /// Returns the tick's summary with those phases' counts filled in.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`job_of` has one entry per fleet node, and job members are fleet nodes"
+    )]
     fn begin_tick(&mut self) -> TickSummary {
         let tick = self.tick;
         let mut summary = TickSummary {
@@ -599,6 +607,10 @@ impl Coordinator {
     /// Kills the job occupying `node` (the node itself was just
     /// quarantined): surviving members return to healthy, the job's due
     /// entry is left to lapse. Returns whether a live job was killed.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`job_of` has one entry per fleet node, and job members are fleet nodes"
+    )]
     fn kill_job_of(&mut self, node: u32) -> bool {
         let job_id = std::mem::replace(&mut self.job_of[node as usize], NO_JOB);
         let members = self.take_members(job_id);
@@ -632,6 +644,10 @@ impl Coordinator {
 }
 
 /// Merges two ascending node lists into `out` (cleared first).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the merge loop leaves `i <= a.len()` and `j <= b.len()`"
+)]
 fn merge_ascending(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     out.clear();
     let (mut i, mut j) = (0, 0);

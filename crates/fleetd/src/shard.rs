@@ -220,6 +220,10 @@ impl ShardWorker {
     /// persistent buffers; a validation sample's sketch append allocates
     /// only when it fills a sketch level for the first time (pinned in the
     /// root `tests/alloc_counts.expected`).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "shard offsets `node - lo` of the shard's own nodes index its per-node arrays, and `lo..hi` lies inside the global snapshot"
+    )]
     pub fn tick(&mut self, ctx: &TickContext, states: &[NodeState], repaired: &[u32]) {
         self.report.reset();
         self.risk.crosses_by_wear.clear();
@@ -375,6 +379,10 @@ impl WearRisk {
     /// `ctx.risk_threshold`. The risk depends on the node only through its
     /// capped wear count, so each count is scored once per tick; the memo
     /// grows to the largest count seen, never to `wear_cap`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the memo is grown past `wear` just above"
+    )]
     fn crosses(&mut self, incidents: u32, ctx: &TickContext) -> bool {
         let wear = incidents.min(self.wear_cap) as usize;
         while self.crosses_by_wear.len() <= wear {

@@ -37,6 +37,10 @@ impl RedundantGroup {
     ///
     /// Panics if `redundant >= total`; a group must have some required
     /// capacity.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented precondition on a hardware spec constant"
+    )]
     pub fn new(total: u32, redundant: u32) -> Self {
         assert!(
             redundant < total,
@@ -80,6 +84,7 @@ impl RedundantGroup {
     }
 
     /// The number of failures that are fully masked: half the redundancy.
+    #[expect(clippy::integer_division_remainder_used, reason = "a constant divisor")]
     pub fn masking_budget(&self) -> u32 {
         self.redundant / 2
     }
@@ -100,7 +105,8 @@ impl RedundantGroup {
     /// Whether hidden damage exists: some units are broken but performance
     /// is still fully masked — the paper's "gray" state.
     pub fn has_hidden_damage(&self) -> bool {
-        self.broken > 0 && self.capacity_factor() == 1.0
+        // `capacity_factor` is exactly 1 iff the failures fit the budget.
+        self.broken > 0 && self.broken <= self.masking_budget()
     }
 }
 

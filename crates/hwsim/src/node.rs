@@ -77,6 +77,7 @@ impl NodeSim {
         let silicon_bandwidth = (0.0025 * standard_normal(&mut rng)).exp();
         let lanes = spec.gpu.nvlink_links * spec.gpus as u32;
         // A quarter of the scale-up lanes are redundancy.
+        #[expect(clippy::integer_division_remainder_used, reason = "a constant divisor")]
         let nvlink = RedundantGroup::new(lanes, lanes / 4);
         Self {
             id,

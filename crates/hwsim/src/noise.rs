@@ -60,6 +60,10 @@ pub fn log_normal(rng: &mut ChaCha8Rng, mu: f64, sigma: f64) -> f64 {
 }
 
 /// Draws from an exponential distribution with the given rate.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "debug-only check that the parameters are positive"
+)]
 pub fn exponential(rng: &mut ChaCha8Rng, rate: f64) -> f64 {
     debug_assert!(rate > 0.0, "exponential rate must be positive");
     let u: f64 = 1.0 - rng.random::<f64>();
@@ -70,6 +74,10 @@ pub fn exponential(rng: &mut ChaCha8Rng, rate: f64) -> f64 {
 ///
 /// `k > 1` gives an increasing hazard (wear-out), the regime the paper's
 /// degrading nodes live in.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "debug-only check that the parameters are positive"
+)]
 pub fn weibull(rng: &mut ChaCha8Rng, shape: f64, scale: f64) -> f64 {
     debug_assert!(shape > 0.0 && scale > 0.0);
     let u: f64 = 1.0 - rng.random::<f64>();

@@ -96,6 +96,7 @@ fn bump(counts: &mut StateCounts, state: NodeState, delta: isize) {
 
 impl LifecycleTable {
     /// A table of `nodes` fresh (healthy) nodes with the journal off.
+    #[expect(clippy::integer_division_remainder_used, reason = "a constant divisor")]
     pub fn new(nodes: usize) -> Self {
         let mut healthy = Vec::with_capacity(nodes.div_ceil(64));
         healthy.resize(nodes / 64, u64::MAX);
@@ -144,6 +145,7 @@ impl LifecycleTable {
 
     /// The first healthy node at or after `from`, or `None` when there is
     /// none. Scans the healthy bitset a 64-node word at a time.
+    #[expect(clippy::integer_division_remainder_used, reason = "a constant divisor")]
     pub fn next_healthy(&self, from: usize) -> Option<usize> {
         let mut word = from / 64;
         let mut bits = self.healthy.get(word)? & (u64::MAX << (from % 64));
@@ -155,10 +157,10 @@ impl LifecycleTable {
     }
 
     /// Shared implementation of [`LifecycleTable::apply`] /
-    /// [`LifecycleTable::apply_if_legal`]. Uniquely named on purpose: the
-    /// A001 pass walks a name-based call graph from the public surface,
-    /// and a generic method name here would alias unrelated `apply`s
-    /// elsewhere in the workspace.
+    /// [`LifecycleTable::apply_if_legal`]: the one door into node state,
+    /// which keeps the counts, the healthy bitset and the journal in step
+    /// with the state vector.
+    #[expect(clippy::integer_division_remainder_used, reason = "a constant divisor")]
     fn apply_inner(
         &mut self,
         node: usize,

@@ -117,6 +117,10 @@ pub fn one_sided_similarity(observed: &Sample, criteria: &Sample, direction: Dir
 /// [`Ecdf::eval`]'s binary search returns, so results are bit-identical to
 /// evaluating per window, without the `O(log n)` lookup. `grid` is a
 /// caller-reusable buffer for the merged breakpoints.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`windows(2)` yields pairs; the cursors are checked against the supports first"
+)]
 fn integrate_ecdf(
     e1: &Ecdf,
     e2: &Ecdf,
@@ -160,6 +164,7 @@ const PAIRS_PER_CHUNK: usize = 32;
 
 /// Upper-triangle pairs `(i, j)`, `i < j`, in the row-major order the
 /// sequential double loop visits them.
+#[expect(clippy::integer_division_remainder_used, reason = "a constant divisor")]
 fn upper_triangle_pairs(n: usize) -> Vec<(usize, usize)> {
     let mut pairs = Vec::with_capacity(n.saturating_sub(1) * n / 2);
     for i in 0..n {
@@ -176,6 +181,10 @@ fn upper_triangle_pairs(n: usize) -> Vec<(usize, usize)> {
 /// [`extend_similarity_matrix`] path; each pair is an independent
 /// [`integrate_ecdf`] evaluation, so results do not depend on which pairs
 /// share a batch. `grid` is the reusable merged-breakpoint buffer.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "every pair indexes the ECDFs it was built for"
+)]
 fn similarity_rows_into(
     ecdfs: &[Ecdf],
     pairs: &[(usize, usize)],
@@ -229,6 +238,13 @@ fn upper_triangle_similarities(samples: &[Sample], threads: usize) -> Vec<((usiz
 /// same independent [`integrate_ecdf`] evaluation the batch path runs, so
 /// the extended matrix is bit-identical to
 /// [`pairwise_similarity_matrix`] over the full set.
+#[expect(
+    clippy::disallowed_macros,
+    clippy::indexing_slicing,
+    clippy::integer_division_remainder_used,
+    reason = "the matrix is resized to `n × n` before the pairs (`i, j < n`) land; \
+              constant divisors; a debug-only check of the cache contract"
+)]
 pub fn extend_similarity_matrix(
     matrix: &mut Vec<Vec<f64>>,
     ecdfs: &mut Vec<Ecdf>,
@@ -273,6 +289,10 @@ pub fn pairwise_similarity_matrix(samples: &[Sample]) -> Vec<Vec<f64>> {
 
 /// [`pairwise_similarity_matrix`] with an explicit worker-thread count
 /// (`0` = auto); exposed so tests can pin the parallelism.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "upper-triangle pairs index the `n × n` matrix"
+)]
 pub fn pairwise_similarity_matrix_threads(samples: &[Sample], threads: usize) -> Vec<Vec<f64>> {
     let n = samples.len();
     let mut matrix = vec![vec![1.0; n]; n];

@@ -37,8 +37,12 @@ impl Ecdf {
     /// Builds an ECDF from an already-sorted support. The caller (the
     /// [`crate::EcdfSketch`] collapse path) guarantees `sorted` is ascending
     /// in [`f64::total_cmp`] order — the same order [`Sample`] sorts with.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug-only check of the caller's contract"
+    )]
     pub(crate) fn from_sorted(sorted: Vec<f64>) -> Self {
-        debug_assert!(sorted.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()));
+        debug_assert!(sorted.is_sorted_by(|a, b| a.total_cmp(b).is_le()));
         Self { sorted }
     }
 
@@ -117,7 +121,7 @@ impl Ecdf {
         merged.reserve(self.sorted.len() + other.sorted.len());
         let (a, b) = (&self.sorted, &other.sorted);
         let (mut i, mut j) = (0, 0);
-        while i < a.len() || j < b.len() {
+        loop {
             let next = match (a.get(i), b.get(j)) {
                 (Some(&x), Some(&y)) if x <= y => {
                     i += 1;
@@ -135,7 +139,7 @@ impl Ecdf {
                     j += 1;
                     y
                 }
-                (None, None) => unreachable!("loop condition guarantees one side remains"),
+                (None, None) => break,
             };
             if merged.last() != Some(&next) {
                 merged.push(next);

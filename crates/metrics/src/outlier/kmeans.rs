@@ -44,6 +44,10 @@ impl KMeans {
     ///
     /// All points must share a dimension and there must be at least `k`
     /// points.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "assignments are centroid indices below `k`, and every point and centroid has `dim` coordinates"
+    )]
     pub fn fit(points: &[Vec<f64>], config: KMeansConfig) -> Result<Self> {
         if config.k == 0 {
             return Err(MetricsError::InvalidParameter {
@@ -137,6 +141,10 @@ impl KMeans {
     /// Index of the cluster with the most members (ties broken by lower
     /// index) — the "majority" (healthy) cluster in the Figure 9 baseline.
     /// A fitted model has at least one cluster; with none this is 0.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "assignments are centroid indices below `k`"
+    )]
     pub fn majority_cluster(&self) -> usize {
         let k = self.centroids.len();
         let mut counts = vec![0usize; k];
@@ -176,6 +184,10 @@ fn nearest_centroid(point: &[f64], centroids: &[Vec<f64>]) -> usize {
 
 /// k-means++ seeding: first center uniform, subsequent centers sampled
 /// proportionally to squared distance from the nearest chosen center.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "picks are drawn from `0..points.len()`, which `fit` checks is at least `k >= 1`"
+)]
 fn kmeans_plus_plus(points: &[Vec<f64>], k: usize, rng: &mut ChaCha8Rng) -> Vec<Vec<f64>> {
     let mut centroids: Vec<Vec<f64>> = Vec::with_capacity(k);
     centroids.push(points[rng.random_range(0..points.len())].clone());
@@ -186,7 +198,10 @@ fn kmeans_plus_plus(points: &[Vec<f64>], k: usize, rng: &mut ChaCha8Rng) -> Vec<
                 centroids
                     .iter()
                     .map(|c| stats::squared_euclidean(p, c))
-                    .fold(f64::INFINITY, f64::min)
+                    .fold(
+                        f64::INFINITY,
+                        |min, x| if x < min || x.is_nan() { x } else { min },
+                    )
             })
             .collect();
         let total: f64 = dists.iter().sum();

@@ -20,6 +20,10 @@ impl LocalOutlierFactor {
     /// Computes LOF scores with neighbourhood size `k`.
     ///
     /// Requires `k >= 1` and at least `k + 1` points.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`fit` checks `k < n`; neighbour indices are below `n`, the size of every per-point array"
+    )]
     pub fn fit(points: &[Vec<f64>], k: usize) -> Result<Self> {
         if k == 0 {
             return Err(MetricsError::InvalidParameter {

@@ -26,6 +26,10 @@ pub struct OneClassSvm {
 impl OneClassSvm {
     /// Trains on `points` with contamination fraction `nu` in `(0, 1]` and
     /// RBF bandwidth `gamma > 0`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`fit` checks `n >= 2`; point indices are below `n`, the size of the Gram matrix and of every per-point array"
+    )]
     pub fn fit(points: &[Vec<f64>], nu: f64, gamma: f64) -> Result<Self> {
         if !(0.0..=1.0).contains(&nu) || nu == 0.0 {
             return Err(MetricsError::InvalidParameter {

@@ -82,11 +82,19 @@ impl Sample {
     }
 
     /// Smallest measurement.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a constructed `Sample` is non-empty"
+    )]
     pub fn min(&self) -> f64 {
         self.sorted[0]
     }
 
     /// Largest measurement.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a constructed `Sample` is non-empty"
+    )]
     pub fn max(&self) -> f64 {
         self.sorted[self.sorted.len() - 1]
     }
@@ -130,16 +138,16 @@ impl Sample {
     /// Returns the sub-sample covering `[start, end)` of the observation
     /// order, as used when trimming warmup steps.
     pub fn slice(&self, start: usize, end: usize) -> Result<Self> {
-        if start >= end || end > self.values.len() {
-            return Err(MetricsError::InvalidParameter {
+        match self.values.get(start..end) {
+            Some(values) if start < end => Self::new(values.to_vec()),
+            _ => Err(MetricsError::InvalidParameter {
                 name: "range",
                 message: format!(
                     "slice [{start}, {end}) invalid for sample of length {}",
                     self.values.len()
                 ),
-            });
+            }),
         }
-        Self::new(self.values[start..end].to_vec())
     }
 }
 

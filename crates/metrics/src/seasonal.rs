@@ -32,10 +32,10 @@ impl SeasonalDecomposition {
     pub fn seasonal_strength(&self) -> f64 {
         let mut resid = Vec::new();
         let mut detrended = Vec::new();
-        for (i, r) in self.residual.iter().enumerate() {
+        for (r, s) in self.residual.iter().zip(&self.seasonal) {
             if let Some(r) = r {
                 resid.push(*r);
-                detrended.push(*r + self.seasonal[i]);
+                detrended.push(*r + s);
             }
         }
         let var_detrended = stats::variance(&detrended);
@@ -52,6 +52,7 @@ impl SeasonalDecomposition {
 /// autocorrelation that is also a local maximum and exceeds
 /// `min_correlation`. Returns `None` when no credible period exists (the
 /// series is aperiodic noise or a flat line).
+#[expect(clippy::integer_division_remainder_used, reason = "a constant divisor")]
 pub fn detect_period(values: &[f64], max_period: usize, min_correlation: f64) -> Option<usize> {
     if values.len() < 6 {
         return None;
@@ -65,17 +66,16 @@ pub fn detect_period(values: &[f64], max_period: usize, min_correlation: f64) ->
         .collect();
     let mut best: Option<(usize, f64)> = None;
     for lag in 2..=max_period {
-        let left = acf[lag - 1];
-        let right = if lag < max_period {
-            acf[lag + 1]
-        } else {
-            f64::NEG_INFINITY
+        let (Some(&left), Some(&value)) = (acf.get(lag - 1), acf.get(lag)) else {
+            continue;
         };
-        let is_local_max = acf[lag] >= left && acf[lag] >= right;
-        if is_local_max && acf[lag] >= min_correlation {
+        // `acf` ends at `max_period`, whose right neighbour is -inf.
+        let right = acf.get(lag + 1).copied().unwrap_or(f64::NEG_INFINITY);
+        let is_local_max = value >= left && value >= right;
+        if is_local_max && value >= min_correlation {
             match best {
-                Some((_, b)) if acf[lag] <= b => {}
-                _ => best = Some((lag, acf[lag])),
+                Some((_, b)) if value <= b => {}
+                _ => best = Some((lag, value)),
             }
         }
     }
@@ -85,6 +85,12 @@ pub fn detect_period(values: &[f64], max_period: usize, min_correlation: f64) ->
 /// Additive seasonal decomposition with a known period.
 ///
 /// Requires at least two full periods of data and `period >= 2`.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::integer_division_remainder_used,
+    reason = "`period >= 2` is checked; phases `i % period` index the per-phase arrays, \
+              and `trend` and `seasonal` have one entry per value"
+)]
 pub fn decompose(values: &[f64], period: usize) -> Result<SeasonalDecomposition> {
     if period < 2 {
         return Err(MetricsError::InvalidParameter {

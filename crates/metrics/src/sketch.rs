@@ -88,6 +88,10 @@ impl EcdfSketch {
     /// the first free level's buffer, and emptied levels keep their
     /// capacity, so once every level has been filled once an append
     /// allocates nothing.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "debug-only check that values are finite"
+    )]
     pub fn append(&mut self, value: f64) {
         debug_assert!(value.is_finite(), "sketch values must be finite");
         let level = self
@@ -290,6 +294,10 @@ impl EcdfSketch {
 /// by a backward merge walk into `dst`'s tail that stops once `src` is
 /// used up. Ties keep `dst`'s values first; values that compare equal
 /// under the total order have equal bits anyway.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`out` walks `dst`'s resized length down; `i1 < i <= out` and `j1 < j`"
+)]
 fn merge_in_place(dst: &mut Vec<f64>, src: &[f64]) {
     let mut i = dst.len();
     let mut j = src.len();
@@ -337,6 +345,7 @@ fn from_order_key(key: u64) -> f64 {
 /// or below it; each probe sums one `partition_point` per run. That key
 /// belongs to a stored value, so the result carries the value's exact
 /// bits. `O(64 · runs · log len)`, no allocation.
+#[expect(clippy::integer_division_remainder_used, reason = "a constant divisor")]
 fn select_kth<'a>(runs: impl Iterator<Item = &'a Vec<f64>> + Clone, k: usize) -> f64 {
     let rank = |key: u64| -> usize {
         runs.clone()

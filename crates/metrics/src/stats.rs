@@ -30,6 +30,7 @@ pub fn std_dev(values: &[f64]) -> f64 {
 /// Quantile of an **ascending-sorted** slice with linear interpolation.
 ///
 /// `q` is clamped to `[0, 1]`. Returns 0 for an empty slice.
+#[expect(clippy::indexing_slicing, reason = "`pos` lies in `[0, len - 1]`")]
 pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
@@ -63,25 +64,24 @@ pub fn median(values: &[f64]) -> f64 {
 /// Positions where the full window does not fit yield `None`, mirroring the
 /// classical seasonal-decomposition convention. Even windows use the
 /// standard 2×w centered average.
+#[expect(clippy::integer_division_remainder_used, reason = "a constant divisor")]
 pub fn centered_moving_average(values: &[f64], window: usize) -> Vec<Option<f64>> {
     let n = values.len();
     let mut out = vec![None; n];
     if window == 0 || window > n {
         return out;
     }
+    // Output `half + k` averages the window(s) starting at `k`.
+    let centered = out.iter_mut().skip(window / 2);
     if window % 2 == 1 {
-        let half = window / 2;
-        for i in half..n - half {
-            let slice = &values[i - half..=i + half];
-            out[i] = Some(mean(slice));
+        for (slot, span) in centered.zip(values.windows(window)) {
+            *slot = Some(mean(span));
         }
     } else {
         // Even window: average of two staggered windows (classic 2xW MA).
-        let half = window / 2;
-        for i in half..n.saturating_sub(half) {
-            let first = mean(&values[i - half..i + half]);
-            let second = mean(&values[i - half + 1..=i + half]);
-            out[i] = Some(0.5 * (first + second));
+        let staggered = values.windows(window).zip(values.windows(window).skip(1));
+        for (slot, (first, second)) in centered.zip(staggered) {
+            *slot = Some(0.5 * (mean(first) + mean(second)));
         }
     }
     out
@@ -98,8 +98,10 @@ pub fn autocorrelation(values: &[f64], lag: usize) -> f64 {
     if denom == 0.0 {
         return 0.0;
     }
-    let num: f64 = (0..n - lag)
-        .map(|i| (values[i] - m) * (values[i + lag] - m))
+    let num: f64 = values
+        .iter()
+        .zip(values.iter().skip(lag))
+        .map(|(a, b)| (a - m) * (b - m))
         .sum();
     num / denom
 }
@@ -113,8 +115,8 @@ pub fn pearson(a: &[f64], b: &[f64]) -> f64 {
     let mut num = 0.0;
     let mut da = 0.0;
     let mut db = 0.0;
-    for i in 0..a.len() {
-        let (xa, xb) = (a[i] - ma, b[i] - mb);
+    for (x, y) in a.iter().zip(b) {
+        let (xa, xb) = (x - ma, y - mb);
         num += xa * xb;
         da += xa * xa;
         db += xb * xb;
@@ -132,6 +134,7 @@ pub fn pearson(a: &[f64], b: &[f64]) -> f64 {
 ///
 /// Panics if the slices differ in length; callers in this workspace always
 /// compare same-dimension vectors.
+#[expect(clippy::disallowed_macros, reason = "documented precondition")]
 pub fn squared_euclidean(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "vector dimensions must match");
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
@@ -145,12 +148,13 @@ pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
 /// Resamples a series to `target_len` points by linear interpolation over
 /// the index axis, used to compare series of different lengths in vector
 /// space (the k-means baseline).
+#[expect(clippy::indexing_slicing, reason = "`pos` lies in `[0, len - 1]`")]
 pub fn resample_linear(values: &[f64], target_len: usize) -> Vec<f64> {
     if values.is_empty() || target_len == 0 {
         return Vec::new();
     }
-    if values.len() == 1 {
-        return vec![values[0]; target_len];
+    if let &[only] = values {
+        return vec![only; target_len];
     }
     if target_len == 1 {
         return vec![mean(values)];

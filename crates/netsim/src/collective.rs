@@ -11,6 +11,10 @@ const PROTOCOL_EFFICIENCY: f64 = 0.97;
 ///
 /// Each pair exchanges traffic in both directions; the pair's all-reduce is
 /// gated by its slower direction. Returns one bus bandwidth per input pair.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "two flows per pair: `2 × pairs` rates"
+)]
 pub fn concurrent_pair_bandwidths(
     tree: &FatTree,
     pairs: &[(usize, usize)],
@@ -43,13 +47,11 @@ pub fn ring_allreduce_busbw(tree: &FatTree, ring: &[usize]) -> Result<f64, NetEr
         return Ok(f64::INFINITY);
     }
     let mut flows = Vec::with_capacity(ring.len());
-    for i in 0..ring.len() {
-        let a = ring[i];
-        let b = ring[(i + 1) % ring.len()];
+    for (&a, &b) in ring.iter().zip(ring.iter().cycle().skip(1)) {
         flows.push(Flow::new(tree.path(a, b)?));
     }
     let rates = max_min_rates(&flows, |e| tree.capacity_gbps(e));
-    let min_rate = rates.iter().copied().fold(f64::INFINITY, f64::min);
+    let min_rate = slowest(&rates);
     Ok(min_rate / 8.0 * PROTOCOL_EFFICIENCY)
 }
 
@@ -86,11 +88,11 @@ pub fn all_to_all_completion_s(
         }
     }
     let rates = max_min_rates(&flows, |e| tree.capacity_gbps(e));
-    let slowest = rates.iter().copied().fold(f64::INFINITY, f64::min);
-    if slowest <= 0.0 {
+    let min_rate = slowest(&rates);
+    if min_rate <= 0.0 {
         return Ok(f64::INFINITY);
     }
-    Ok(bytes_per_pair / (slowest / 8.0 * PROTOCOL_EFFICIENCY * 1e9))
+    Ok(bytes_per_pair / (min_rate / 8.0 * PROTOCOL_EFFICIENCY * 1e9))
 }
 
 /// All-gather bus bandwidth (GB/s) over a ring of nodes (same traffic
@@ -106,6 +108,11 @@ pub fn all_gather_busbw(tree: &FatTree, ring: &[usize]) -> Result<f64, NetError>
 /// parent→child; the two phases pipeline over the same links in opposite
 /// directions, so the collective runs at the pace of the slowest
 /// child↔parent share with both phases' flows live concurrently.
+#[expect(
+    clippy::indexing_slicing,
+    clippy::integer_division_remainder_used,
+    reason = "the heap parent `(i - 1) / 2` of `1 <= i < len` is in range"
+)]
 pub fn tree_allreduce_busbw(tree: &FatTree, members: &[usize]) -> Result<f64, NetError> {
     if members.len() < 2 {
         return Ok(f64::INFINITY);
@@ -118,8 +125,29 @@ pub fn tree_allreduce_busbw(tree: &FatTree, members: &[usize]) -> Result<f64, Ne
         flows.push(Flow::new(tree.path(parent, child)?)); // broadcast
     }
     let rates = max_min_rates(&flows, |e| tree.capacity_gbps(e));
-    let min_rate = rates.iter().copied().fold(f64::INFINITY, f64::min);
+    let min_rate = slowest(&rates);
     Ok(min_rate / 8.0 * PROTOCOL_EFFICIENCY)
+}
+
+/// The slowest of `rates`, `∞` for none. A NaN rate makes it NaN, where a
+/// `f64::min` fold would skip it.
+pub(crate) fn slowest(rates: &[f64]) -> f64 {
+    rates.iter().fold(
+        f64::INFINITY,
+        |min, &x| if x < min || x.is_nan() { x } else { min },
+    )
+}
+
+/// The fastest of `rates`, `-∞` for none. A NaN rate makes it NaN, where a
+/// `f64::max` fold would skip it.
+pub(crate) fn fastest(rates: &[f64]) -> f64 {
+    rates.iter().fold(f64::NEG_INFINITY, |max, &x| {
+        if x > max || x.is_nan() {
+            x
+        } else {
+            max
+        }
+    })
 }
 
 #[cfg(test)]

@@ -26,6 +26,10 @@ impl Flow {
 ///
 /// `capacity(edge)` supplies the capacity of each directed edge in the same
 /// unit the returned rates use.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "flow indices are below `flows.len()`, the length of `frozen` and `rates`"
+)]
 pub fn max_min_rates(flows: &[Flow], capacity: impl Fn(EdgeKey) -> f64) -> Vec<f64> {
     let n = flows.len();
     let mut rates = vec![f64::INFINITY; n];
@@ -68,8 +72,10 @@ pub fn max_min_rates(flows: &[Flow], capacity: impl Fn(EdgeKey) -> f64) -> Vec<f
         };
         // Freeze every unfrozen flow on the bottleneck at the fair share,
         // then subtract their rate from every edge they cross.
-        let members: Vec<usize> = edges[&edge]
-            .1
+        let Some((_, on_bottleneck)) = edges.get(&edge) else {
+            break;
+        };
+        let members: Vec<usize> = on_bottleneck
             .iter()
             .copied()
             .filter(|&i| !frozen[i])

@@ -8,7 +8,7 @@
 //! that observation on the simulator: given a fabric with degraded links,
 //! it measures how ring bandwidth varies across sampled permutations.
 
-use crate::collective::ring_allreduce_busbw;
+use crate::collective::{fastest, ring_allreduce_busbw, slowest};
 use crate::topology::{FatTree, NetError};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -25,20 +25,14 @@ pub struct PermutationSpread {
 }
 
 impl PermutationSpread {
-    /// Fastest sampled permutation.
+    /// Fastest sampled permutation (NaN if any bandwidth is NaN).
     pub fn best(&self) -> f64 {
-        self.bandwidths
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
+        fastest(&self.bandwidths)
     }
 
-    /// Slowest sampled permutation.
+    /// Slowest sampled permutation (NaN if any bandwidth is NaN).
     pub fn worst(&self) -> f64 {
-        self.bandwidths
-            .iter()
-            .copied()
-            .fold(f64::INFINITY, f64::min)
+        slowest(&self.bandwidths)
     }
 
     /// Relative spread `(best − worst) / best`.
@@ -73,7 +67,7 @@ pub fn ring_permutation_spread(
         order.shuffle(&mut rng);
         bandwidths.push(ring_allreduce_busbw(tree, &order)?);
     }
-    let best = bandwidths.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    let best = fastest(&bandwidths);
     let unaffected =
         bandwidths.iter().filter(|&&b| b >= best * 0.98).count() as f64 / bandwidths.len() as f64;
     Ok(PermutationSpread {
@@ -89,6 +83,18 @@ mod tests {
 
     fn tree() -> FatTree {
         FatTree::build(FatTreeConfig::figure3_testbed()).unwrap()
+    }
+
+    #[test]
+    fn a_nan_bandwidth_propagates_to_best_and_worst() {
+        // `f64::max`/`f64::min` folds would skip the NaN and report 3/1.
+        let spread = PermutationSpread {
+            bandwidths: vec![1.0, f64::NAN, 3.0],
+            unaffected_fraction: 1.0,
+        };
+        assert!(spread.best().is_nan(), "best {}", spread.best());
+        assert!(spread.worst().is_nan(), "worst {}", spread.worst());
+        assert!(spread.relative_spread().is_nan());
     }
 
     #[test]

@@ -28,6 +28,12 @@ use crate::topology::{FatTree, NetError};
 /// assert_eq!(rounds.len(), 7);
 /// assert!(rounds.iter().all(|r| r.len() == 4));
 /// ```
+#[expect(
+    clippy::indexing_slicing,
+    clippy::integer_division_remainder_used,
+    reason = "the circle holds `m - 1 >= 1` nodes and `1 <= k < m / 2` keeps `k` and \
+              `m - 1 - k` inside it; a constant divisor"
+)]
 pub fn full_scan_rounds(n: usize) -> Vec<Vec<(usize, usize)>> {
     if n < 2 {
         return Vec::new();
@@ -69,6 +75,7 @@ pub fn full_scan_rounds(n: usize) -> Vec<Vec<(usize, usize)>> {
 /// partners at exactly that distance. Rounds whose tier does not exist in
 /// the topology (e.g. 6-hop in a single-pod cluster) are omitted, so a
 /// k-tier tree always needs at most k rounds regardless of node count.
+#[expect(clippy::indexing_slicing, reason = "`a, b < n`, the length of `used`")]
 pub fn quick_scan_rounds(tree: &FatTree) -> Result<Vec<Vec<(usize, usize)>>, NetError> {
     let n = tree.nodes();
     let mut rounds = Vec::new();

@@ -158,6 +158,7 @@ impl Bundle {
     }
 
     /// Broken links fully masked by redundancy: half the redundant links.
+    #[expect(clippy::integer_division_remainder_used, reason = "a constant divisor")]
     pub fn masking_budget(&self) -> u32 {
         self.redundant_links / 2
     }
@@ -217,6 +218,10 @@ pub struct FatTree {
 
 impl FatTree {
     /// Builds the tree, validating divisibility constraints.
+    #[expect(
+        clippy::integer_division_remainder_used,
+        reason = "the divisors are checked nonzero first"
+    )]
     pub fn build(config: FatTreeConfig) -> Result<Self, NetError> {
         if config.nodes == 0 || config.nodes_per_tor == 0 || config.tors_per_pod == 0 {
             return Err(NetError::InvalidConfig("counts must be positive".into()));
@@ -303,6 +308,10 @@ impl FatTree {
     }
 
     /// The ToR a node hangs off.
+    #[expect(
+        clippy::integer_division_remainder_used,
+        reason = "`build` rejects a zero divisor"
+    )]
     pub fn tor_of(&self, node: usize) -> Result<usize, NetError> {
         if node >= self.config.nodes {
             return Err(NetError::UnknownNode(node));
@@ -311,6 +320,10 @@ impl FatTree {
     }
 
     /// The pod a ToR belongs to.
+    #[expect(
+        clippy::integer_division_remainder_used,
+        reason = "`build` rejects a zero divisor"
+    )]
     pub fn pod_of_tor(&self, tor: usize) -> Result<usize, NetError> {
         if tor >= self.tor_count {
             return Err(NetError::UnknownTor(tor));
@@ -367,6 +380,10 @@ impl FatTree {
     }
 
     /// Capacity in Gb/s of a directed edge.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "edges come from this tree's `path`"
+    )]
     pub fn capacity_gbps(&self, edge: EdgeKey) -> f64 {
         self.bundles[edge.bundle].effective_gbps()
     }
@@ -376,15 +393,24 @@ impl FatTree {
         if tor >= self.tor_count {
             return Err(NetError::UnknownTor(tor));
         }
-        Ok(&self.bundles[self.uplink_base + tor])
+        self.bundles
+            .get(self.uplink_base + tor)
+            .ok_or(NetError::UnknownTor(tor))
+    }
+
+    /// Mutable view of a ToR's uplink bundle.
+    fn tor_uplinks_mut(&mut self, tor: usize) -> Result<&mut Bundle, NetError> {
+        if tor >= self.tor_count {
+            return Err(NetError::UnknownTor(tor));
+        }
+        self.bundles
+            .get_mut(self.uplink_base + tor)
+            .ok_or(NetError::UnknownTor(tor))
     }
 
     /// Breaks `count` uplinks on a ToR (saturating).
     pub fn break_tor_uplinks(&mut self, tor: usize, count: u32) -> Result<(), NetError> {
-        if tor >= self.tor_count {
-            return Err(NetError::UnknownTor(tor));
-        }
-        let bundle = &mut self.bundles[self.uplink_base + tor];
+        let bundle = self.tor_uplinks_mut(tor)?;
         bundle.broken_links = (bundle.broken_links + count).min(bundle.total_links);
         Ok(())
     }
@@ -393,10 +419,7 @@ impl FatTree {
     /// (the partial fix operators apply to unblock a workload) or fully
     /// when `full` is set.
     pub fn repair_tor_uplinks(&mut self, tor: usize, full: bool) -> Result<(), NetError> {
-        if tor >= self.tor_count {
-            return Err(NetError::UnknownTor(tor));
-        }
-        let bundle = &mut self.bundles[self.uplink_base + tor];
+        let bundle = self.tor_uplinks_mut(tor)?;
         if full {
             bundle.broken_links = 0;
         } else {
@@ -413,10 +436,7 @@ impl FatTree {
         count: u32,
         rate_factor: f64,
     ) -> Result<(), NetError> {
-        if tor >= self.tor_count {
-            return Err(NetError::UnknownTor(tor));
-        }
-        let bundle = &mut self.bundles[self.uplink_base + tor];
+        let bundle = self.tor_uplinks_mut(tor)?;
         bundle.ber_links = count.min(bundle.total_links);
         bundle.ber_rate_factor = rate_factor.clamp(0.0, 1.0);
         Ok(())
@@ -424,7 +444,11 @@ impl FatTree {
 
     /// Whether every ToR satisfies the ≥50%-redundant-links-up criterion.
     pub fn all_tors_redundancy_ok(&self) -> bool {
-        (0..self.tor_count).all(|t| self.bundles[self.uplink_base + t].redundancy_ok())
+        self.bundles
+            .iter()
+            .skip(self.uplink_base)
+            .take(self.tor_count)
+            .all(Bundle::redundancy_ok)
     }
 
     /// All bundles (for diagnostics).

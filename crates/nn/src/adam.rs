@@ -78,6 +78,11 @@ impl Adam {
     ///
     /// Panics if `flattened` (or this optimizer) was created for a
     /// different architecture.
+    #[expect(
+        clippy::disallowed_macros,
+        clippy::indexing_slicing,
+        reason = "documented shape precondition; the assert bounds every per-layer window"
+    )]
     pub fn step_flat(&mut self, mlp: &mut Mlp, flattened: &[f64]) {
         assert_eq!(
             flattened.len(),

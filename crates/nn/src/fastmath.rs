@@ -297,6 +297,10 @@ pub fn tanh_slice(values: &mut [f64]) {
     let values = {
         let mut blocks = values.chunks_exact_mut(8);
         for block in &mut blocks {
+            #[expect(
+                clippy::expect_used,
+                reason = "`chunks_exact_mut(8)` yields 8-lane blocks"
+            )]
             let block: &mut [f64; 8] = block.try_into().expect("eight-lane block");
             if !crate::avx512::tanh8(block) {
                 for v in block.iter_mut() {

@@ -77,6 +77,10 @@ struct Layer {
 impl Layer {
     /// Rebuilds both padded weight mirrors from the row-major source.
     /// Padding lanes are never written, so they stay zero.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the mirrors are resized to the padded shapes the loops index"
+    )]
     fn refresh_mirrors(&mut self) {
         let (n, m) = (self.inputs, self.outputs);
         let (n_pad, m_pad) = (padded(n), padded(m));
@@ -132,6 +136,11 @@ impl Product<'_> {
     }
 
     #[inline(always)]
+    #[expect(
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        reason = "`b` rows are padded to whole lane chunks and `a`/`out` hold `rows` rows of their strides"
+    )]
     fn product_block<const R: usize>(
         &self,
         r0: usize,
@@ -177,6 +186,14 @@ impl Lanes {
     /// the sum, exactly the scalar `acc += w * x`. One 512-bit multiply
     /// and add where the target has AVX-512 (`crate::avx512`).
     #[inline(always)]
+    #[cfg_attr(
+        not(all(
+            target_arch = "x86_64",
+            target_feature = "avx512f",
+            target_feature = "avx512dq"
+        )),
+        expect(clippy::indexing_slicing, reason = "`from_fn` yields lane indices")
+    )]
     fn add_scaled(self, w: Self, x: f64) -> Self {
         #[cfg(all(
             target_arch = "x86_64",
@@ -252,6 +269,10 @@ pub struct ForwardCache {
 
 impl ForwardCache {
     /// Network output of the cached pass.
+    #[expect(
+        clippy::expect_used,
+        reason = "the cache always holds the input activation"
+    )]
     pub fn output(&self) -> &[f64] {
         self.activations
             .last()
@@ -294,6 +315,12 @@ impl BatchCache {
     /// # Panics
     ///
     /// Panics if `row` is not below the cached batch's row count.
+    #[expect(
+        clippy::disallowed_macros,
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        reason = "documented precondition on `row`; a filled cache has an output level of `rows` padded rows"
+    )]
     pub fn output(&self, row: usize) -> &[f64] {
         assert!(row < self.rows, "row out of range");
         let stride = padded(self.output_width);
@@ -328,6 +355,11 @@ impl Mlp {
     ///
     /// Panics if fewer than two sizes are given or any size is zero; layer
     /// shapes are a static property of the calling code, not runtime data.
+    #[expect(
+        clippy::disallowed_macros,
+        clippy::indexing_slicing,
+        reason = "documented preconditions on the static layer shapes; `windows(2)` yields pairs"
+    )]
     pub fn new(sizes: &[usize], hidden: Activation, seed: u64) -> Self {
         assert!(sizes.len() >= 2, "need at least input and output sizes");
         assert!(sizes.iter().all(|&s| s > 0), "layer sizes must be positive");
@@ -361,11 +393,13 @@ impl Mlp {
     }
 
     /// Input dimension.
+    #[expect(clippy::indexing_slicing, reason = "`new` builds at least one layer")]
     pub fn input_dim(&self) -> usize {
         self.layers[0].inputs
     }
 
     /// Output dimension.
+    #[expect(clippy::expect_used, reason = "`new` builds at least one layer")]
     pub fn output_dim(&self) -> usize {
         self.layers.last().expect("at least one layer").outputs
     }
@@ -375,6 +409,10 @@ impl Mlp {
     /// # Panics
     ///
     /// Panics if `input` does not match [`Mlp::input_dim`].
+    #[expect(
+        clippy::expect_used,
+        reason = "`forward_cached` keeps the input and one activation per layer"
+    )]
     pub fn forward(&self, input: &[f64]) -> Vec<f64> {
         self.forward_cached(input)
             .activations
@@ -383,6 +421,11 @@ impl Mlp {
     }
 
     /// Scalar-output convenience for risk networks.
+    #[expect(
+        clippy::disallowed_macros,
+        clippy::indexing_slicing,
+        reason = "a risk network has one output unit"
+    )]
     pub fn forward_scalar(&self, input: &[f64]) -> f64 {
         debug_assert_eq!(self.output_dim(), 1);
         self.forward(input)[0]
@@ -395,6 +438,11 @@ impl Mlp {
     /// ascending `i` from `0.0`, adds its bias and applies the activation,
     /// one row at a time. [`Mlp::forward_batch`] reproduces it bit for
     /// bit.
+    #[expect(
+        clippy::disallowed_macros,
+        clippy::expect_used,
+        reason = "documented input-shape precondition; the activation list starts with the input"
+    )]
     pub fn forward_cached(&self, input: &[f64]) -> ForwardCache {
         assert_eq!(input.len(), self.input_dim(), "input dimension mismatch");
         let mut activations = Vec::with_capacity(self.layers.len() + 1);
@@ -429,6 +477,11 @@ impl Mlp {
     /// # Panics
     ///
     /// Panics if `inputs.len()` is not `rows × input_dim`.
+    #[expect(
+        clippy::disallowed_macros,
+        clippy::indexing_slicing,
+        reason = "documented input-shape precondition, which bounds every row slice; the levels are resized to the layer count"
+    )]
     pub fn forward_batch(&self, inputs: &[f64], rows: usize, cache: &mut BatchCache) {
         let width = self.input_dim();
         assert_eq!(inputs.len(), rows * width, "input dimension mismatch");
@@ -505,6 +558,11 @@ impl Mlp {
     ///
     /// Panics if `output_grad` does not match the output dimension or
     /// `grads` was built for a different architecture.
+    #[expect(
+        clippy::disallowed_macros,
+        clippy::indexing_slicing,
+        reason = "documented shape preconditions, which bound every per-layer index"
+    )]
     pub fn backward(
         &self,
         cache: &ForwardCache,
@@ -555,6 +613,10 @@ impl Mlp {
     ///
     /// Panics if `output_grads.len()` is not `rows × output_dim`, or
     /// `flat.len()` is not [`Mlp::parameter_count`].
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented gradient-shape precondition"
+    )]
     pub fn backward_batch(&self, cache: &mut BatchCache, output_grads: &[f64], flat: &mut [f64]) {
         assert_eq!(
             flat.len(),
@@ -576,6 +638,11 @@ impl Mlp {
     /// # Panics
     ///
     /// Panics if `output_grads.len()` is not `rows × output_dim`.
+    #[expect(
+        clippy::disallowed_macros,
+        clippy::indexing_slicing,
+        reason = "documented shape precondition; the levels of a forward pass match the layers"
+    )]
     pub fn backprop_deltas(&self, cache: &mut BatchCache, output_grads: &[f64]) {
         let rows = cache.rows;
         let width = self.output_dim();
@@ -641,6 +708,12 @@ impl Mlp {
     ///
     /// Panics if the range runs past [`Mlp::parameter_count`] or cuts a
     /// weight row (an output neuron's weights) in two.
+    #[expect(
+        clippy::disallowed_macros,
+        clippy::indexing_slicing,
+        clippy::integer_division_remainder_used,
+        reason = "documented range precondition, which bounds every per-layer window; `n` is a nonzero layer width"
+    )]
     pub fn accumulate_gradients(&self, segments: &[&BatchCache], start: usize, out: &mut [f64]) {
         let end = start + out.len();
         assert!(end <= self.parameter_count(), "gradient range mismatch");
@@ -706,6 +779,11 @@ impl Mlp {
     /// # Panics
     ///
     /// Panics if `part` is not below `parts`.
+    #[expect(
+        clippy::disallowed_macros,
+        clippy::integer_division_remainder_used,
+        reason = "documented precondition `part < parts`, so `parts` and the layer widths are nonzero"
+    )]
     pub fn gradient_part(&self, part: usize, parts: usize) -> std::ops::Range<usize> {
         assert!(part < parts, "part out of range");
         let total = self.parameter_count();

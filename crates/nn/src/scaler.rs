@@ -19,13 +19,13 @@ impl StandardScaler {
     /// instead of NaN. Returns an identity scaler (zero features) for empty
     /// input.
     pub fn fit(rows: &[Vec<f64>]) -> Self {
-        if rows.is_empty() {
+        let Some(first) = rows.first() else {
             return Self {
                 means: Vec::new(),
                 std_devs: Vec::new(),
             };
-        }
-        let dim = rows[0].len();
+        };
+        let dim = first.len();
         let n = rows.len() as f64;
         let mut means = vec![0.0; dim];
         for row in rows {
@@ -73,6 +73,10 @@ impl StandardScaler {
     /// # Panics
     ///
     /// Panics if `row` does not match the fitted dimension.
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "documented precondition: a row of the fitted dimension"
+    )]
     pub fn transform_into(&self, row: &[f64], out: &mut Vec<f64>) {
         assert_eq!(row.len(), self.means.len(), "feature dimension mismatch");
         out.extend(

@@ -49,6 +49,7 @@ impl CoverageTable {
     ///
     /// Defect ids identify *defect occurrences* (e.g. node × validation),
     /// so the same node failing twice counts as two instances.
+    #[expect(clippy::integer_division_remainder_used, reason = "a constant divisor")]
     pub fn record(&mut self, benchmark: BenchmarkId, defect_id: u64) {
         let next = self.bit_of.len();
         let bit = *self.bit_of.entry(defect_id).or_insert(next);

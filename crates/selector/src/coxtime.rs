@@ -103,6 +103,10 @@ impl CoxTimeModel {
     }
 
     /// The risk score `g(t, x)` for a status at time `t`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a one-row batch has one output row of the network's one unit"
+    )]
     pub fn log_risk(&self, status: &NodeStatus, t: f64) -> f64 {
         self.log_risks(status, [t].into_iter()).output(0)[0]
     }
@@ -116,6 +120,10 @@ impl CoxTimeModel {
     }
 
     /// The Breslow grid through its last event time `≤ t`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`prefix` is a position in `baseline` or its length"
+    )]
     fn grid_through(&self, t: f64) -> &[(f64, f64)] {
         let prefix = self
             .baseline
@@ -181,6 +189,10 @@ impl CoxTimeModel {
 /// would produce — so a trainer that maintains its duration order through
 /// this merge is indistinguishable, index for index, from one that
 /// re-sorts from scratch.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the loop bounds `a` and `b`; both lists hold sample indices"
+)]
 pub fn warmstart_merge_into(
     samples: &[SurvivalSample],
     old: &[usize],
@@ -302,6 +314,7 @@ impl CoxTimeTrainer {
     /// Absorbs new survival samples, splicing them into the maintained
     /// duration order with an O(n + m) merge instead of an O(n log n)
     /// re-sort. Does not touch the network, optimizer or RNG.
+    #[expect(clippy::indexing_slicing, reason = "the order holds sample indices")]
     pub fn ingest(&mut self, new_samples: &[SurvivalSample]) {
         if new_samples.is_empty() {
             return;
@@ -333,6 +346,10 @@ impl CoxTimeTrainer {
     ///
     /// Returns [`MetricsError::InsufficientData`] if no absorbed sample
     /// is an event.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`rank_of`, `scaled` and `by_duration` have one entry per sample; a control pick stays in the risk-set suffix"
+    )]
     pub fn train(&mut self, epochs: usize) -> Result<(), MetricsError> {
         let _span = anubis_obs::span!("coxtime.trainer.train");
         anubis_obs::counter!("coxtime.trainer.epochs", epochs as i64);
@@ -474,6 +491,11 @@ impl CoxTimeTrainer {
     ///
     /// Returns [`MetricsError::InsufficientData`] if no absorbed sample
     /// is an event.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::integer_division_remainder_used,
+        reason = "`events` and `by_duration` hold sample indices and `scaled` has a row per sample; a bucket `k..end` is non-empty and inside `event_times`; output rows have one unit; a constant divisor"
+    )]
     pub fn finish(&self) -> Result<CoxTimeModel, MetricsError> {
         let _span = anubis_obs::span!("coxtime.trainer.finish");
         let samples = &self.samples;
@@ -574,13 +596,13 @@ impl CoxTimeTrainer {
 
 /// `max(duration) ∨ 1` — the time normalization a cold fit derives. A
 /// sequential max fold over sample order, so the value is independent of
-/// how ingestion batched the samples.
+/// how ingestion batched the samples. A NaN duration makes it NaN, where
+/// `f64::max` would drop it.
 fn time_scale_of(samples: &[SurvivalSample]) -> f64 {
     samples
         .iter()
         .map(|s| s.duration)
-        .fold(0.0f64, f64::max)
-        .max(1.0)
+        .fold(1.0f64, |max, x| if x > max || x.is_nan() { x } else { max })
 }
 
 /// Rows per network batch when [`CoxTimeTrainer::finish`] sums a Breslow
@@ -596,6 +618,10 @@ const JOINT_BLOCK_ROWS: usize = 128;
 /// `S(t|x) = exp(−Σₖ ΔH₀(tₖ)·e^{g(tₖ,x)})` over `grid`, whose risks are
 /// rows `first..first + grid.len()` of `risks`; the sum runs in grid
 /// order.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`risks` has one one-unit output row per grid point from `first`"
+)]
 fn survival_over(grid: &[(f64, f64)], risks: &BatchCache, first: usize) -> f64 {
     let mut cumulative = 0.0;
     for (k, &(_, delta)) in grid.iter().enumerate() {
@@ -644,6 +670,10 @@ impl Half {
 
     /// The forward pass, the loss gradients of this half's groups and
     /// every layer's δ; nothing for a half without groups.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the cache holds the group's one-unit output rows from `first`"
+    )]
     fn backprop(&mut self, net: &Mlp) {
         if self.groups.is_empty() {
             return;
@@ -667,6 +697,10 @@ impl Half {
 }
 
 impl SurvivalModel for CoxTimeModel {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`prefix` is at most `baseline.len()`; output rows have one unit"
+    )]
     fn expected_tbni(&self, status: &NodeStatus) -> f64 {
         // ∫₀^cap S(t|x) dt over the piecewise-constant survival curve.
         // The integral reads the grid through its first time at or past
@@ -715,6 +749,10 @@ impl SurvivalModel for CoxTimeModel {
     /// of one batch per member. Rows of a batch are bit-identical to
     /// one-row evaluations, and each member's survival, clamp and product
     /// step run in the default's order, so the result keeps its bits.
+    #[expect(
+        clippy::integer_division_remainder_used,
+        reason = "the divisor is clamped to at least 1"
+    )]
     fn joint_survival(&self, statuses: &[NodeStatus], horizon: f64) -> f64 {
         let grid = self.grid_through(horizon.max(0.0));
         let per_block = (JOINT_BLOCK_ROWS / grid.len().max(1)).max(1);

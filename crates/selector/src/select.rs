@@ -98,6 +98,7 @@ pub fn select_benchmarks_eager(
 ///
 /// Returns the same benchmark sequence as [`select_benchmarks_eager`] —
 /// bit-for-bit, not approximately (see [`celf_core`]).
+#[expect(clippy::indexing_slicing, reason = "CELF picks are candidate indices")]
 pub fn select_benchmarks_celf(
     model: &dyn SurvivalModel,
     statuses: &[NodeStatus],
@@ -187,6 +188,10 @@ struct CelfEntry {
 /// candidate index, matching the eager loop's keep-the-earliest tie
 /// handling. Numeric (not total-order) comparison on purpose: the eager
 /// path compares efficiencies numerically.
+#[expect(
+    clippy::float_cmp,
+    reason = "exact ties break by index, so the order is total and deterministic"
+)]
 fn celf_better(a: CelfEntry, b: CelfEntry) -> bool {
     a.bound > b.bound || (a.bound == b.bound && a.index < b.index)
 }
@@ -220,6 +225,10 @@ fn celf_efficiency(
 }
 
 /// Sift entry `i` down to its heap position.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`i` and the children checked against `heap.len()` are in the heap"
+)]
 fn celf_sift_down(heap: &mut [CelfEntry], mut i: usize) {
     loop {
         let left = 2 * i + 1;
@@ -244,6 +253,7 @@ fn celf_sift_down(heap: &mut [CelfEntry], mut i: usize) {
 }
 
 /// Floyd heap construction over the freshly refilled entry buffer.
+#[expect(clippy::integer_division_remainder_used, reason = "a constant divisor")]
 fn celf_heapify(heap: &mut [CelfEntry]) {
     let mut i = heap.len() / 2;
     while i > 0 {
@@ -264,6 +274,10 @@ fn celf_pop_top(heap: &mut Vec<CelfEntry>) -> Option<CelfEntry> {
 }
 
 /// Popcount of candidate `c`'s mask row.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "row `c` of the masks spans words `c * words..(c + 1) * words`"
+)]
 fn celf_row_popcount(masks: &CoverageMasks, c: usize) -> u32 {
     let row = &masks.masks[c * masks.words..(c + 1) * masks.words];
     let mut count = 0u32;
@@ -274,6 +288,10 @@ fn celf_row_popcount(masks: &CoverageMasks, c: usize) -> u32 {
 }
 
 /// Popcount of `covered ∪ mask(c)` without materialising the union.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "row `c` of the masks spans words `c * words..(c + 1) * words`, and `covered` has `words` words"
+)]
 fn celf_union_popcount(masks: &CoverageMasks, covered: &[u64], c: usize) -> usize {
     let row = &masks.masks[c * masks.words..(c + 1) * masks.words];
     let mut count = 0usize;
@@ -284,6 +302,10 @@ fn celf_union_popcount(masks: &CoverageMasks, covered: &[u64], c: usize) -> usiz
 }
 
 /// ORs candidate `c`'s mask row into the covered set.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "row `c` of the masks spans words `c * words..(c + 1) * words`, and `covered` has `words` words"
+)]
 fn celf_or_row(covered: &mut [u64], masks: &CoverageMasks, c: usize) {
     let row = &masks.masks[c * masks.words..(c + 1) * masks.words];
     for (w, &word) in row.iter().enumerate() {
@@ -322,6 +344,11 @@ fn celf_popcount(covered: &[u64]) -> usize {
 /// exactly the eager scan's keep-the-earliest argmax, so the selected
 /// sequence — and every residual-probability update that follows — is
 /// bit-identical.
+#[expect(
+    clippy::float_cmp,
+    clippy::indexing_slicing,
+    reason = "the scratch arrays and `runtimes` have one entry per candidate; exact efficiency ties break by index"
+)]
 pub fn celf_core(
     masks: &CoverageMasks,
     p_joint: f64,

@@ -31,6 +31,10 @@ impl NodeStatus {
 
     /// Records an incident of a category, resetting the last-incident
     /// clock.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "category indices are below the category count"
+    )]
     pub fn record_incident(&mut self, category: IncidentCategory) {
         self.incident_count += 1;
         self.category_counts[category.index()] += 1;

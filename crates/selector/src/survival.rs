@@ -51,6 +51,11 @@ pub trait SurvivalModel {
 /// per-hour baselines) score exactly 0.5 by convention (ties count ½),
 /// which makes the C-index a sharper discriminator than the capped-L1
 /// accuracy when the TBNI distribution is concentrated.
+#[expect(
+    clippy::float_cmp,
+    clippy::indexing_slicing,
+    reason = "pair indices are below the event and prediction counts; exact ties are Harrell's tied pairs"
+)]
 pub fn concordance_index(model: &(dyn SurvivalModel + Sync), samples: &[SurvivalSample]) -> f64 {
     let events: Vec<&SurvivalSample> = samples.iter().filter(|s| s.event).collect();
     if events.len() < 2 {
@@ -176,6 +181,10 @@ impl ExponentialPerCountModel {
 
     /// Fits per-bucket rates, falling back to the global rate for empty
     /// buckets.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "buckets are clamped to `MAX_BUCKET`"
+    )]
     pub fn fit(samples: &[SurvivalSample]) -> Self {
         let global = ExponentialModel::fit(samples).rate;
         let mut events = [0.0f64; Self::MAX_BUCKET + 1];

@@ -308,8 +308,10 @@ impl IncidentTrace {
                 if sums.len() <= i {
                     sums.resize(i + 1, (0.0, 0));
                 }
-                sums[i].0 += gap;
-                sums[i].1 += 1;
+                if let Some((sum, nodes)) = sums.get_mut(i) {
+                    *sum += gap;
+                    *nodes += 1;
+                }
                 prev_end = e.start_hour + e.ticket_hours;
             }
         }

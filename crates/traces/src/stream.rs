@@ -45,6 +45,10 @@ use std::ops::Range;
 /// Splits `0..nodes` into `shards` contiguous ranges in ascending order;
 /// sizes differ by at most one (the first `nodes % shards` ranges get the
 /// extra node). `shards` is clamped to `1..=nodes.max(1)`.
+#[expect(
+    clippy::integer_division_remainder_used,
+    reason = "`shards` is clamped to at least 1"
+)]
 pub fn shard_ranges(nodes: u32, shards: u32) -> Vec<Range<u32>> {
     let shards = shards.clamp(1, nodes.max(1));
     let base = nodes / shards;
@@ -200,6 +204,10 @@ impl ShardIncidentSource {
     /// Appends every incident of `node` with `start_hour < until_hour`
     /// to `out`, advancing the node's stream. Events arrive in start-hour
     /// order; repeated polling with growing windows never re-emits.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the shard offset of a node in range indexes the per-node arrays, all of the range's length"
+    )]
     pub fn poll_node(&mut self, node: u32, until_hour: f64, out: &mut Vec<IncidentEvent>) {
         let Some(index) = node
             .checked_sub(self.range.start)
@@ -232,12 +240,9 @@ impl ShardIncidentSource {
     /// next incident time is kept (the draw happened under the old
     /// hazard), so the reset never re-randomizes the past.
     pub fn reset_wear(&mut self, node: u32) {
-        if let Some(index) = node
-            .checked_sub(self.range.start)
-            .map(|i| i as usize)
-            .filter(|&i| i < self.wear.len())
-        {
-            self.wear[index] = 0;
+        let offset = node.checked_sub(self.range.start);
+        if let Some(wear) = offset.and_then(|i| self.wear.get_mut(i as usize)) {
+            *wear = 0;
         }
     }
 }

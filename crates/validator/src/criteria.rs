@@ -80,6 +80,10 @@ pub fn calculate_criteria(
 /// path that supplies a bit-identical matrix gets a bit-identical
 /// [`CriteriaResult`]. `ecdfs` may be empty for [`CentroidMethod::Medoid`]
 /// and must cover every sample for [`CentroidMethod::DistributionMean`].
+#[expect(
+    clippy::indexing_slicing,
+    reason = "member and centroid indices are below the sample count, the matrix's size"
+)]
 pub(crate) fn cluster_from_matrix(
     samples: &[Sample],
     similarity: &[Vec<f64>],
@@ -151,6 +155,11 @@ pub(crate) fn cluster_from_matrix(
 }
 
 /// Medoid of `members` under the precomputed similarity matrix.
+#[expect(
+    clippy::disallowed_macros,
+    clippy::indexing_slicing,
+    reason = "clusters are non-empty and their members index the square similarity matrix"
+)]
 fn medoid_of(members: &[usize], similarity: &[Vec<f64>]) -> usize {
     debug_assert!(!members.is_empty());
     let mut best = members[0];
@@ -167,6 +176,7 @@ fn medoid_of(members: &[usize], similarity: &[Vec<f64>]) -> usize {
 
 /// The 1-D Wasserstein barycenter of the member samples: average of their
 /// quantile functions on a common grid.
+#[expect(clippy::indexing_slicing, reason = "cluster members index `samples`")]
 fn distribution_mean(samples: &[Sample], members: &[usize]) -> Result<Sample, MetricsError> {
     let Some(grid) = members.iter().map(|&i| samples[i].len()).max() else {
         return Err(MetricsError::EmptySample);

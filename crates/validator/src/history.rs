@@ -122,7 +122,7 @@ impl CriteriaHistory {
                     e.insert(CriteriaCache::new(alpha, centroid)?)
                 }
             };
-            if cache.alpha() != alpha || cache.method() != centroid {
+            if cache.alpha().to_bits() != alpha.to_bits() || cache.method() != centroid {
                 *cache = CriteriaCache::new(alpha, centroid)?;
             }
             cache.sync(queue.iter());

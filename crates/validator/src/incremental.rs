@@ -76,6 +76,10 @@ impl CriteriaCache {
 
     /// Absorbs new samples, extending the cached similarity matrix with
     /// only the rows the newcomers touch.
+    #[expect(
+        clippy::integer_division_remainder_used,
+        reason = "pair counts halve an even product by a constant"
+    )]
     pub fn extend(&mut self, new_samples: &[Sample]) {
         if new_samples.is_empty() {
             return;

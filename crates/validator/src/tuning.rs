@@ -33,13 +33,14 @@ impl StepWindow {
     /// Applies the window to a series, producing the measured sub-sample.
     pub fn apply(&self, series: &[f64]) -> Result<Sample, MetricsError> {
         let end = self.total().min(series.len());
-        if self.warmup >= end {
-            return Err(MetricsError::InsufficientData {
+        let measured = series
+            .get(self.warmup..end)
+            .filter(|measured| !measured.is_empty())
+            .ok_or(MetricsError::InsufficientData {
                 required: self.total(),
                 actual: series.len(),
-            });
-        }
-        Sample::new(series[self.warmup..end].to_vec())
+            })?;
+        Sample::new(measured.to_vec())
     }
 
     /// Fraction of `baseline_steps` the tuned window saves.
@@ -100,6 +101,7 @@ impl From<MetricsError> for TuningError {
 /// let window = search_step_window(&series, 0.95).unwrap();
 /// assert!(window.total() < 160, "tuned window saves steps");
 /// ```
+#[expect(clippy::integer_division_remainder_used, reason = "a constant divisor")]
 pub fn search_step_window(series: &[f64], alpha: f64) -> Result<StepWindow, TuningError> {
     if series.len() < 2 * FALLBACK_PERIOD {
         return Err(TuningError::TooShort {
@@ -118,8 +120,7 @@ pub fn search_step_window(series: &[f64], alpha: f64) -> Result<StepWindow, Tuni
             length: series.len(),
         });
     }
-    for start in 0..=cycles.len() - STABLE_CYCLES {
-        let window = &cycles[start..start + STABLE_CYCLES];
+    for (start, window) in cycles.windows(STABLE_CYCLES).enumerate() {
         if mean_pairwise_similarity(window) > alpha {
             return Ok(StepWindow {
                 warmup: start * period,

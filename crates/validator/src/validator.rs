@@ -230,19 +230,19 @@ impl Validator {
             .copied()
             .filter(|b| b.spec().phase == Phase::MultiNode)
             .collect();
-        if !multi.is_empty() {
+        if let Some(&first_multi) = multi.first() {
             let Some(fabric) = fabric else {
-                return Err(SuiteError::MissingFabric(multi[0]));
+                return Err(SuiteError::MissingFabric(first_multi));
             };
-            let healthy_idx: Vec<usize> = (0..nodes.len())
-                .filter(|&i| !report.flagged.contains_key(&nodes[i].id()))
-                .collect();
-            if healthy_idx.len() >= 2 {
-                // Work on clones of the healthy nodes so index mapping stays
-                // simple, then fold RNG-free results back.
-                let mut healthy_nodes: Vec<NodeSim> =
-                    healthy_idx.iter().map(|&i| nodes[i].clone()).collect();
-                let healthy_members: Vec<usize> = healthy_idx.iter().map(|&i| members[i]).collect();
+            // Work on clones of the healthy nodes so index mapping stays
+            // simple, then fold RNG-free results back.
+            let (mut healthy_nodes, healthy_members): (Vec<NodeSim>, Vec<usize>) = nodes
+                .iter()
+                .zip(members)
+                .filter(|(node, _)| !report.flagged.contains_key(&node.id()))
+                .map(|(node, &member)| (node.clone(), member))
+                .unzip();
+            if healthy_nodes.len() >= 2 {
                 let mut phase2 = RunData::default();
                 for bench in multi {
                     let _bench_span = anubis_obs::span!(bench.spec().name);

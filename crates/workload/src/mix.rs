@@ -110,6 +110,10 @@ impl WorkloadMix {
     }
 
     /// Samples a workload class proportionally to its share.
+    #[expect(
+        clippy::expect_used,
+        reason = "the only constructor builds a non-empty class list"
+    )]
     pub fn sample(&self, rng: &mut ChaCha8Rng) -> &WorkloadClass {
         let total: f64 = self.classes.iter().map(|c| c.share).sum();
         let mut target = rng.random_range(0.0..total);

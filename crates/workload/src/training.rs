@@ -74,6 +74,10 @@ pub fn steady_step_time_s(node: &NodeSim, model: &ModelConfig, precision: Precis
 
 /// Per-step modulation shared by single- and multi-node runs: warmup
 /// transient, data-pipeline cycle and a mild within-cycle ramp.
+#[expect(
+    clippy::integer_division_remainder_used,
+    reason = "the divisor is clamped to at least 1"
+)]
 fn step_modulation(step: usize, opts: &TrainingOptions) -> f64 {
     let warmup = 1.0 + 1.2 * (-(step as f64) / opts.warmup_decay_steps.max(1e-9)).exp();
     let phase = step % opts.cycle_period.max(1);
@@ -127,6 +131,11 @@ pub fn simulate_training(
 /// # Panics
 ///
 /// Panics if `nodes` and `members` lengths differ or `nodes` is empty.
+#[expect(
+    clippy::disallowed_macros,
+    clippy::indexing_slicing,
+    reason = "documented preconditions; the non-empty assert bounds `nodes[0]`"
+)]
 pub fn simulate_multi_node_training(
     nodes: &mut [NodeSim],
     members: &[usize],
@@ -140,21 +149,21 @@ pub fn simulate_multi_node_training(
     let slowest_local = nodes
         .iter()
         .map(|n| steady_step_time_s(n, model, opts.precision))
-        .fold(0.0f64, f64::max);
+        .fold(0.0f64, max_or_nan);
     // Inter-node all-reduce over the fabric, derated by the worst NIC.
     let fabric_time =
         ring_allreduce_time_s(fabric, members, model.gradient_bytes()).unwrap_or(f64::INFINITY);
     let worst_nic = nodes
         .iter()
         .map(|n| n.impact().network_bandwidth)
-        .fold(1.0f64, f64::min)
+        .fold(1.0f64, min_or_nan)
         .max(1e-6);
     let inter_comm = fabric_time / worst_nic;
     let overlap = model.overlap_efficiency
         * nodes
             .iter()
             .map(anubis_hwsim::NodeSim::overlap_factor)
-            .fold(1.0f64, f64::min);
+            .fold(1.0f64, min_or_nan);
     let steady = overlapped_time_s(slowest_local, inter_comm, overlap);
     let global_batch = (model.batch_size_per_gpu * nodes[0].spec().gpus * nodes.len()) as f64;
     (0..opts.steps)
@@ -164,6 +173,24 @@ pub fn simulate_multi_node_training(
             global_batch / time
         })
         .collect()
+}
+
+/// `f64::max` for a fold that must not skip a NaN: a NaN operand wins.
+fn max_or_nan(max: f64, x: f64) -> f64 {
+    if x > max || x.is_nan() {
+        x
+    } else {
+        max
+    }
+}
+
+/// `f64::min` for a fold that must not skip a NaN: a NaN operand wins.
+fn min_or_nan(min: f64, x: f64) -> f64 {
+    if x < min || x.is_nan() {
+        x
+    } else {
+        min
+    }
 }
 
 #[cfg(test)]

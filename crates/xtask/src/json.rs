@@ -1,8 +1,7 @@
 //! Minimal JSON reader for xtask's own file formats.
 //!
 //! The workspace vendors no JSON crate, and xtask only ever consumes JSON
-//! it (or `anubis-obs`) produced: trace JSONL lines, and in tests the
-//! SARIF report it writes. This is a small recursive-descent parser
+//! that `anubis-obs` produced: trace JSONL lines. This is a small recursive-descent parser
 //! over that well-formed subset — strict enough to reject garbage with a
 //! byte-offset error, simple enough to audit at a glance. Numbers are
 //! parsed as `f64`; object keys keep first-wins semantics in a `BTreeMap`

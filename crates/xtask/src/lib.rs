@@ -1,34 +1,25 @@
-//! Workspace analyzer.
+//! Workspace tooling.
 //!
-//! The ANUBIS workspace makes promises that ordinary compilation does not
-//! verify. The line-level ones live in the toolchain: the root
+//! The ANUBIS workspace's static promises live in the toolchain. The root
 //! `clippy.toml` bans every ambient nondeterminism source (wall clock,
 //! raw threads, environment reads, hash containers) and every
 //! shared-mutable type (`Mutex`, `RwLock`, atomics, `Cell`, `RefCell`)
-//! outside its sanctioned `#[allow]` sites, and the gated crates'
-//! `clippy::unwrap_used` / `expect_used` / `panic` headers keep
-//! fleet-facing library code panic-free. rustc itself enforces executor
-//! closure discipline (every `anubis-parallel` entry takes `Fn + Sync`)
-//! and lifecycle ownership (`NodeState` is opaque outside
-//! `anubis-lifecycle`). Hot-path allocation is measured, not inferred:
-//! the root `tests/alloc_counts.rs` counts it exactly. This crate checks
-//! what the compiler cannot see — panic reachability along call paths and
-//! NaN-unsafe float comparisons:
+//! outside its sanctioned `#[allow]` sites. The library crates' lint
+//! headers keep their non-test code panic-free: unwrap/expect/panic!,
+//! indexing and slicing, integer `/` and `%`, the assert family and float
+//! `==` are denied, and each justified site carries an `#[expect]` with
+//! its reason. rustc itself enforces executor closure discipline (every
+//! `anubis-parallel` entry takes `Fn + Sync`) and lifecycle ownership
+//! (`NodeState` is opaque outside `anubis-lifecycle`). Hot-path
+//! allocation is measured, not inferred: the root `tests/alloc_counts.rs`
+//! counts it exactly. `tests/clippy_fixtures.rs` pins each of those
+//! rules on a fixture crate.
+//!
+//! What this crate adds is the trace profiler:
 //!
 //! ```text
-//! cargo run -p anubis-xtask -- analyze
+//! cargo xtask profile [<trace.jsonl>] [--top <n>]
 //! ```
-//!
-//! runs the passes of [`passes`] against the committed
-//! `analysis-baseline.json`; `profile` is the other subcommand (see the
-//! binary's docs).
 
-pub mod callgraph;
 pub mod json;
-pub mod mask;
-pub mod model;
-pub mod passes;
 pub mod profile;
-pub mod report;
-pub mod spans;
-pub mod walk;

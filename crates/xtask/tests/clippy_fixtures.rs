@@ -1,22 +1,71 @@
 //! The determinism bans live in the root `clippy.toml` and panic-freedom
-//! in the gated crates' lint headers. This test runs clippy on the fixture
-//! crate under `tests/fixtures/clippy/`, whose every module breaks a rule
-//! on purpose, and asserts the exact set of findings: a dropped ban, a
-//! misspelled path or a missing header fails here.
+//! in the library crates' lint headers. This test runs clippy on the
+//! fixture crate under `tests/fixtures/clippy/`, whose every module breaks
+//! a rule on purpose, and asserts the exact set of findings: a dropped
+//! ban, a misspelled path, a missing header lint or an `#[expect]` that no
+//! longer fails when stale fails here.
 //!
 //! Lifecycle ownership and executor closure discipline need no lint at
 //! all: rustc rejects them. `tests/fixtures/compile_fail/` breaks each
 //! rule once, and the test asserts the exact error codes, which a
 //! `compile_fail` doctest would not check.
 
-use anubis_xtask::passes::GATED_CRATES;
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;
 use std::process::Command;
 
+/// The library crates (directories under `crates/`) whose non-test code
+/// must be panic-free: each root carries [`PANIC_LINTS`] in a
+/// `#![cfg_attr(not(test), warn(…))]` header, and CI denies warnings.
+const GATED_CRATES: &[&str] = &[
+    "arena",
+    "benchsuite",
+    "cluster",
+    "config",
+    "fleetd",
+    "hwsim",
+    "lifecycle",
+    "metrics",
+    "netsim",
+    "nn",
+    "obs",
+    "parallel",
+    "selector",
+    "traces",
+    "validator",
+    "workload",
+];
+
+/// The lints of the panic-freedom header. `disallowed_macros` enforces the
+/// root `clippy.toml`'s assert-family ban, which is off workspace-wide.
+const PANIC_LINTS: &[&str] = &[
+    "unwrap_used",
+    "expect_used",
+    "panic",
+    "unreachable",
+    "unimplemented",
+    "indexing_slicing",
+    "integer_division_remainder_used",
+    "float_cmp",
+    "disallowed_macros",
+];
+
 /// Every finding the fixture must draw, as `file:line: message`.
 const EXPECTED: &[&str] = &[
+    // Indexing, slicing, integer `/` and `%`, the assert family,
+    // `unreachable!` and float `==`; the fulfilled `#[expect]` on `first`
+    // draws nothing, the stale one on `first_checked` draws a finding.
+    "src/bounds.rs:6: slicing may panic",
+    "src/bounds.rs:7: indexing may panic",
+    "src/bounds.rs:12: use of `/` has been disallowed in this context",
+    "src/bounds.rs:12: use of `%` has been disallowed in this context",
+    "src/bounds.rs:17: use of a disallowed macro `std::assert`",
+    "src/bounds.rs:18: use of a disallowed macro `std::assert_eq`",
+    "src/bounds.rs:20: usage of the `unreachable!` macro",
+    "src/bounds.rs:22: strict comparison of `f32` or `f64`: help: consider comparing them \
+     within some margin of error: `(x - y).abs() < error_margin`",
+    "src/bounds.rs:32: this lint expectation is unfulfilled",
     // Wall clock: the imports, then each `::now` (the method and the
     // type-relative path both fire).
     "src/determinism.rs:3: use of a disallowed type `std::time::Instant`",
@@ -42,7 +91,7 @@ const EXPECTED: &[&str] = &[
     "src/shared.rs:25: use of a disallowed type `std::cell::Cell`",
     "src/shared.rs:26: use of a disallowed type `std::cell::RefCell`",
     // Documentation: the undocumented module, struct and function.
-    "src/lib.rs:11: missing documentation for a module",
+    "src/lib.rs:23: missing documentation for a module",
     "src/docs.rs:3: missing documentation for a struct",
     "src/docs.rs:8: missing documentation for a function",
 ];
@@ -107,16 +156,17 @@ fn rustc_rejects_every_compile_fail_case() {
     assert_eq!(found, expected, "cargo check output:\n{stderr}");
 }
 
-/// Whether a crate root carries the panic-freedom header:
-/// `#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic))]`.
+/// Whether a crate root carries the panic-freedom header: a
+/// `#![cfg_attr(not(test), warn(…))]` naming every lint of [`PANIC_LINTS`].
 fn has_panic_header(lib: &str) -> bool {
     lib.match_indices("#![cfg_attr(").any(|(at, _)| {
         let attr = &lib[at..];
         let attr = &attr[..attr.find(")]").map_or(attr.len(), |end| end + 2)];
         attr.contains("not(test)")
-            && ["unwrap_used", "expect_used", "panic"]
-                .iter()
-                .all(|lint| attr.contains(&format!("clippy::{lint}")))
+            && PANIC_LINTS.iter().all(|lint| {
+                attr.split(|c: char| !(c.is_alphanumeric() || c == '_' || c == ':'))
+                    .any(|word| word == format!("clippy::{lint}"))
+            })
     })
 }
 
