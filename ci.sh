@@ -19,6 +19,11 @@ echo "==> cargo clippy on anubis-nn's portable (x86-64-v3) path"
 RUSTFLAGS="-C target-cpu=x86-64-v3" CARGO_TARGET_DIR=target/x86-64-v3 \
     cargo clippy -p anubis-nn --lib --offline -- -D warnings
 
+# Broken intra-doc links (e.g. to a deleted or private item) and
+# ambiguous ones fail here.
+echo "==> rustdoc (denied warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> release build (every workspace binary, repro included)"
 cargo build --release --offline --workspace
 

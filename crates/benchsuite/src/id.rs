@@ -155,15 +155,6 @@ impl BenchmarkId {
             .collect()
     }
 
-    /// All multi-node benchmarks.
-    pub fn multi_node() -> Vec<BenchmarkId> {
-        Self::ALL
-            .iter()
-            .copied()
-            .filter(|b| b.spec().phase == Phase::MultiNode)
-            .collect()
-    }
-
     /// Static metadata.
     pub fn spec(&self) -> BenchmarkSpec {
         use BenchCategory::{EndToEnd, Micro};
@@ -441,10 +432,7 @@ mod tests {
     #[test]
     fn suite_covers_table2() {
         assert_eq!(BenchmarkId::ALL.len(), 31);
-        let single = BenchmarkId::single_node();
-        let multi = BenchmarkId::multi_node();
-        assert_eq!(single.len() + multi.len(), 31);
-        assert_eq!(multi.len(), 5);
+        assert_eq!(BenchmarkId::single_node().len(), 26);
     }
 
     #[test]

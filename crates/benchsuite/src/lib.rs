@@ -35,9 +35,7 @@
 pub mod id;
 pub mod parallel;
 pub mod runner;
-pub mod sweep;
 
 pub use id::{BenchCategory, BenchmarkId, BenchmarkSpec, Phase};
 pub use parallel::run_set_parallel;
 pub use runner::{run_benchmark, run_benchmark_multi, run_set, RunData, SuiteError};
-pub use sweep::{default_size_grid, sweep_nvlink_allreduce, SweepResult};

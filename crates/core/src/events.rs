@@ -50,11 +50,6 @@ impl EventOutcome {
     pub fn skipped() -> Self {
         Self::default()
     }
-
-    /// Whether any node was flagged.
-    pub fn found_defects(&self) -> bool {
-        !self.defective.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -65,7 +60,7 @@ mod tests {
     fn skipped_outcome_is_empty() {
         let outcome = EventOutcome::skipped();
         assert!(!outcome.validated);
-        assert!(!outcome.found_defects());
+        assert!(outcome.defective.is_empty());
         assert_eq!(outcome.duration_minutes, 0.0);
     }
 

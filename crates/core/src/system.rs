@@ -121,14 +121,6 @@ impl Anubis {
         }
     }
 
-    /// Advances every tracked node's clocks (call as simulated time
-    /// passes).
-    pub fn advance_hours(&mut self, hours: f64) {
-        for status in self.statuses.values_mut() {
-            status.advance(hours);
-        }
-    }
-
     /// Handles an orchestration event over the given node set.
     ///
     /// `members[i]` is the fabric index of `nodes[i]`; `fabric` is needed
@@ -568,6 +560,8 @@ mod tests {
             )
             .unwrap();
         assert!(!outcome.validated);
+        // An unknown node reads as fresh.
+        assert_eq!(system.status_of(NodeId(99)).uptime_hours, 0.0);
     }
 
     #[test]
@@ -605,21 +599,5 @@ mod tests {
             assert_eq!(result, Err(mismatch), "{event:?}");
             assert_eq!(snapshot(&system), before, "{event:?}");
         }
-    }
-
-    #[test]
-    fn advance_hours_moves_clocks() {
-        let (mut nodes, members) = fleet(2, 17);
-        let mut system = Anubis::new(AnubisConfig::default());
-        system
-            .handle_event(&ValidationEvent::NodesAdded, &mut nodes, &members, None)
-            .unwrap();
-        system.advance_hours(10.0);
-        assert_eq!(system.status_of(NodeId(0)).uptime_hours, 10.0);
-        assert_eq!(
-            system.status_of(NodeId(42)).uptime_hours,
-            0.0,
-            "unknown node is fresh"
-        );
     }
 }

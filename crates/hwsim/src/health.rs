@@ -73,11 +73,6 @@ impl RedundantGroup {
         self.broken = (self.broken + count).min(self.total);
     }
 
-    /// Repairs up to `count` broken units.
-    pub fn repair_units(&mut self, count: u32) {
-        self.broken = self.broken.saturating_sub(count);
-    }
-
     /// Repairs everything.
     pub fn repair_all(&mut self) {
         self.broken = 0;
@@ -107,62 +102,6 @@ impl RedundantGroup {
     pub fn has_hidden_damage(&self) -> bool {
         // `capacity_factor` is exactly 1 iff the failures fit the budget.
         self.broken > 0 && self.broken <= self.masking_budget()
-    }
-}
-
-/// Aggregate health of a single hardware component.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ComponentHealth {
-    /// Direct performance multiplier in `(0, 1]` (1 = nominal).
-    pub performance: f64,
-    /// Optional redundancy in front of the component.
-    pub redundancy: Option<RedundantGroup>,
-}
-
-impl ComponentHealth {
-    /// A fully healthy component without redundancy.
-    pub fn nominal() -> Self {
-        Self {
-            performance: 1.0,
-            redundancy: None,
-        }
-    }
-
-    /// A healthy component guarded by a redundant group.
-    pub fn with_redundancy(group: RedundantGroup) -> Self {
-        Self {
-            performance: 1.0,
-            redundancy: Some(group),
-        }
-    }
-
-    /// Effective multiplier combining direct degradation and redundancy
-    /// loss.
-    pub fn effective_factor(&self) -> f64 {
-        let red = self
-            .redundancy
-            .as_ref()
-            .map_or(1.0, RedundantGroup::capacity_factor);
-        (self.performance * red).clamp(0.0, 1.0)
-    }
-
-    /// Degrades direct performance multiplicatively.
-    pub fn degrade(&mut self, factor: f64) {
-        self.performance = (self.performance * factor.clamp(0.0, 1.0)).max(0.0);
-    }
-
-    /// Restores nominal performance and repairs all redundancy.
-    pub fn repair(&mut self) {
-        self.performance = 1.0;
-        if let Some(group) = &mut self.redundancy {
-            group.repair_all();
-        }
-    }
-}
-
-impl Default for ComponentHealth {
-    fn default() -> Self {
-        Self::nominal()
     }
 }
 
@@ -234,8 +173,6 @@ mod tests {
         let mut g = RedundantGroup::new(6, 2);
         g.break_units(4);
         assert!(g.capacity_factor() < 1.0);
-        g.repair_units(1);
-        assert_eq!(g.broken(), 3);
         g.repair_all();
         assert_eq!(g.capacity_factor(), 1.0);
         assert_eq!(g.working(), 6);
@@ -245,18 +182,6 @@ mod tests {
     #[should_panic(expected = "redundant units must be fewer")]
     fn rejects_all_redundant_group() {
         RedundantGroup::new(4, 4);
-    }
-
-    #[test]
-    fn component_health_combines_sources() {
-        let mut h = ComponentHealth::with_redundancy(RedundantGroup::new(4, 2));
-        assert_eq!(h.effective_factor(), 1.0);
-        h.degrade(0.8);
-        assert!((h.effective_factor() - 0.8).abs() < 1e-12);
-        h.redundancy.as_mut().unwrap().break_units(2);
-        assert!(h.effective_factor() < 0.8);
-        h.repair();
-        assert_eq!(h.effective_factor(), 1.0);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub mod spec;
 pub mod testutil;
 
 pub use fault::{FaultImpact, FaultKind};
-pub use health::{ComponentHealth, RedundantGroup};
+pub use health::RedundantGroup;
 pub use node::{NodeId, NodeSim};
 pub use noise::NoiseModel;
 pub use spec::{GpuGeneration, NodeSpec, Precision};

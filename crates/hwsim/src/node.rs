@@ -1,6 +1,6 @@
 //! The simulated GPU node.
 
-use crate::fault::{FaultImpact, FaultKind, IncidentCategory};
+use crate::fault::{FaultImpact, FaultKind};
 use crate::health::{RedundantGroup, RowRemapState};
 use crate::noise::{standard_normal, NoiseModel};
 use crate::perf;
@@ -113,11 +113,6 @@ impl NodeSim {
         self.row_remap
     }
 
-    /// NVLink redundancy state.
-    pub fn nvlink_group(&self) -> RedundantGroup {
-        self.nvlink
-    }
-
     /// Injects a fault; stateful faults (row remapping, NVLink lanes)
     /// resolve their probabilistic/ redundancy-masked effect here.
     pub fn inject_fault(&mut self, fault: FaultKind) {
@@ -144,19 +139,6 @@ impl NodeSim {
             _ => {}
         }
         self.faults.push(fault);
-        self.recompute_impact();
-    }
-
-    /// Repairs all faults in a category, mirroring targeted mitigation.
-    pub fn repair_category(&mut self, category: IncidentCategory) {
-        self.faults.retain(|f| f.category() != category);
-        if category == IncidentCategory::GpuMemory {
-            self.row_remap.reset();
-            self.remap_regression = None;
-        }
-        if category == IncidentCategory::NvLink {
-            self.nvlink.repair_all();
-        }
         self.recompute_impact();
     }
 
@@ -466,18 +448,6 @@ mod tests {
         assert!(n.active_faults().is_empty());
         let gemm = n.measure_gemm_tflops(Precision::Fp16, 8192);
         assert!(gemm > 280.0, "restored gemm {gemm}");
-    }
-
-    #[test]
-    fn category_repair_is_targeted() {
-        let mut n = node(19);
-        n.inject_fault(FaultKind::GpuComputeDegraded { severity: 0.3 });
-        n.inject_fault(FaultKind::DiskSlow { severity: 0.5 });
-        n.repair_category(IncidentCategory::Disk);
-        assert_eq!(n.active_faults().len(), 1);
-        assert!(n.has_detectable_defect(), "GPU fault remains");
-        let disk = n.measure_disk(DiskMode::SeqRead);
-        assert!(disk > 3000.0, "disk restored: {disk}");
     }
 
     #[test]

@@ -70,20 +70,6 @@ pub fn exponential(rng: &mut ChaCha8Rng, rate: f64) -> f64 {
     -u.ln() / rate
 }
 
-/// Draws from a Weibull distribution with shape `k` and scale `lambda`.
-///
-/// `k > 1` gives an increasing hazard (wear-out), the regime the paper's
-/// degrading nodes live in.
-#[expect(
-    clippy::disallowed_macros,
-    reason = "debug-only check that the parameters are positive"
-)]
-pub fn weibull(rng: &mut ChaCha8Rng, shape: f64, scale: f64) -> f64 {
-    debug_assert!(shape > 0.0 && scale > 0.0);
-    let u: f64 = 1.0 - rng.random::<f64>();
-    scale * (-u.ln()).powf(1.0 / shape)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,27 +118,5 @@ mod tests {
         let n = 20_000;
         let mean = (0..n).map(|_| exponential(&mut rng, rate)).sum::<f64>() / n as f64;
         assert!((mean - 4.0).abs() < 0.15, "mean {mean}");
-    }
-
-    #[test]
-    fn weibull_shape_one_is_exponential() {
-        let mut rng = rng();
-        let n = 20_000;
-        let mean = (0..n).map(|_| weibull(&mut rng, 1.0, 10.0)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.4, "mean {mean}");
-    }
-
-    #[test]
-    fn weibull_wearout_concentrates() {
-        let mut rng = rng();
-        let n = 10_000;
-        let draws: Vec<f64> = (0..n).map(|_| weibull(&mut rng, 4.0, 100.0)).collect();
-        let mean = draws.iter().sum::<f64>() / n as f64;
-        let cv = {
-            let var = draws.iter().map(|d| (d - mean) * (d - mean)).sum::<f64>() / n as f64;
-            var.sqrt() / mean
-        };
-        // Shape 4 Weibull has CV ≈ 0.28, far tighter than exponential's 1.
-        assert!(cv < 0.4, "cv {cv}");
     }
 }

@@ -44,32 +44,6 @@ pub fn ring_allreduce_factor(ranks: usize) -> f64 {
     overhead.max(0.8)
 }
 
-/// All-to-all traffic factor: each rank exchanges with all others, so the
-/// effective per-rank bandwidth divides across `n−1` flows and stresses the
-/// bisection.
-pub fn all_to_all_factor(ranks: usize) -> f64 {
-    if ranks <= 1 {
-        return 1.0;
-    }
-    (ranks as f64 - 1.0) / ranks as f64
-}
-
-/// Seconds to compute `flops` at `tflops` × 10¹² FLOP/s.
-pub fn compute_time_s(flops: f64, tflops: f64) -> f64 {
-    if tflops <= 0.0 {
-        return f64::INFINITY;
-    }
-    flops / (tflops * 1e12)
-}
-
-/// Seconds to move `bytes` at `gbps` × 10⁹ B/s.
-pub fn transfer_time_s(bytes: f64, gbytes_per_s: f64) -> f64 {
-    if gbytes_per_s <= 0.0 {
-        return f64::INFINITY;
-    }
-    bytes / (gbytes_per_s * 1e9)
-}
-
 /// Overlapped execution time for a compute phase and a communication phase
 /// with overlap fraction `overlap` in `[0, 1]`.
 ///
@@ -108,21 +82,6 @@ mod tests {
         assert_eq!(ring_allreduce_factor(1), 1.0);
         assert!(ring_allreduce_factor(2) > ring_allreduce_factor(8));
         assert!(ring_allreduce_factor(64) >= 0.8);
-    }
-
-    #[test]
-    fn all_to_all_bisection_pressure() {
-        assert_eq!(all_to_all_factor(1), 1.0);
-        assert_eq!(all_to_all_factor(2), 0.5);
-        assert!((all_to_all_factor(8) - 0.875).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_helpers() {
-        assert!((compute_time_s(1e12, 1.0) - 1.0).abs() < 1e-12);
-        assert!((transfer_time_s(1e9, 1.0) - 1.0).abs() < 1e-12);
-        assert_eq!(compute_time_s(1.0, 0.0), f64::INFINITY);
-        assert_eq!(transfer_time_s(1.0, 0.0), f64::INFINITY);
     }
 
     #[test]

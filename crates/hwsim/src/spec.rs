@@ -216,11 +216,6 @@ impl NodeSpec {
         }
     }
 
-    /// Aggregate node FP16 TFLOPS (all GPUs).
-    pub fn node_peak_tflops(&self, precision: Precision) -> f64 {
-        self.peak_tflops(precision) * self.gpus as f64
-    }
-
     /// Aggregate inter-node network bandwidth in GB/s (all HCAs, line rate
     /// converted from Gb/s).
     pub fn node_network_gbytes_per_s(&self) -> f64 {
@@ -260,7 +255,6 @@ mod tests {
     #[test]
     fn aggregate_helpers() {
         let spec = NodeSpec::a100_8x();
-        assert_eq!(spec.node_peak_tflops(Precision::Fp16), 312.0 * 8.0);
         assert_eq!(spec.node_network_gbytes_per_s(), 8.0 * 200.0 / 8.0);
     }
 }

@@ -177,10 +177,9 @@ fn upper_triangle_pairs(n: usize) -> Vec<(usize, usize)> {
 
 /// Eq. (3) similarities for a batch of sample pairs, written into a
 /// caller-owned buffer. This is the allocation-free kernel at the bottom
-/// of both the batch pairwise matrix and the incremental
-/// [`extend_similarity_matrix`] path; each pair is an independent
-/// [`integrate_ecdf`] evaluation, so results do not depend on which pairs
-/// share a batch. `grid` is the reusable merged-breakpoint buffer.
+/// of the pairwise matrix; each pair is an independent [`integrate_ecdf`]
+/// evaluation, so results do not depend on which pairs share a batch.
+/// `grid` is the reusable merged-breakpoint buffer.
 #[expect(
     clippy::indexing_slicing,
     reason = "every pair indexes the ECDFs it was built for"
@@ -198,18 +197,17 @@ fn similarity_rows_into(
     }
 }
 
-/// Runs [`similarity_rows_into`] over fixed-size pair chunks in parallel,
-/// returning `(pair, similarity)` in row-major pair order.
-fn similarity_pairs(
-    ecdfs: &[Ecdf],
-    pairs: &[(usize, usize)],
-    threads: usize,
-) -> Vec<((usize, usize), f64)> {
+/// Per-pair similarities over the upper triangle, computed on prebuilt
+/// ECDFs by [`similarity_rows_into`] over fixed-size pair chunks in
+/// parallel, returned in row-major pair order.
+fn upper_triangle_similarities(samples: &[Sample], threads: usize) -> Vec<((usize, usize), f64)> {
+    let ecdfs: Vec<Ecdf> = samples.iter().map(Ecdf::new).collect();
+    let pairs = upper_triangle_pairs(samples.len());
     let per_chunk: Vec<Vec<f64>> =
-        anubis_parallel::map_chunks(pairs, PAIRS_PER_CHUNK, threads, |_, chunk| {
+        anubis_parallel::map_chunks(&pairs, PAIRS_PER_CHUNK, threads, |_, chunk| {
             let mut grid = Vec::new();
             let mut sims = Vec::with_capacity(chunk.len());
-            similarity_rows_into(ecdfs, chunk, &mut grid, &mut sims);
+            similarity_rows_into(&ecdfs, chunk, &mut grid, &mut sims);
             sims
         });
     pairs
@@ -217,64 +215,6 @@ fn similarity_pairs(
         .copied()
         .zip(per_chunk.into_iter().flatten())
         .collect()
-}
-
-/// Per-pair similarities over the upper triangle, computed on prebuilt
-/// ECDFs in parallel, returned in row-major pair order.
-fn upper_triangle_similarities(samples: &[Sample], threads: usize) -> Vec<((usize, usize), f64)> {
-    let ecdfs: Vec<Ecdf> = samples.iter().map(Ecdf::new).collect();
-    let pairs = upper_triangle_pairs(samples.len());
-    similarity_pairs(&ecdfs, &pairs, threads)
-}
-
-/// Extends a cached pairwise similarity matrix in place after new samples
-/// were appended — the incremental entry point behind the Validator's
-/// criteria cache.
-///
-/// `matrix` and `ecdfs` hold the cached state for the first
-/// `ecdfs.len()` samples; `samples` is the full set (old followed by
-/// new). Only the pairs touching a new sample are computed — `O(new ×
-/// total)` integrations instead of `O(total²)` — and each entry is the
-/// same independent [`integrate_ecdf`] evaluation the batch path runs, so
-/// the extended matrix is bit-identical to
-/// [`pairwise_similarity_matrix`] over the full set.
-#[expect(
-    clippy::disallowed_macros,
-    clippy::indexing_slicing,
-    clippy::integer_division_remainder_used,
-    reason = "the matrix is resized to `n × n` before the pairs (`i, j < n`) land; \
-              constant divisors; a debug-only check of the cache contract"
-)]
-pub fn extend_similarity_matrix(
-    matrix: &mut Vec<Vec<f64>>,
-    ecdfs: &mut Vec<Ecdf>,
-    samples: &[Sample],
-    threads: usize,
-) {
-    let old = ecdfs.len();
-    let n = samples.len();
-    debug_assert_eq!(matrix.len(), old);
-    if n <= old {
-        return;
-    }
-    ecdfs.extend(samples[old..].iter().map(Ecdf::new));
-    // Row-major over the new upper-triangle entries: every pair with at
-    // least one index >= old.
-    let mut pairs = Vec::with_capacity(n * (n - 1) / 2 - old.saturating_sub(1) * old / 2);
-    for i in 0..n {
-        for j in (i + 1).max(old)..n {
-            pairs.push((i, j));
-        }
-    }
-    let computed = similarity_pairs(ecdfs, &pairs, threads);
-    for row in matrix.iter_mut() {
-        row.resize(n, 1.0);
-    }
-    matrix.resize_with(n, || vec![1.0; n]);
-    for ((i, j), s) in computed {
-        matrix[i][j] = s;
-        matrix[j][i] = s;
-    }
 }
 
 /// Full pairwise similarity matrix for a set of samples.
@@ -457,30 +397,6 @@ mod tests {
                 assert!((value - m[j][i]).abs() < 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn extend_matches_batch_matrix_bitwise() {
-        let all: Vec<Sample> = (0..9)
-            .map(|i| sample(&[100.0 + i as f64, 101.0 + (i % 3) as f64, 99.5]))
-            .collect();
-        for split in [0usize, 1, 4, 8, 9] {
-            let mut matrix = pairwise_similarity_matrix(&all[..split]);
-            let mut ecdfs: Vec<Ecdf> = all[..split].iter().map(Ecdf::new).collect();
-            extend_similarity_matrix(&mut matrix, &mut ecdfs, &all, 0);
-            assert_eq!(matrix, pairwise_similarity_matrix(&all), "split {split}");
-            assert_eq!(ecdfs.len(), all.len());
-        }
-    }
-
-    #[test]
-    fn extend_with_no_new_samples_is_a_no_op() {
-        let all: Vec<Sample> = (0..3).map(|i| sample(&[10.0 + i as f64])).collect();
-        let mut matrix = pairwise_similarity_matrix(&all);
-        let mut ecdfs: Vec<Ecdf> = all.iter().map(Ecdf::new).collect();
-        let before = matrix.clone();
-        extend_similarity_matrix(&mut matrix, &mut ecdfs, &all, 0);
-        assert_eq!(matrix, before);
     }
 
     #[test]

@@ -75,16 +75,6 @@ impl IqrFences {
     pub fn is_outlier(&self, value: f64) -> bool {
         value < self.lower_fence() || value > self.upper_fence()
     }
-
-    /// Indices of low outliers in `values`.
-    pub fn low_outlier_indices(&self, values: &[f64]) -> Vec<usize> {
-        values
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| self.is_low_outlier(v))
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -97,7 +87,6 @@ mod tests {
         let fences = IqrFences::fit(&values, 1.5).unwrap();
         assert!(fences.is_low_outlier(60.0));
         assert!(!fences.is_low_outlier(99.0));
-        assert_eq!(fences.low_outlier_indices(&values), vec![5]);
     }
 
     #[test]

@@ -44,10 +44,6 @@ impl KMeans {
     ///
     /// All points must share a dimension and there must be at least `k`
     /// points.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "assignments are centroid indices below `k`, and every point and centroid has `dim` coordinates"
-    )]
     pub fn fit(points: &[Vec<f64>], config: KMeansConfig) -> Result<Self> {
         if config.k == 0 {
             return Err(MetricsError::InvalidParameter {
@@ -61,7 +57,7 @@ impl KMeans {
                 actual: points.len(),
             });
         }
-        let dim = points[0].len();
+        let dim = points.first().map_or(0, Vec::len);
         if dim == 0 {
             return Err(MetricsError::InvalidParameter {
                 name: "points",
@@ -83,26 +79,28 @@ impl KMeans {
 
         for _ in 0..config.max_iterations {
             let mut changed = false;
-            for (i, point) in points.iter().enumerate() {
+            for (assigned, point) in assignments.iter_mut().zip(points) {
                 let nearest = nearest_centroid(point, &centroids);
-                if assignments[i] != nearest {
-                    assignments[i] = nearest;
+                if *assigned != nearest {
+                    *assigned = nearest;
                     changed = true;
                 }
             }
             // Recompute centroids; empty clusters keep their previous center.
             let mut sums = vec![vec![0.0; dim]; config.k];
             let mut counts = vec![0usize; config.k];
-            for (i, point) in points.iter().enumerate() {
-                counts[assignments[i]] += 1;
-                for (d, v) in point.iter().enumerate() {
-                    sums[assignments[i]][d] += v;
+            for (&cluster, point) in assignments.iter().zip(points) {
+                if let (Some(sum), Some(count)) = (sums.get_mut(cluster), counts.get_mut(cluster)) {
+                    *count += 1;
+                    for (total, v) in sum.iter_mut().zip(point) {
+                        *total += v;
+                    }
                 }
             }
-            for c in 0..config.k {
-                if counts[c] > 0 {
-                    for d in 0..dim {
-                        centroids[c][d] = sums[c][d] / counts[c] as f64;
+            for ((centroid, sum), &count) in centroids.iter_mut().zip(&sums).zip(&counts) {
+                if count > 0 {
+                    for (c, total) in centroid.iter_mut().zip(sum) {
+                        *c = total / count as f64;
                     }
                 }
             }
@@ -113,8 +111,12 @@ impl KMeans {
 
         let inertia = points
             .iter()
-            .enumerate()
-            .map(|(i, p)| stats::squared_euclidean(p, &centroids[assignments[i]]))
+            .zip(&assignments)
+            .map(|(p, &cluster)| {
+                centroids
+                    .get(cluster)
+                    .map_or(0.0, |c| stats::squared_euclidean(p, c))
+            })
             .sum();
         Ok(Self {
             centroids,
@@ -141,15 +143,12 @@ impl KMeans {
     /// Index of the cluster with the most members (ties broken by lower
     /// index) — the "majority" (healthy) cluster in the Figure 9 baseline.
     /// A fitted model has at least one cluster; with none this is 0.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "assignments are centroid indices below `k`"
-    )]
     pub fn majority_cluster(&self) -> usize {
-        let k = self.centroids.len();
-        let mut counts = vec![0usize; k];
+        let mut counts = vec![0usize; self.centroids.len()];
         for &a in &self.assignments {
-            counts[a] += 1;
+            if let Some(count) = counts.get_mut(a) {
+                *count += 1;
+            }
         }
         counts
             .iter()
@@ -184,13 +183,13 @@ fn nearest_centroid(point: &[f64], centroids: &[Vec<f64>]) -> usize {
 
 /// k-means++ seeding: first center uniform, subsequent centers sampled
 /// proportionally to squared distance from the nearest chosen center.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "picks are drawn from `0..points.len()`, which `fit` checks is at least `k >= 1`"
-)]
+///
+/// Picks are drawn from `0..points.len()`, which `fit` checks is at least
+/// `k >= 1`, so each names a point.
 fn kmeans_plus_plus(points: &[Vec<f64>], k: usize, rng: &mut ChaCha8Rng) -> Vec<Vec<f64>> {
+    let pick = |i: usize| points.get(i).cloned().unwrap_or_default();
     let mut centroids: Vec<Vec<f64>> = Vec::with_capacity(k);
-    centroids.push(points[rng.random_range(0..points.len())].clone());
+    centroids.push(pick(rng.random_range(0..points.len())));
     while centroids.len() < k {
         let dists: Vec<f64> = points
             .iter()
@@ -220,7 +219,7 @@ fn kmeans_plus_plus(points: &[Vec<f64>], k: usize, rng: &mut ChaCha8Rng) -> Vec<
             }
             chosen
         };
-        centroids.push(points[next].clone());
+        centroids.push(pick(next));
     }
     centroids
 }

@@ -160,11 +160,6 @@ impl OneClassSvm {
         self.decision(point) < 0.0
     }
 
-    /// Number of support vectors retained after training.
-    pub fn support_vector_count(&self) -> usize {
-        self.support.len()
-    }
-
     /// Offset ρ of the decision function.
     pub fn rho(&self) -> f64 {
         self.rho

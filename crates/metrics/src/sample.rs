@@ -125,16 +125,6 @@ impl Sample {
         Ok(stats::quantile_sorted(&self.sorted, q))
     }
 
-    /// Coefficient of variation (`std_dev / mean`); 0 when the mean is 0.
-    pub fn coefficient_of_variation(&self) -> f64 {
-        let mean = self.mean();
-        if mean == 0.0 {
-            0.0
-        } else {
-            self.std_dev() / mean
-        }
-    }
-
     /// Returns the sub-sample covering `[start, end)` of the observation
     /// order, as used when trimming warmup steps.
     pub fn slice(&self, start: usize, end: usize) -> Result<Self> {
@@ -247,11 +237,5 @@ mod tests {
     fn serializes_as_value_array() {
         let s = Sample::new(vec![3.0, 1.0, 2.5]).unwrap();
         assert_eq!(crate::json::to_json(&s).unwrap(), "[3,1,2.5]");
-    }
-
-    #[test]
-    fn coefficient_of_variation_handles_zero_mean() {
-        let s = Sample::new(vec![0.0, 0.0]).unwrap();
-        assert_eq!(s.coefficient_of_variation(), 0.0);
     }
 }

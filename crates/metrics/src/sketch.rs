@@ -25,7 +25,6 @@
 //! batch support byte-for-byte even in the presence of `-0.0`.
 
 use crate::ecdf::Ecdf;
-use crate::sample::Sample;
 
 /// An append-only, mergeable empirical-CDF accumulator.
 ///
@@ -61,15 +60,6 @@ impl EcdfSketch {
     /// An empty sketch.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Builds a sketch directly from a validated sample, reusing its
-    /// already-sorted support as a single run (`O(n)`).
-    pub fn from_sample(sample: &Sample) -> Self {
-        Self {
-            runs: vec![sample.sorted().to_vec()],
-            len: sample.len(),
-        }
     }
 
     /// Number of appended values.
@@ -367,6 +357,7 @@ fn select_kth<'a>(runs: impl Iterator<Item = &'a Vec<f64>> + Clone, k: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sample::Sample;
 
     fn sample(values: &[f64]) -> Sample {
         Sample::new(values.to_vec()).unwrap()
@@ -404,14 +395,6 @@ mod tests {
         let batch = Ecdf::new(&sample(&all));
         assert_eq!(sa.len(), 7);
         assert_eq!(sa.to_ecdf(), batch);
-    }
-
-    #[test]
-    fn from_sample_seeds_a_single_run() {
-        let s = sample(&[3.0, 1.0, 2.0]);
-        let sketch = EcdfSketch::from_sample(&s);
-        assert_eq!(sketch.len(), 3);
-        assert_eq!(sketch.to_ecdf(), Ecdf::new(&s));
     }
 
     #[test]

@@ -30,20 +30,20 @@ pub fn std_dev(values: &[f64]) -> f64 {
 /// Quantile of an **ascending-sorted** slice with linear interpolation.
 ///
 /// `q` is clamped to `[0, 1]`. Returns 0 for an empty slice.
-#[expect(clippy::indexing_slicing, reason = "`pos` lies in `[0, len - 1]`")]
 pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
     let q = q.clamp(0.0, 1.0);
-    let pos = q * (sorted.len() - 1) as f64;
+    let pos = q * sorted.len().saturating_sub(1) as f64;
     let lower = pos.floor() as usize;
     let upper = pos.ceil() as usize;
+    // `pos` lies in `[0, len - 1]`, so both reads hit for a non-empty slice.
+    let (Some(&low), Some(&high)) = (sorted.get(lower), sorted.get(upper)) else {
+        return 0.0;
+    };
     if lower == upper {
-        sorted[lower]
+        low
     } else {
         let frac = pos - lower as f64;
-        sorted[lower] * (1.0 - frac) + sorted[upper] * frac
+        low * (1.0 - frac) + high * frac
     }
 }
 
@@ -57,34 +57,6 @@ pub fn quantile(values: &[f64], q: f64) -> f64 {
 /// Median of an arbitrary-order slice.
 pub fn median(values: &[f64]) -> f64 {
     quantile(values, 0.5)
-}
-
-/// Centered moving average with the given window.
-///
-/// Positions where the full window does not fit yield `None`, mirroring the
-/// classical seasonal-decomposition convention. Even windows use the
-/// standard 2×w centered average.
-#[expect(clippy::integer_division_remainder_used, reason = "a constant divisor")]
-pub fn centered_moving_average(values: &[f64], window: usize) -> Vec<Option<f64>> {
-    let n = values.len();
-    let mut out = vec![None; n];
-    if window == 0 || window > n {
-        return out;
-    }
-    // Output `half + k` averages the window(s) starting at `k`.
-    let centered = out.iter_mut().skip(window / 2);
-    if window % 2 == 1 {
-        for (slot, span) in centered.zip(values.windows(window)) {
-            *slot = Some(mean(span));
-        }
-    } else {
-        // Even window: average of two staggered windows (classic 2xW MA).
-        let staggered = values.windows(window).zip(values.windows(window).skip(1));
-        for (slot, (first, second)) in centered.zip(staggered) {
-            *slot = Some(0.5 * (mean(first) + mean(second)));
-        }
-    }
-    out
 }
 
 /// Lag-`k` sample autocorrelation; 0 when undefined.
@@ -104,28 +76,6 @@ pub fn autocorrelation(values: &[f64], lag: usize) -> f64 {
         .map(|(a, b)| (a - m) * (b - m))
         .sum();
     num / denom
-}
-
-/// Pearson correlation between two equal-length slices; 0 when undefined.
-pub fn pearson(a: &[f64], b: &[f64]) -> f64 {
-    if a.len() != b.len() || a.len() < 2 {
-        return 0.0;
-    }
-    let (ma, mb) = (mean(a), mean(b));
-    let mut num = 0.0;
-    let mut da = 0.0;
-    let mut db = 0.0;
-    for (x, y) in a.iter().zip(b) {
-        let (xa, xb) = (x - ma, y - mb);
-        num += xa * xb;
-        da += xa * xa;
-        db += xb * xb;
-    }
-    if da == 0.0 || db == 0.0 {
-        0.0
-    } else {
-        num / (da.sqrt() * db.sqrt())
-    }
 }
 
 /// Squared Euclidean distance between two equal-length vectors.
@@ -148,7 +98,6 @@ pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
 /// Resamples a series to `target_len` points by linear interpolation over
 /// the index axis, used to compare series of different lengths in vector
 /// space (the k-means baseline).
-#[expect(clippy::indexing_slicing, reason = "`pos` lies in `[0, len - 1]`")]
 pub fn resample_linear(values: &[f64], target_len: usize) -> Vec<f64> {
     if values.is_empty() || target_len == 0 {
         return Vec::new();
@@ -159,14 +108,16 @@ pub fn resample_linear(values: &[f64], target_len: usize) -> Vec<f64> {
     if target_len == 1 {
         return vec![mean(values)];
     }
-    let scale = (values.len() - 1) as f64 / (target_len - 1) as f64;
+    let last = values.len() - 1;
+    let scale = last as f64 / (target_len - 1) as f64;
+    // `pos` lies in `[0, len - 1]`, so both reads hit.
+    let at = |i: usize| values.get(i).copied().unwrap_or(0.0);
     (0..target_len)
         .map(|i| {
             let pos = i as f64 * scale;
             let lower = pos.floor() as usize;
-            let upper = (lower + 1).min(values.len() - 1);
             let frac = pos - lower as f64;
-            values[lower] * (1.0 - frac) + values[upper] * frac
+            at(lower) * (1.0 - frac) + at((lower + 1).min(last)) * frac
         })
         .collect()
 }
@@ -195,37 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn moving_average_odd_window() {
-        let values = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let ma = centered_moving_average(&values, 3);
-        assert_eq!(ma[0], None);
-        assert_eq!(ma[1], Some(2.0));
-        assert_eq!(ma[2], Some(3.0));
-        assert_eq!(ma[3], Some(4.0));
-        assert_eq!(ma[4], None);
-    }
-
-    #[test]
-    fn moving_average_even_window() {
-        let values = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let ma = centered_moving_average(&values, 4);
-        // Classic 2x4 MA: position 2 averages windows [0..4) and [1..5).
-        let expected = 0.5 * ((1.0 + 2.0 + 3.0 + 4.0) / 4.0 + (2.0 + 3.0 + 4.0 + 5.0) / 4.0);
-        assert_eq!(ma[2], Some(expected));
-        assert_eq!(ma[0], None);
-    }
-
-    #[test]
-    fn moving_average_degenerate_windows() {
-        assert!(centered_moving_average(&[1.0, 2.0], 0)
-            .iter()
-            .all(Option::is_none));
-        assert!(centered_moving_average(&[1.0, 2.0], 5)
-            .iter()
-            .all(Option::is_none));
-    }
-
-    #[test]
     fn autocorrelation_of_periodic_signal_peaks_at_period() {
         let n = 200;
         let period = 10usize;
@@ -249,16 +169,6 @@ mod tests {
         assert_eq!(autocorrelation(&[1.0], 0), 0.0);
         assert_eq!(autocorrelation(&[1.0, 1.0, 1.0], 1), 0.0);
         assert_eq!(autocorrelation(&[1.0, 2.0], 5), 0.0);
-    }
-
-    #[test]
-    fn pearson_correlation() {
-        let a = [1.0, 2.0, 3.0, 4.0];
-        let b = [2.0, 4.0, 6.0, 8.0];
-        assert!((pearson(&a, &b) - 1.0).abs() < 1e-12);
-        let c = [8.0, 6.0, 4.0, 2.0];
-        assert!((pearson(&a, &c) + 1.0).abs() < 1e-12);
-        assert_eq!(pearson(&a, &[1.0]), 0.0);
     }
 
     #[test]

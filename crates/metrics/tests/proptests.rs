@@ -208,20 +208,4 @@ proptest! {
             }
         }
     }
-
-    // The incremental matrix extension reproduces the batch pairwise
-    // matrix bit-for-bit at any split point and thread count.
-    #[test]
-    fn extend_similarity_matrix_matches_batch(
-        raw in prop::collection::vec(prop::collection::vec(1.0f64..1.0e3, 1..8), 2..10),
-        split_seed in 0usize..100,
-        threads in 0usize..4,
-    ) {
-        let samples: Vec<Sample> = raw.into_iter().map(|v| Sample::new(v).unwrap()).collect();
-        let split = split_seed % (samples.len() + 1);
-        let mut matrix = pairwise_similarity_matrix(&samples[..split]);
-        let mut ecdfs: Vec<Ecdf> = samples[..split].iter().map(Ecdf::new).collect();
-        anubis_metrics::extend_similarity_matrix(&mut matrix, &mut ecdfs, &samples, threads);
-        prop_assert_eq!(matrix, pairwise_similarity_matrix(&samples));
-    }
 }

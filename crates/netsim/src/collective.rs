@@ -95,40 +95,6 @@ pub fn all_to_all_completion_s(
     Ok(bytes_per_pair / (min_rate / 8.0 * PROTOCOL_EFFICIENCY * 1e9))
 }
 
-/// All-gather bus bandwidth (GB/s) over a ring of nodes (same traffic
-/// pattern as the all-gather phase of ring all-reduce).
-pub fn all_gather_busbw(tree: &FatTree, ring: &[usize]) -> Result<f64, NetError> {
-    ring_allreduce_busbw(tree, ring)
-}
-
-/// Bus bandwidth (GB/s) of a binary-**tree** all-reduce over `members`
-/// (the other algorithm the paper names for collectives).
-///
-/// The reduce phase sends child→parent and the broadcast phase
-/// parent→child; the two phases pipeline over the same links in opposite
-/// directions, so the collective runs at the pace of the slowest
-/// child↔parent share with both phases' flows live concurrently.
-#[expect(
-    clippy::indexing_slicing,
-    clippy::integer_division_remainder_used,
-    reason = "the heap parent `(i - 1) / 2` of `1 <= i < len` is in range"
-)]
-pub fn tree_allreduce_busbw(tree: &FatTree, members: &[usize]) -> Result<f64, NetError> {
-    if members.len() < 2 {
-        return Ok(f64::INFINITY);
-    }
-    let mut flows = Vec::with_capacity(2 * (members.len() - 1));
-    for i in 1..members.len() {
-        let parent = members[(i - 1) / 2];
-        let child = members[i];
-        flows.push(Flow::new(tree.path(child, parent)?)); // reduce
-        flows.push(Flow::new(tree.path(parent, child)?)); // broadcast
-    }
-    let rates = max_min_rates(&flows, |e| tree.capacity_gbps(e));
-    let min_rate = slowest(&rates);
-    Ok(min_rate / 8.0 * PROTOCOL_EFFICIENCY)
-}
-
 /// The slowest of `rates`, `∞` for none. A NaN rate makes it NaN, where a
 /// `f64::min` fold would skip it.
 pub(crate) fn slowest(rates: &[f64]) -> f64 {
@@ -254,32 +220,5 @@ mod tests {
         assert!(all_to_all_completion_s(&broken, &nodes, 1e8)
             .unwrap()
             .is_infinite());
-    }
-
-    #[test]
-    fn tree_allreduce_healthy_and_degraded() {
-        let tree = tree();
-        let members: Vec<usize> = (0..8).collect();
-        let healthy = tree_allreduce_busbw(&tree, &members).unwrap();
-        // The tree root (node 0) serves two children concurrently per
-        // direction, so its access bundle is shared: below a pairwise
-        // exchange but still substantial.
-        assert!(healthy > 60.0 && healthy < 200.0, "tree busbw {healthy}");
-        let mut broken = FatTree::build(FatTreeConfig::figure3_testbed()).unwrap();
-        broken.break_tor_uplinks(1, 36).unwrap();
-        let worse = tree_allreduce_busbw(&broken, &(4..12).collect::<Vec<_>>()).unwrap();
-        let baseline = tree_allreduce_busbw(&tree, &(4..12).collect::<Vec<_>>()).unwrap();
-        assert!(worse < baseline, "{baseline} -> {worse}");
-        assert!(tree_allreduce_busbw(&tree, &[0]).unwrap().is_infinite());
-    }
-
-    #[test]
-    fn all_gather_matches_ring() {
-        let tree = tree();
-        let ring: Vec<usize> = (0..6).collect();
-        assert_eq!(
-            all_gather_busbw(&tree, &ring).unwrap(),
-            ring_allreduce_busbw(&tree, &ring).unwrap()
-        );
     }
 }

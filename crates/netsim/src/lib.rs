@@ -9,8 +9,8 @@
 //!   bundles, hop distances, and flow paths;
 //! - [`congestion`]: max–min fair (progressive-filling) bandwidth
 //!   allocation for concurrent flows;
-//! - [`collective`]: 2-node pairwise bandwidth, ring all-reduce,
-//!   all-gather and all-to-all time/bandwidth estimation over the topology;
+//! - [`collective`]: 2-node pairwise bandwidth, ring all-reduce and
+//!   all-to-all time/bandwidth estimation over the topology;
 //! - [`scan`]: Appendix A's O(n) circle-method full pairwise scan and the
 //!   O(1) topology-aware quick scan.
 
@@ -40,7 +40,7 @@ pub mod permutation;
 pub mod scan;
 pub mod topology;
 
-pub use collective::{concurrent_pair_bandwidths, ring_allreduce_busbw, tree_allreduce_busbw};
+pub use collective::{concurrent_pair_bandwidths, ring_allreduce_busbw};
 pub use congestion::{max_min_rates, Flow};
 pub use permutation::{ring_permutation_spread, PermutationSpread};
 pub use scan::{full_scan_rounds, quick_scan_rounds};

@@ -67,13 +67,20 @@ pub fn ring_permutation_spread(
         order.shuffle(&mut rng);
         bandwidths.push(ring_allreduce_busbw(tree, &order)?);
     }
-    let best = fastest(&bandwidths);
-    let unaffected =
-        bandwidths.iter().filter(|&&b| b >= best * 0.98).count() as f64 / bandwidths.len() as f64;
     Ok(PermutationSpread {
+        unaffected_fraction: unaffected_fraction(&bandwidths),
         bandwidths,
-        unaffected_fraction: unaffected,
     })
+}
+
+/// Fraction of `bandwidths` within 2% of the fastest; NaN if any is NaN
+/// (a NaN best would fail every comparison and read as 0.0).
+fn unaffected_fraction(bandwidths: &[f64]) -> f64 {
+    let best = fastest(bandwidths);
+    if best.is_nan() {
+        return f64::NAN;
+    }
+    bandwidths.iter().filter(|&&b| b >= best * 0.98).count() as f64 / bandwidths.len() as f64
 }
 
 #[cfg(test)]
@@ -88,13 +95,19 @@ mod tests {
     #[test]
     fn a_nan_bandwidth_propagates_to_best_and_worst() {
         // `f64::max`/`f64::min` folds would skip the NaN and report 3/1.
+        let bandwidths = vec![1.0, f64::NAN, 3.0];
         let spread = PermutationSpread {
-            bandwidths: vec![1.0, f64::NAN, 3.0],
-            unaffected_fraction: 1.0,
+            unaffected_fraction: unaffected_fraction(&bandwidths),
+            bandwidths,
         };
         assert!(spread.best().is_nan(), "best {}", spread.best());
         assert!(spread.worst().is_nan(), "worst {}", spread.worst());
         assert!(spread.relative_spread().is_nan());
+        assert!(
+            spread.unaffected_fraction.is_nan(),
+            "unaffected {}",
+            spread.unaffected_fraction
+        );
     }
 
     #[test]

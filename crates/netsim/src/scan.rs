@@ -28,35 +28,31 @@ use crate::topology::{FatTree, NetError};
 /// assert_eq!(rounds.len(), 7);
 /// assert!(rounds.iter().all(|r| r.len() == 4));
 /// ```
-#[expect(
-    clippy::indexing_slicing,
-    clippy::integer_division_remainder_used,
-    reason = "the circle holds `m - 1 >= 1` nodes and `1 <= k < m / 2` keeps `k` and \
-              `m - 1 - k` inside it; a constant divisor"
-)]
 pub fn full_scan_rounds(n: usize) -> Vec<Vec<(usize, usize)>> {
     if n < 2 {
         return Vec::new();
     }
     // Pad odd n with a phantom node that makes its partner idle.
-    let m = if n.is_multiple_of(2) { n } else { n + 1 };
+    let pairs = n.div_ceil(2);
+    let m = 2 * pairs;
     let phantom = m - 1;
     // Circle method: node m−1 is fixed; the rest rotate.
     let mut circle: Vec<usize> = (0..m - 1).collect();
     let mut rounds = Vec::with_capacity(m - 1);
     for _ in 0..m - 1 {
-        let mut round = Vec::with_capacity(m / 2);
+        let mut round = Vec::with_capacity(pairs);
         // Fixed node pairs with the head of the circle.
-        let head = circle[0];
-        if phantom < n || head < n {
-            let (a, b) = (head.min(phantom), head.max(phantom));
-            if b < n {
-                round.push((a, b));
+        if let Some(&head) = circle.first() {
+            if phantom < n || head < n {
+                let (a, b) = (head.min(phantom), head.max(phantom));
+                if b < n {
+                    round.push((a, b));
+                }
             }
         }
-        for k in 1..m / 2 {
-            let a = circle[k];
-            let b = circle[m - 1 - k];
+        // The rest pair from both ends of the circle inwards.
+        let tail = circle.iter().skip(1).zip(circle.iter().rev());
+        for (&a, &b) in tail.take(pairs - 1) {
             let (a, b) = (a.min(b), a.max(b));
             if b < n {
                 round.push((a, b));
@@ -75,7 +71,6 @@ pub fn full_scan_rounds(n: usize) -> Vec<Vec<(usize, usize)>> {
 /// partners at exactly that distance. Rounds whose tier does not exist in
 /// the topology (e.g. 6-hop in a single-pod cluster) are omitted, so a
 /// k-tier tree always needs at most k rounds regardless of node count.
-#[expect(clippy::indexing_slicing, reason = "`a, b < n`, the length of `used`")]
 pub fn quick_scan_rounds(tree: &FatTree) -> Result<Vec<Vec<(usize, usize)>>, NetError> {
     let n = tree.nodes();
     let mut rounds = Vec::new();
@@ -83,15 +78,19 @@ pub fn quick_scan_rounds(tree: &FatTree) -> Result<Vec<Vec<(usize, usize)>>, Net
         let mut used = vec![false; n];
         let mut round = Vec::new();
         for a in 0..n {
-            if used[a] {
+            if used.get(a) != Some(&false) {
                 continue;
             }
             // Greedy partner search at exactly `hops` distance.
-            let partner =
-                (a + 1..n).find(|&b| !used[b] && tree.hop_distance(a, b).unwrap_or(0) == hops);
+            let partner = (a + 1..n).find(|&b| {
+                used.get(b) == Some(&false) && tree.hop_distance(a, b).unwrap_or(0) == hops
+            });
             if let Some(b) = partner {
-                used[a] = true;
-                used[b] = true;
+                for node in [a, b] {
+                    if let Some(flag) = used.get_mut(node) {
+                        *flag = true;
+                    }
+                }
                 round.push((a, b));
             }
         }

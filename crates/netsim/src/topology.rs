@@ -128,11 +128,6 @@ pub struct Bundle {
     pub total_links: u32,
     /// Links currently down.
     pub broken_links: u32,
-    /// Links up but running at degraded rate (high bit-error rate forces
-    /// retransmits; the paper saw 35× more such links in tropical DCs).
-    pub ber_links: u32,
-    /// Fraction of nominal rate a BER-degraded link delivers.
-    pub ber_rate_factor: f64,
     /// How many of `total_links` are over-provisioned redundancy.
     pub redundant_links: u32,
     /// Per-link rate in Gb/s.
@@ -145,8 +140,6 @@ impl Bundle {
             kind,
             total_links: total,
             broken_links: 0,
-            ber_links: 0,
-            ber_rate_factor: 0.5,
             redundant_links: redundant,
             link_gbps,
         }
@@ -170,22 +163,14 @@ impl Bundle {
     }
 
     /// Effective capacity in Gb/s under the masking/congestion model.
-    ///
-    /// BER-degraded links stay "up" (they count toward the redundancy
-    /// budget) but deliver only `ber_rate_factor` of their rate — the
-    /// quintessential gray failure.
     pub fn effective_gbps(&self) -> f64 {
-        let full = f64::from(self.total_links) * self.link_gbps;
-        let ber = f64::from(self.ber_links.min(self.working_links()));
-        let ber_loss = ber * (1.0 - self.ber_rate_factor) * self.link_gbps;
         if self.redundancy_ok() {
             // Breakage within the masking budget costs nothing (ECMP
-            // spreads over the spare capacity), but BER losses are real
-            // rate reductions on live links.
-            (full - ber_loss).max(0.0)
+            // spreads over the spare capacity).
+            (f64::from(self.total_links) * self.link_gbps).max(0.0)
         } else {
             let working = f64::from(self.working_links());
-            let delivered = working * self.link_gbps - ber_loss;
+            let delivered = working * self.link_gbps;
             delivered.max(0.0) * (working / f64::from(self.total_links))
         }
     }
@@ -428,20 +413,6 @@ impl FatTree {
         Ok(())
     }
 
-    /// Marks `count` uplinks of a ToR as BER-degraded (up, but delivering
-    /// `rate_factor` of nominal).
-    pub fn set_tor_uplink_ber(
-        &mut self,
-        tor: usize,
-        count: u32,
-        rate_factor: f64,
-    ) -> Result<(), NetError> {
-        let bundle = self.tor_uplinks_mut(tor)?;
-        bundle.ber_links = count.min(bundle.total_links);
-        bundle.ber_rate_factor = rate_factor.clamp(0.0, 1.0);
-        Ok(())
-    }
-
     /// Whether every ToR satisfies the ≥50%-redundant-links-up criterion.
     pub fn all_tors_redundancy_ok(&self) -> bool {
         self.bundles
@@ -536,22 +507,6 @@ mod tests {
         );
         t.repair_tor_uplinks(0, true).unwrap();
         assert_eq!(t.tor_uplinks(0).unwrap().broken_links, 0);
-    }
-
-    #[test]
-    fn ber_links_degrade_capacity_without_breaking_redundancy() {
-        let mut t = tree();
-        let healthy = t.tor_uplinks(0).unwrap().effective_gbps();
-        t.set_tor_uplink_ber(0, 10, 0.5).unwrap();
-        let bundle = t.tor_uplinks(0).unwrap();
-        assert!(bundle.redundancy_ok(), "BER links still count as up");
-        let degraded = bundle.effective_gbps();
-        // 10 links at half rate: 8000 - 10*200*0.5 = 7000.
-        assert!((degraded - (healthy - 1000.0)).abs() < 1e-9, "{degraded}");
-        // BER on top of breakage compounds.
-        t.break_tor_uplinks(0, 6).unwrap();
-        let both = t.tor_uplinks(0).unwrap().effective_gbps();
-        assert!(both < degraded);
     }
 
     #[test]

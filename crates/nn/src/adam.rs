@@ -126,16 +126,6 @@ impl Adam {
     pub fn timestep(&self) -> u64 {
         self.timestep
     }
-
-    /// The configured learning rate.
-    pub fn learning_rate(&self) -> f64 {
-        self.learning_rate
-    }
-
-    /// Replaces the learning rate (e.g. for decay schedules).
-    pub fn set_learning_rate(&mut self, learning_rate: f64) {
-        self.learning_rate = learning_rate;
-    }
 }
 
 #[cfg(test)]
@@ -211,15 +201,6 @@ mod tests {
             after < before * 0.2,
             "decay must shrink the net: {before} -> {after}"
         );
-    }
-
-    #[test]
-    fn learning_rate_is_adjustable() {
-        let mlp = Mlp::new(&[1, 1], Activation::Identity, 0);
-        let mut adam = Adam::new(&mlp, 0.1);
-        assert_eq!(adam.learning_rate(), 0.1);
-        adam.set_learning_rate(0.01);
-        assert_eq!(adam.learning_rate(), 0.01);
     }
 
     #[test]

@@ -281,7 +281,7 @@ fn tanh_lane(x: f64) -> f64 {
 /// time.
 ///
 /// Chunks whose values all fall in `2⁻⁵⁵ <= |x| < 19` run through the
-/// branchless [`tanh_lane`] operations; anything else (zeros, saturated,
+/// branchless `tanh_lane` operations; anything else (zeros, saturated,
 /// non-finite — rare in practice) falls back to the scalar [`tanh`].
 /// Where the target has AVX-512F and AVX-512DQ, eight-lane blocks run
 /// first through `crate::avx512::tanh8`, the same operations on one

@@ -217,20 +217,10 @@ pub fn disable() {
     let _ = with(|r| *r = Recorder::new());
 }
 
-/// Whether recording is enabled (and not suppressed) on this thread.
-pub fn is_enabled() -> bool {
-    with(|r| r.recording()).unwrap_or(false)
-}
-
 /// Sets the current virtual time stamped onto subsequent records.
 /// Instrumented event loops call this with their simulation clock.
 pub fn set_time(vt: f64) {
     let _ = with(|r| r.vt = vt);
-}
-
-/// Advances the current virtual time by `dt`.
-pub fn advance_time(dt: f64) {
-    let _ = with(|r| r.vt += dt);
 }
 
 /// The current virtual time (0.0 when recording was never enabled).
@@ -403,7 +393,7 @@ mod tests {
         set_time(1.0);
         {
             let _span = span!("outer");
-            advance_time(0.5);
+            set_time(1.5);
             event!("tick");
             counter!("ticks", 2);
             counter!("ticks", 3);

@@ -73,7 +73,7 @@ pub struct HistogramSnapshot {
     pub target: &'static str,
     /// Histogram name.
     pub name: &'static str,
-    /// Bucket edges (see [`crate::hist`]).
+    /// Bucket edges (see [`mod@crate::hist`]).
     pub edges: &'static [f64],
     /// Per-bucket counts; one longer than `edges`.
     pub counts: Vec<u64>,

@@ -101,13 +101,6 @@ impl CoverageTable {
         covered as f64 / total as f64
     }
 
-    /// Marginal defects a benchmark adds on top of a subset.
-    pub fn marginal_coverage(&self, subset: &[BenchmarkId], candidate: BenchmarkId) -> f64 {
-        let mut with = subset.to_vec();
-        with.push(candidate);
-        self.coverage(&with) - self.coverage(subset)
-    }
-
     /// Per-benchmark defect share (for Table 6-style reporting), sorted
     /// descending.
     pub fn defect_shares(&self) -> Vec<(BenchmarkId, f64)> {
@@ -155,17 +148,6 @@ mod tests {
             (table.coverage(&[BenchmarkId::IbHcaLoopback, BenchmarkId::GpuGemmFp16]) - 0.4).abs()
                 < 1e-12
         );
-    }
-
-    #[test]
-    fn marginal_coverage_accounts_for_overlap() {
-        let mut table = CoverageTable::new();
-        table.record(BenchmarkId::IbHcaLoopback, 1);
-        table.record(BenchmarkId::IbHcaLoopback, 2);
-        table.record(BenchmarkId::GpuGemmFp16, 2);
-        let marginal =
-            table.marginal_coverage(&[BenchmarkId::IbHcaLoopback], BenchmarkId::GpuGemmFp16);
-        assert_eq!(marginal, 0.0, "defect 2 already covered");
     }
 
     #[test]

@@ -745,7 +745,7 @@ impl SurvivalModel for CoxTimeModel {
     }
 
     /// The per-node fold with every member's grid rows in one network
-    /// batch (blocks of whole members up to [`JOINT_BLOCK_ROWS`]) instead
+    /// batch (blocks of whole members up to `JOINT_BLOCK_ROWS`) instead
     /// of one batch per member. Rows of a batch are bit-identical to
     /// one-row evaluations, and each member's survival, clamp and product
     /// step run in the default's order, so the result keeps its bits.

@@ -334,7 +334,7 @@ fn celf_popcount(covered: &[u64]) -> usize {
 /// non-increasing as the covered set grows (submodularity), so a cached
 /// count is an upper bound on the current one. At the start of each
 /// round every unselected candidate's cached count is converted to an
-/// efficiency *bound* through [`celf_efficiency`] with the **current**
+/// efficiency *bound* through `celf_efficiency` with the **current**
 /// residual `p` — by that function's float monotonicity the bound is
 /// `≥` the candidate's true current efficiency, with bit-exact equality
 /// when the cached count is still fresh. The queue then yields

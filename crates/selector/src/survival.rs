@@ -255,40 +255,25 @@ impl ExponentialPerHourModel {
         let below = self.durations.partition_point(|&d| d < t);
         (self.durations.len() - below) as f64 / self.durations.len() as f64
     }
+}
 
-    /// `E[T − u | T > u]` by integrating the conditional survival, capped.
+impl SurvivalModel for ExponentialPerHourModel {
+    /// `E[T]` by integrating the survival curve from 0 to the cap.
     ///
-    /// Exposed for diagnostics; note the paper's Table 3 baseline does
-    /// *not* condition on node age for its TBNI prediction (it predicts
-    /// past the 2,400-hour cap for all samples), so the trait
-    /// implementation below uses the unconditional expectation.
-    pub fn expected_tbni_given_age(&self, u: f64) -> f64 {
-        self.conditional_expectation(u)
-    }
-
-    fn conditional_expectation(&self, u: f64) -> f64 {
-        let s_u = self.survival(u);
-        if s_u <= 0.0 {
-            return TBNI_CAP_HOURS;
-        }
+    /// The paper's Table 3 baseline does *not* condition on node age for
+    /// its TBNI prediction (it predicts past the 2,400-hour cap for all
+    /// samples), so this ignores `status`.
+    fn expected_tbni(&self, _status: &NodeStatus) -> f64 {
         // Trapezoid over a fixed grid up to the cap.
         let steps = 240;
         let dt = TBNI_CAP_HOURS / steps as f64;
         let mut integral = 0.0;
         for k in 0..steps {
-            let t0 = u + k as f64 * dt;
+            let t0 = k as f64 * dt;
             let t1 = t0 + dt;
-            integral += 0.5 * (self.survival(t0) + self.survival(t1)) / s_u * dt;
+            integral += 0.5 * (self.survival(t0) + self.survival(t1)) * dt;
         }
         integral.min(TBNI_CAP_HOURS)
-    }
-}
-
-impl SurvivalModel for ExponentialPerHourModel {
-    fn expected_tbni(&self, _status: &NodeStatus) -> f64 {
-        // The paper's per-hour baseline predicts one status-independent
-        // TBNI from the unconditional survival curve.
-        self.conditional_expectation(0.0)
     }
 
     fn incident_probability(&self, status: &NodeStatus, horizon: f64) -> f64 {
@@ -390,21 +375,15 @@ mod tests {
     }
 
     #[test]
-    fn per_hour_age_conditioning_is_available_but_not_used_for_tbni() {
-        // Bimodal durations: many early failures plus a long-lived tail.
+    fn per_hour_tbni_ignores_status() {
         let mut samples: Vec<SurvivalSample> =
             (0..30).map(|_| sample(0, 0.0, 30.0, true)).collect();
         samples.extend((0..10).map(|_| sample(0, 0.0, 2000.0, true)));
         let model = ExponentialPerHourModel::fit(&samples);
-        // Conditioning on having survived 100h selects the long-lived mode.
-        let young = model.expected_tbni_given_age(0.0);
-        let survivor = model.expected_tbni_given_age(100.0);
-        assert!(survivor > young * 2.0, "young {young}, survivor {survivor}");
-        // But the Table 3 prediction ignores status (the paper's baseline).
+        // The Table 3 prediction ignores status (the paper's baseline).
         let a = model.expected_tbni(&sample(0, 0.0, 0.0, true).status);
         let b = model.expected_tbni(&sample(0, 100.0, 0.0, true).status);
         assert_eq!(a, b);
-        assert!((a - young).abs() < 1e-9);
     }
 
     #[test]

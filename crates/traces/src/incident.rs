@@ -1,6 +1,6 @@
 //! Synthetic node-incident traces.
 
-use anubis_hwsim::fault::{FaultKind, IncidentCategory};
+use anubis_hwsim::fault::IncidentCategory;
 use anubis_hwsim::noise::{exponential, log_normal};
 use anubis_selector::{NodeStatus, SurvivalSample};
 use rand::Rng;
@@ -54,64 +54,6 @@ impl SourceMix {
         self.weights
             .last()
             .map_or(IncidentCategory::Software, |&(category, _)| category)
-    }
-}
-
-/// Samples a concrete fault realization for an incident category, used by
-/// the cluster simulator to turn trace incidents into hardware state.
-pub fn sample_fault_for_category(category: IncidentCategory, rng: &mut ChaCha8Rng) -> FaultKind {
-    match category {
-        IncidentCategory::GpuCompute => {
-            if rng.random::<f64>() < 0.5 {
-                FaultKind::GpuComputeDegraded {
-                    severity: rng.random_range(0.1..0.4),
-                }
-            } else {
-                FaultKind::ThermalThrottle {
-                    severity: rng.random_range(0.1..0.3),
-                }
-            }
-        }
-        IncidentCategory::GpuMemory => {
-            if rng.random::<f64>() < 0.6 {
-                FaultKind::RowRemapErrors {
-                    correctable_errors: rng.random_range(1..30),
-                }
-            } else {
-                FaultKind::GpuMemoryBandwidthDegraded {
-                    severity: rng.random_range(0.1..0.3),
-                }
-            }
-        }
-        IncidentCategory::NvLink => FaultKind::NvLinkLanesDown {
-            lanes: rng.random_range(4..40),
-        },
-        IncidentCategory::IbLink => FaultKind::IbLinkBer {
-            severity: rng.random_range(0.15..0.5),
-        },
-        IncidentCategory::Nic => FaultKind::HcaDegraded {
-            severity: rng.random_range(0.15..0.5),
-        },
-        IncidentCategory::Pcie => FaultKind::PcieDowngrade {
-            severity: rng.random_range(0.3..0.5),
-        },
-        IncidentCategory::CpuMemory => FaultKind::CpuMemoryLatency {
-            severity: rng.random_range(0.15..0.4),
-        },
-        IncidentCategory::Disk => FaultKind::DiskSlow {
-            severity: rng.random_range(0.2..0.6),
-        },
-        IncidentCategory::Software => {
-            if rng.random::<f64>() < 0.5 {
-                FaultKind::OverlapInterference {
-                    severity: rng.random_range(0.15..0.35),
-                }
-            } else {
-                FaultKind::KernelLaunchOverhead {
-                    severity: rng.random_range(0.3..0.6),
-                }
-            }
-        }
     }
 }
 
@@ -322,17 +264,6 @@ impl IncidentTrace {
             .collect()
     }
 
-    /// Figure 4 (right): expected time to failure of a gang-scheduled job
-    /// over `job_nodes` nodes whose members all have `incident_index`
-    /// incidents, assuming a constant per-node rate of `1 / mean gap`.
-    pub fn job_time_to_failure(&self, incident_index: usize, job_nodes: usize) -> Option<f64> {
-        job_time_to_failure_from(
-            &self.mean_gap_by_incident_index(1),
-            incident_index,
-            job_nodes,
-        )
-    }
-
     /// Extracts survival samples (the Table 3 dataset): node status
     /// snapshots taken at every incident resolution and on a periodic
     /// grid, each labelled with the time to the node's next incident
@@ -487,26 +418,12 @@ mod tests {
     }
 
     #[test]
-    fn gap_table_lookup_matches_direct_computation() {
-        let trace = small_trace();
-        let gaps = trace.mean_gap_by_incident_index(1);
-        for index in [1usize, 2, 5] {
-            for job_nodes in [1usize, 8, 1024] {
-                assert_eq!(
-                    job_time_to_failure_from(&gaps, index, job_nodes),
-                    trace.job_time_to_failure(index, job_nodes)
-                );
-            }
-        }
-        assert_eq!(job_time_to_failure_from(&gaps, 100_000, 4), None);
-    }
-
-    #[test]
     fn job_scale_shrinks_time_to_failure() {
-        let trace = small_trace();
-        let single = trace.job_time_to_failure(1, 1).unwrap();
-        let large = trace.job_time_to_failure(1, 16).unwrap();
+        let gaps = small_trace().mean_gap_by_incident_index(1);
+        let single = job_time_to_failure_from(&gaps, 1, 1).unwrap();
+        let large = job_time_to_failure_from(&gaps, 1, 16).unwrap();
         assert!((single / large - 16.0).abs() < 1e-9);
+        assert_eq!(job_time_to_failure_from(&gaps, 100_000, 4), None);
     }
 
     #[test]
@@ -548,17 +465,6 @@ mod tests {
         // Status incident counts never exceed the node's trace events.
         for s in samples.iter().take(500) {
             assert!(s.status.incident_count <= trace.events.len() as u32);
-        }
-    }
-
-    #[test]
-    fn fault_sampler_matches_category() {
-        let mut rng = ChaCha8Rng::seed_from_u64(9);
-        for category in IncidentCategory::ALL {
-            for _ in 0..20 {
-                let fault = sample_fault_for_category(category, &mut rng);
-                assert_eq!(fault.category(), category, "{fault:?}");
-            }
         }
     }
 }

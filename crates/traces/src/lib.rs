@@ -37,20 +37,15 @@
 )]
 
 pub mod allocation;
-pub mod codec;
 pub mod dataset;
 pub mod incident;
 pub mod stream;
 
 pub use allocation::{generate_allocation_trace, AllocationConfig, AllocationRequest};
-pub use codec::{
-    allocation_trace_to_jsonl, decode_incident_trace, encode_incident_trace,
-    incident_trace_to_jsonl, CodecError,
-};
 pub use dataset::{generate_buildout_fleet, BuildoutConfig};
 pub use incident::{
-    generate_incident_trace, job_time_to_failure_from, sample_fault_for_category, IncidentEvent,
-    IncidentTrace, IncidentTraceConfig, SourceMix, TicketDurationModel,
+    generate_incident_trace, job_time_to_failure_from, IncidentEvent, IncidentTrace,
+    IncidentTraceConfig, SourceMix, TicketDurationModel,
 };
 pub use stream::{
     node_stream_seed, prefetch, shard_ranges, AllocationStream, IncidentStreamConfig, JobArrival,

@@ -48,6 +48,10 @@ pub struct CriteriaResult {
 /// let result = calculate_criteria(&samples, 0.95, CentroidMethod::Medoid).unwrap();
 /// assert_eq!(result.defects, vec![10]);
 /// ```
+#[expect(
+    clippy::indexing_slicing,
+    reason = "member and centroid indices are below the sample count, the matrix's size"
+)]
 pub fn calculate_criteria(
     samples: &[Sample],
     alpha: f64,
@@ -69,28 +73,6 @@ pub fn calculate_criteria(
         CentroidMethod::Medoid => Vec::new(),
         CentroidMethod::DistributionMean => samples.iter().map(Ecdf::new).collect(),
     };
-    cluster_from_matrix(samples, &similarity, &ecdfs, alpha, method)
-}
-
-/// The Algorithm 2 clustering loop over a precomputed similarity matrix.
-///
-/// Shared by the batch path above and the incremental
-/// [`crate::CriteriaCache`]: the loop is a pure function of the matrix
-/// (and, for the distribution-mean method, the per-sample ECDFs), so any
-/// path that supplies a bit-identical matrix gets a bit-identical
-/// [`CriteriaResult`]. `ecdfs` may be empty for [`CentroidMethod::Medoid`]
-/// and must cover every sample for [`CentroidMethod::DistributionMean`].
-#[expect(
-    clippy::indexing_slicing,
-    reason = "member and centroid indices are below the sample count, the matrix's size"
-)]
-pub(crate) fn cluster_from_matrix(
-    samples: &[Sample],
-    similarity: &[Vec<f64>],
-    ecdfs: &[Ecdf],
-    alpha: f64,
-    method: CentroidMethod,
-) -> Result<CriteriaResult, MetricsError> {
     let n = samples.len();
     let mut healthy: Vec<usize> = (0..n).collect();
     let mut defects: Vec<usize> = Vec::new();
@@ -98,7 +80,7 @@ pub(crate) fn cluster_from_matrix(
 
     loop {
         iterations += 1;
-        let centroid_idx = medoid_of(&healthy, similarity);
+        let centroid_idx = medoid_of(&healthy, &similarity);
         // Similarity of each healthy sample to the current centroid. For
         // the medoid method this reads straight from the matrix; for the
         // distribution mean we build the mean sample and compare.
@@ -116,9 +98,8 @@ pub(crate) fn cluster_from_matrix(
                 let mean_ecdf = Ecdf::new(&mean);
                 // Member comparisons are independent; workers fill slots
                 // in member order, identical to the sequential loop.
-                let ecdfs_ref = &ecdfs;
                 let sims = anubis_parallel::map_items(&healthy, 0, |&i| {
-                    similarity_ecdf(&mean_ecdf, &ecdfs_ref[i])
+                    similarity_ecdf(&mean_ecdf, &ecdfs[i])
                 });
                 centroid_sample = Some(mean);
                 sims

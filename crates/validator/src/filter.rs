@@ -2,7 +2,6 @@
 
 use anubis_benchsuite::{BenchmarkId, RunData};
 use anubis_hwsim::NodeId;
-use anubis_metrics::json::{to_json, JsonError};
 use anubis_metrics::{one_sided_similarity, Direction, Sample};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -29,15 +28,6 @@ impl Criteria {
     }
 }
 
-/// Serializable view of one benchmark's learned criteria.
-#[derive(serde::Serialize)]
-struct CriteriaRecord<'a> {
-    benchmark: &'a str,
-    direction: Direction,
-    alpha: f64,
-    criteria: &'a Sample,
-}
-
 /// A set of per-benchmark criteria plus the filtering logic: a node is
 /// defective if **any** of its benchmark results violates its criteria.
 #[derive(Debug, Clone, Default)]
@@ -56,11 +46,6 @@ impl DefectFilter {
         self.criteria.insert(bench, criteria);
     }
 
-    /// The criteria for a benchmark, if learned.
-    pub fn criteria_for(&self, bench: BenchmarkId) -> Option<&Criteria> {
-        self.criteria.get(&bench)
-    }
-
     /// Benchmarks with learned criteria.
     pub fn benchmarks(&self) -> Vec<BenchmarkId> {
         self.criteria.keys().copied().collect()
@@ -69,24 +54,6 @@ impl DefectFilter {
     /// Whether any criteria have been learned.
     pub fn is_empty(&self) -> bool {
         self.criteria.is_empty()
-    }
-
-    /// Exports every learned criteria as JSON lines, so operators can
-    /// archive and diff the fleet's pass/fail boundaries across
-    /// re-learning cycles.
-    pub fn export_jsonl(&self) -> Result<String, JsonError> {
-        let mut out = String::new();
-        for (bench, criteria) in &self.criteria {
-            let record = CriteriaRecord {
-                benchmark: bench.spec().name,
-                direction: criteria.direction,
-                alpha: criteria.alpha,
-                criteria: &criteria.sample,
-            };
-            out.push_str(&to_json(&record)?);
-            out.push('\n');
-        }
-        Ok(out)
     }
 
     /// Filters a run's results, returning defective nodes and, per node,
@@ -130,15 +97,6 @@ impl FilterOutcome {
     /// Whether a specific node was flagged.
     pub fn is_defective(&self, node: NodeId) -> bool {
         self.flagged.contains_key(&node)
-    }
-
-    /// Fraction of checked nodes flagged defective (0 when none checked).
-    pub fn defect_rate(&self) -> f64 {
-        if self.checked.is_empty() {
-            0.0
-        } else {
-            self.flagged.len() as f64 / self.checked.len() as f64
-        }
     }
 }
 
@@ -210,7 +168,6 @@ mod tests {
             vec![BenchmarkId::GpuH2dBandwidth]
         );
         assert!(!outcome.is_defective(NodeId(0)));
-        assert!((outcome.defect_rate() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -222,26 +179,6 @@ mod tests {
         let outcome = filter.filter(&data);
         assert!(outcome.defective_nodes().is_empty());
         assert!(outcome.checked.is_empty());
-        assert_eq!(outcome.defect_rate(), 0.0);
-    }
-
-    #[test]
-    fn criteria_export_is_valid_jsonl() {
-        let mut filter = DefectFilter::new();
-        filter.set_criteria(BenchmarkId::GpuGemmFp16, throughput_criteria(300.0));
-        filter.set_criteria(
-            BenchmarkId::CpuLatency,
-            Criteria {
-                sample: scalar(95.0),
-                direction: Direction::LowerIsBetter,
-                alpha: 0.95,
-            },
-        );
-        let jsonl = filter.export_jsonl().unwrap();
-        assert_eq!(jsonl.lines().count(), 2);
-        assert!(jsonl.contains(r#""benchmark":"CPU latency""#));
-        assert!(jsonl.contains(r#""direction":"LowerIsBetter""#));
-        assert!(jsonl.contains(r#""criteria":[300]"#));
     }
 
     #[test]

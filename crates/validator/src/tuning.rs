@@ -2,7 +2,7 @@
 //!
 //! End-to-end benchmarks only need a stable measurement window, not a full
 //! training run. The search (i) finds the cycle period of the step series
-//! by classical seasonal decomposition, (ii) walks cycles from the start
+//! by autocorrelation, (ii) walks cycles from the start
 //! until enough consecutive cycles are self-similar within α, and (iii)
 //! across nodes, keeps the candidate window that maximizes the average
 //! pairwise similarity.

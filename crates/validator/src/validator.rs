@@ -6,11 +6,9 @@ use anubis_benchsuite::{
     run_benchmark, run_benchmark_multi, BenchmarkId, Phase, RunData, SuiteError,
 };
 use anubis_hwsim::{NodeId, NodeSim};
-use anubis_lifecycle::{LifecycleEvent, NodeLifecycle, TransitionError};
 use anubis_metrics::MetricsError;
 use anubis_netsim::FatTree;
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// Bucket edges (minutes) for the validation-duration histogram: spot
 /// check, Selector subset, typical full set, build-out, worst case.
@@ -50,50 +48,6 @@ impl ValidationReport {
     /// Defective node ids, ascending.
     pub fn defective_nodes(&self) -> Vec<NodeId> {
         self.flagged.keys().copied().collect()
-    }
-}
-
-/// Error from a lifecycle-tracked validation run
-/// ([`Validator::validate_tracked`]).
-#[derive(Debug)]
-pub enum TrackedValidationError {
-    /// The underlying benchmark run failed.
-    Suite(SuiteError),
-    /// A node could not legally enter or leave validation — e.g. it was
-    /// still serving a job, or its risk threshold never crossed.
-    Lifecycle(TransitionError),
-    /// The lifecycle slice does not match the node slice.
-    LifecycleCountMismatch {
-        /// Number of nodes supplied.
-        nodes: usize,
-        /// Number of lifecycles supplied.
-        lifecycles: usize,
-    },
-}
-
-impl fmt::Display for TrackedValidationError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Suite(e) => write!(f, "validation run failed: {e}"),
-            Self::Lifecycle(e) => write!(f, "lifecycle discipline violated: {e}"),
-            Self::LifecycleCountMismatch { nodes, lifecycles } => {
-                write!(f, "{nodes} nodes but {lifecycles} lifecycles")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TrackedValidationError {}
-
-impl From<SuiteError> for TrackedValidationError {
-    fn from(e: SuiteError) -> Self {
-        Self::Suite(e)
-    }
-}
-
-impl From<TransitionError> for TrackedValidationError {
-    fn from(e: TransitionError) -> Self {
-        Self::Lifecycle(e)
     }
 }
 
@@ -264,62 +218,6 @@ impl Validator {
         }
         Ok(report)
     }
-
-    /// Like [`Validator::validate`], but routes every node through the
-    /// lifecycle state machine: each node enters validation via
-    /// [`LifecycleEvent::ValidationStarted`] (which the machine rejects
-    /// unless its risk threshold crossed — in particular it rejects a node
-    /// still serving a job) and leaves via
-    /// [`LifecycleEvent::DefectConfirmed`] or
-    /// [`LifecycleEvent::ValidationPassed`] according to the report.
-    ///
-    /// `lifecycles[i]` tracks `nodes[i]`.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`TrackedValidationError::Lifecycle`] *before running any
-    /// benchmark* if any node cannot legally start validation (no lifecycle
-    /// is modified in that case); with [`TrackedValidationError::Suite`] if
-    /// the benchmark run itself fails (the lifecycles then remain
-    /// `Validating` — the caller decides between retry and quarantine).
-    pub fn validate_tracked(
-        &self,
-        set: &[BenchmarkId],
-        nodes: &mut [NodeSim],
-        members: &[usize],
-        fabric: Option<&FatTree>,
-        lifecycles: &mut [NodeLifecycle],
-    ) -> Result<ValidationReport, TrackedValidationError> {
-        if lifecycles.len() != nodes.len() {
-            return Err(TrackedValidationError::LifecycleCountMismatch {
-                nodes: nodes.len(),
-                lifecycles: lifecycles.len(),
-            });
-        }
-        // Atomic entry: reject the whole run before touching any lifecycle.
-        for life in lifecycles.iter() {
-            if !life.can(LifecycleEvent::ValidationStarted) {
-                return Err(TransitionError {
-                    from: life.state(),
-                    event: LifecycleEvent::ValidationStarted,
-                }
-                .into());
-            }
-        }
-        for life in lifecycles.iter_mut() {
-            life.apply(LifecycleEvent::ValidationStarted)?;
-        }
-        let report = self.validate(set, nodes, members, fabric)?;
-        for (node, life) in nodes.iter().zip(lifecycles.iter_mut()) {
-            let verdict = if report.flagged.contains_key(&node.id()) {
-                LifecycleEvent::DefectConfirmed
-            } else {
-                LifecycleEvent::ValidationPassed
-            };
-            life.apply(verdict)?;
-        }
-        Ok(report)
-    }
 }
 
 #[cfg(test)]
@@ -435,76 +333,6 @@ mod tests {
             None,
         );
         assert!(matches!(err, Err(SuiteError::MissingFabric(_))));
-    }
-
-    #[test]
-    fn validate_tracked_confirms_defects_and_passes_the_rest() {
-        let set = [BenchmarkId::GpuGemmFp16, BenchmarkId::GpuH2dBandwidth];
-        let mut healthy = fleet(16, 3);
-        let validator = bootstrap_validator(&mut healthy, &set);
-
-        let mut nodes = fleet(4, 77);
-        nodes[1].inject_fault(FaultKind::GpuComputeDegraded { severity: 0.3 });
-        let members = vec![0, 1, 2, 3];
-        // All four nodes crossed the risk threshold before validation.
-        let mut lives = vec![NodeLifecycle::new(); 4];
-        for life in &mut lives {
-            life.apply(LifecycleEvent::RiskCrossed).unwrap();
-        }
-        let report = validator
-            .validate_tracked(&set, &mut nodes, &members, None, &mut lives)
-            .unwrap();
-        assert_eq!(report.defective_nodes(), vec![NodeId(1)]);
-        assert!(lives[1].state().is_quarantined());
-        for (i, life) in lives.iter().enumerate() {
-            if i != 1 {
-                assert!(life.state().is_healthy(), "node {i}: {:?}", life.state());
-            }
-        }
-    }
-
-    #[test]
-    fn validate_tracked_rejects_nodes_serving_jobs() {
-        let set = [BenchmarkId::GpuGemmFp16];
-        let mut healthy = fleet(16, 3);
-        let validator = bootstrap_validator(&mut healthy, &set);
-        let mut nodes = fleet(2, 5);
-        let mut lives = vec![NodeLifecycle::new(); 2];
-        lives[0].apply(LifecycleEvent::RiskCrossed).unwrap();
-        lives[1].apply(LifecycleEvent::JobAssigned).unwrap();
-        let err = validator
-            .validate_tracked(&set, &mut nodes, &[0, 1], None, &mut lives)
-            .unwrap_err();
-        assert!(
-            matches!(err, TrackedValidationError::Lifecycle(e) if e.from.is_busy()),
-            "busy node must be rejected"
-        );
-        // Atomic entry: node 0 was not moved into `Validating`.
-        assert!(lives[0].state().is_suspect());
-        assert!(lives[1].state().is_busy());
-    }
-
-    #[test]
-    fn validate_tracked_requires_matching_slices() {
-        let validator = Validator::new(ValidatorConfig::default());
-        let mut nodes = fleet(2, 1);
-        let mut lives = vec![NodeLifecycle::new(); 1];
-        let err = validator
-            .validate_tracked(
-                &[BenchmarkId::GpuGemmFp16],
-                &mut nodes,
-                &[0, 1],
-                None,
-                &mut lives,
-            )
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            TrackedValidationError::LifecycleCountMismatch {
-                nodes: 2,
-                lifecycles: 1
-            }
-        ));
     }
 
     #[test]

@@ -100,15 +100,6 @@ impl WorkloadMix {
             .sum()
     }
 
-    /// Share of jobs representable by a zoo benchmark.
-    pub fn representable_share(&self) -> f64 {
-        self.classes
-            .iter()
-            .filter(|c| c.representative.is_some())
-            .map(|c| c.share)
-            .sum()
-    }
-
     /// Samples a workload class proportionally to its share.
     #[expect(
         clippy::expect_used,
@@ -173,13 +164,5 @@ mod tests {
         }
         let freq = resnet as f64 / n as f64;
         assert!((freq - 0.141).abs() < 0.01, "sampled ResNet share {freq}");
-    }
-
-    #[test]
-    fn representable_share_is_majority() {
-        let mix = WorkloadMix::azure_internal();
-        let r = mix.representable_share();
-        assert!(r > 0.5, "zoo covers the majority of jobs: {r}");
-        assert!(r < 1.0, "some workloads only micro-benchmarks can cover");
     }
 }

@@ -68,17 +68,6 @@ impl ModelId {
         ModelId::Gpt2Large,
     ];
 
-    /// The representative per-family subset used in the Figure 9 / Table 5
-    /// experiments (ResNet, DenseNet, VGG, LSTM, BERT, GPT-2).
-    pub const REPRESENTATIVES: [ModelId; 6] = [
-        ModelId::ResNet50,
-        ModelId::DenseNet169,
-        ModelId::Vgg16,
-        ModelId::Lstm,
-        ModelId::BertLarge,
-        ModelId::Gpt2Small,
-    ];
-
     /// Display name.
     pub fn name(&self) -> &'static str {
         match self {
@@ -219,13 +208,6 @@ impl ModelConfig {
     pub fn gradient_bytes(&self) -> f64 {
         self.parameters * 2.0
     }
-
-    /// Rough communication-to-computation intensity: gradient bytes per
-    /// training GFLOP. VGG (heavy parameters, light compute) scores high,
-    /// ResNet low — which is why defective links hit VGG harder.
-    pub fn comm_intensity(&self) -> f64 {
-        self.gradient_bytes() / (self.train_flops_per_step_per_gpu() / 1e9)
-    }
 }
 
 #[cfg(test)]
@@ -246,28 +228,6 @@ mod tests {
             assert!((0.0..=1.0).contains(&cfg.memory_sensitivity));
             assert!((0.0..=1.0).contains(&cfg.overlap_efficiency));
         }
-    }
-
-    #[test]
-    fn representatives_cover_families() {
-        for family in [ModelFamily::Cnn, ModelFamily::Rnn, ModelFamily::Transformer] {
-            assert!(
-                ModelId::REPRESENTATIVES
-                    .iter()
-                    .any(|m| m.config().family == family),
-                "{family:?} has no representative"
-            );
-        }
-    }
-
-    #[test]
-    fn vgg_is_more_comm_intense_than_resnet() {
-        let vgg = ModelId::Vgg16.config().comm_intensity();
-        let resnet = ModelId::ResNet50.config().comm_intensity();
-        assert!(
-            vgg > 1.5 * resnet,
-            "VGG comm intensity {vgg} should clearly exceed ResNet {resnet}"
-        );
     }
 
     #[test]

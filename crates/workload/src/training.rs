@@ -36,14 +36,6 @@ impl TrainingOptions {
             noise: NoiseModel::TRAINING_STEP,
         }
     }
-
-    /// FP32 variant of [`TrainingOptions::validation`].
-    pub fn validation_fp32(steps: usize) -> Self {
-        Self {
-            precision: Precision::Fp32,
-            ..Self::validation(steps)
-        }
-    }
 }
 
 /// True (noise-free) steady-state step time in seconds on one node.
@@ -156,8 +148,9 @@ pub fn simulate_multi_node_training(
     let worst_nic = nodes
         .iter()
         .map(|n| n.impact().network_bandwidth)
-        .fold(1.0f64, min_or_nan)
-        .max(1e-6);
+        .fold(1.0f64, min_or_nan);
+    // Floor a dead NIC at 1e-6; unlike `f64::max`, a NaN health stays NaN.
+    let worst_nic = if worst_nic < 1e-6 { 1e-6 } else { worst_nic };
     let inter_comm = fabric_time / worst_nic;
     let overlap = model.overlap_efficiency
         * nodes
@@ -331,6 +324,24 @@ mod tests {
             simulate_multi_node_training(&mut tainted, &[0, 1, 2, 3], &fabric, &model, &opts);
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
         assert!(mean(&slowed) < mean(&baseline) * 0.8);
+    }
+
+    #[test]
+    fn nan_nic_health_yields_nan_throughput() {
+        let fabric = FatTree::build(FatTreeConfig::figure3_testbed()).unwrap();
+        let mut nodes: Vec<NodeSim> = (0..4)
+            .map(|i| NodeSim::new(NodeId(i), NodeSpec::a100_8x(), 11))
+            .collect();
+        nodes[1].inject_fault(FaultKind::HcaDegraded { severity: f64::NAN });
+        assert!(nodes[1].impact().network_bandwidth.is_nan());
+        let series = simulate_multi_node_training(
+            &mut nodes,
+            &[0, 1, 2, 3],
+            &fabric,
+            &ModelId::BertLarge.config(),
+            &TrainingOptions::validation(8),
+        );
+        assert!(series.iter().all(|t| t.is_nan()), "{series:?}");
     }
 
     #[test]
