@@ -56,18 +56,6 @@ ANUBIS_THREADS=2 ./target/release/repro fleetd --nodes 2000 --shards 100 --ticks
 cmp target/fleetd-smoke-t1.txt target/fleetd-smoke-s100.txt
 cmp target/fleetd-smoke-t1.jsonl target/fleetd-smoke-s100.jsonl
 
-echo "==> Cox-Time experiment smoke (byte-determinism across threads)"
-for exp in table3 fig8; do
-    ANUBIS_THREADS=1 ./target/release/repro "$exp" --quick --json > "target/$exp-smoke-t1.json"
-    ANUBIS_THREADS=2 ./target/release/repro "$exp" --quick --json > "target/$exp-smoke-t2.json"
-    cmp "target/$exp-smoke-t1.json" "target/$exp-smoke-t2.json"
-done
-# --quick fig8 fits the exponential model without the ablation; the
-# default run drives Cox-Time inference and the RandomSubset policy.
-ANUBIS_THREADS=1 ./target/release/repro fig8 --json > target/fig8-default-t1.json
-ANUBIS_THREADS=2 ./target/release/repro fig8 --json > target/fig8-default-t2.json
-cmp target/fig8-default-t1.json target/fig8-default-t2.json
-
 # The split Cox-Time trainer on both of its paths, whatever this host's
 # core count: inline on one thread, and with the helper thread on two.
 echo "==> nn + selector tests at ANUBIS_THREADS=1 and 2"
@@ -85,9 +73,11 @@ RUSTFLAGS="-C target-cpu=x86-64-v3" CARGO_TARGET_DIR=target/x86-64-v3 \
 
 # Includes the exact work-counter check (tests/obs_trace_determinism.rs
 # against tests/work_counters.expected), the repo's perf check that host
-# load cannot move, and the exact allocation counts of the hot paths
-# (tests/alloc_counts.rs against tests/alloc_counts.expected); perfbench
-# bounds end-to-end wall time.
+# load cannot move, the exact allocation counts of the hot paths
+# (tests/alloc_counts.rs against tests/alloc_counts.expected), and the
+# digest of every experiment output at ANUBIS_THREADS 1, 2 and 8
+# (tests/digests/mod.rs against tests/repro_digests.expected);
+# perfbench bounds end-to-end wall time.
 echo "==> tests"
 cargo test -q --workspace --release --offline
 

@@ -28,11 +28,7 @@
 //! (events/s, nodes validated/s) go to stderr. CI's service-smoke step
 //! byte-compares two runs at different thread counts.
 
-use anubis_bench::experiments::{
-    appendix_a, fig1, fig2, fig3, fig4, fig5, fig6, fig8, fig9, table1, table3, table5, table6,
-    EXPERIMENT_IDS,
-};
-use anubis_metrics::json::to_json;
+use anubis_bench::experiments::{find, Experiment, Preset, EXPERIMENTS};
 use anubis_obs::wall::Stopwatch;
 use std::path::PathBuf;
 
@@ -45,131 +41,15 @@ enum Format {
     Json,
 }
 
-fn render<T: serde::Serialize + std::fmt::Display>(value: &T, format: Format) -> String {
-    match format {
-        Format::Text => value.to_string(),
-        Format::Json => to_json(value).expect("experiment results are serializable"),
-    }
-}
-
-fn run_one(id: &str, quick: bool, centroid_mean: bool, format: Format) -> Result<String, String> {
-    let output = match id {
-        "fig1" => {
-            let cfg = if quick {
-                fig1::Fig1Config::quick()
-            } else {
-                Default::default()
-            };
-            render(&fig1::run(&cfg), format)
-        }
-        "fig2" => {
-            let cfg = if quick {
-                fig2::Fig2Config::quick()
-            } else {
-                Default::default()
-            };
-            render(&fig2::run(&cfg), format)
-        }
-        "fig3" => {
-            let cfg = if quick {
-                fig3::Fig3Config::quick()
-            } else {
-                Default::default()
-            };
-            render(&fig3::run(&cfg), format)
-        }
-        "fig4" => {
-            let cfg = if quick {
-                fig4::Fig4Config::quick()
-            } else {
-                Default::default()
-            };
-            render(&fig4::run(&cfg), format)
-        }
-        "fig5" => {
-            let cfg = if quick {
-                fig5::Fig5Config::quick()
-            } else {
-                Default::default()
-            };
-            render(&fig5::run(&cfg), format)
-        }
-        "fig6" => {
-            let cfg = if quick {
-                fig6::Fig6Config::quick()
-            } else {
-                Default::default()
-            };
-            render(&fig6::run(&cfg), format)
-        }
-        "fig8" | "table4" => {
-            let cfg = if quick {
-                fig8::Fig8Config::quick()
-            } else {
-                Default::default()
-            };
-            render(&fig8::run(&cfg), format)
-        }
-        "fig9" => {
-            let mut cfg = if quick {
-                fig9::Fig9Config::quick()
-            } else {
-                Default::default()
-            };
-            if centroid_mean {
-                cfg.centroid = anubis_validator::CentroidMethod::DistributionMean;
-            }
-            render(&fig9::run(&cfg), format)
-        }
-        "table1" => {
-            let cfg = if quick {
-                table1::Table1Config::quick()
-            } else {
-                Default::default()
-            };
-            render(&table1::run(&cfg), format)
-        }
-        "table3" => {
-            let cfg = if quick {
-                table3::Table3Config::quick()
-            } else {
-                Default::default()
-            };
-            render(&table3::run(&cfg), format)
-        }
-        "table5" => {
-            let cfg = if quick {
-                table5::Table5Config::quick()
-            } else {
-                Default::default()
-            };
-            render(&table5::run(&cfg), format)
-        }
-        "table6" => {
-            let cfg = if quick {
-                table6::Table6Config::quick()
-            } else {
-                Default::default()
-            };
-            render(&table6::run(&cfg), format)
-        }
-        "appendixA" | "appendixa" => {
-            let cfg = if quick {
-                appendix_a::AppendixAConfig::quick()
-            } else {
-                Default::default()
-            };
-            render(&appendix_a::run(&cfg), format)
-        }
-        other => return Err(format!("unknown experiment `{other}`")),
-    };
-    Ok(output)
+/// The experiment ids, space-separated, for error messages.
+fn experiment_ids() -> String {
+    let ids: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
+    ids.join(" ")
 }
 
 /// Parsed command line.
 struct Cli {
-    quick: bool,
-    centroid_mean: bool,
+    preset: Preset,
     format: Format,
     target: Option<String>,
     trace: Option<PathBuf>,
@@ -203,8 +83,7 @@ fn optional_path(
 
 fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
-        quick: false,
-        centroid_mean: false,
+        preset: Preset::default(),
         format: Format::Text,
         target: None,
         trace: None,
@@ -214,8 +93,8 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     while i < args.len() {
         let arg = args[i].as_str();
         match arg {
-            "--quick" => cli.quick = true,
-            "--centroid-mean" => cli.centroid_mean = true,
+            "--quick" => cli.preset.quick = true,
+            "--centroid-mean" => cli.preset.centroid_mean = true,
             "--json" => cli.format = Format::Json,
             _ if arg.starts_with("--trace") => {
                 match optional_path(
@@ -265,7 +144,7 @@ fn usage_exit(message: Option<&str>) -> ! {
     eprintln!(
         "usage: repro <experiment|all|list> [--quick] [--centroid-mean] [--json] [--trace[=PATH]] [--out[=PATH]]"
     );
-    eprintln!("experiments: {}", EXPERIMENT_IDS.join(" "));
+    eprintln!("experiments: {}", experiment_ids());
     std::process::exit(2);
 }
 
@@ -450,8 +329,8 @@ fn main() {
     };
 
     if target == "list" {
-        for id in EXPERIMENT_IDS {
-            println!("{id}");
+        for experiment in &EXPERIMENTS {
+            println!("{}", experiment.id);
         }
         return;
     }
@@ -462,47 +341,39 @@ fn main() {
 
     // `table4` is rendered as part of fig8; avoid running the simulation
     // twice under `all`.
-    let ids: Vec<&str> = if target == "all" {
-        EXPERIMENT_IDS
+    let runs: Vec<(&str, &Experiment)> = if target == "all" {
+        EXPERIMENTS
             .iter()
-            .copied()
-            .filter(|&id| id != "table4")
+            .filter(|e| e.id != "table4")
+            .map(|e| (e.id, e))
             .collect()
+    } else if let Some(experiment) = find(&target) {
+        vec![(target.as_str(), experiment)]
     } else {
-        vec![target.as_str()]
+        eprintln!("error: unknown experiment `{target}`");
+        eprintln!("experiments: {}", experiment_ids());
+        std::process::exit(2);
     };
 
     let mut collected = String::new();
-    for id in ids {
+    for (id, experiment) in runs {
         let started = Stopwatch::start();
-        // Span names must be `'static`: map the requested id back onto the
-        // experiment table (unknown ids fail inside `run_one` anyway).
-        let span_name = EXPERIMENT_IDS
-            .iter()
-            .copied()
-            .find(|e| e.eq_ignore_ascii_case(id))
-            .unwrap_or("experiment");
-        let result = {
-            let _span = anubis_obs::span!(span_name);
-            run_one(id, cli.quick, cli.centroid_mean, cli.format)
+        let output = {
+            let _span = anubis_obs::span!(experiment.id);
+            (experiment.run)(cli.preset)
         };
-        match result {
-            Ok(output) => {
-                let rendered = if cli.format == Format::Json {
-                    format!("{output}\n")
-                } else {
-                    format!("=== {id} ({:.1}s) ===\n{output}\n", started.elapsed_secs())
-                };
-                print!("{rendered}");
-                if cli.out.is_some() {
-                    collected.push_str(&rendered);
-                }
-            }
-            Err(message) => {
-                eprintln!("error: {message}");
-                eprintln!("experiments: {}", EXPERIMENT_IDS.join(" "));
-                std::process::exit(2);
-            }
+        let rendered = if cli.format == Format::Json {
+            format!("{}\n", output.json)
+        } else {
+            format!(
+                "=== {id} ({:.1}s) ===\n{}\n",
+                started.elapsed_secs(),
+                output.text
+            )
+        };
+        print!("{rendered}");
+        if cli.out.is_some() {
+            collected.push_str(&rendered);
         }
     }
 

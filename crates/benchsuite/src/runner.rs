@@ -87,40 +87,6 @@ impl RunData {
     pub fn benchmarks(&self) -> Vec<BenchmarkId> {
         self.results.keys().copied().collect()
     }
-
-    /// Renders the results as JSON lines (one `{benchmark, node, values}`
-    /// object per node×benchmark), the SuperBench-style results export.
-    pub fn to_jsonl(&self) -> Result<String, anubis_metrics::json::JsonError> {
-        let mut out = String::new();
-        self.append_jsonl(&mut out)?;
-        Ok(out)
-    }
-
-    /// Appends the JSONL export to a caller-owned (typically pooled)
-    /// buffer. This is the allocation-free path: rows serialize through
-    /// `anubis_metrics::json::to_json_into` straight into `out`, with no
-    /// per-row scratch string (a warm buffer counts 0 allocations in the
-    /// root `tests/alloc_counts.rs`).
-    pub fn append_jsonl(&self, out: &mut String) -> Result<(), anubis_metrics::json::JsonError> {
-        #[derive(serde::Serialize)]
-        struct Row<'a> {
-            benchmark: &'a str,
-            node: u32,
-            values: &'a [f64],
-        }
-        for (bench, rows) in &self.results {
-            for (node, sample) in rows {
-                let row = Row {
-                    benchmark: bench.spec().name,
-                    node: node.0,
-                    values: sample.values(),
-                };
-                anubis_metrics::json::to_json_into(&row, out)?;
-                out.push('\n');
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Measurement repetitions for scalar micro-benchmarks.
@@ -510,20 +476,6 @@ mod tests {
             run_set(&[BenchmarkId::GpuGemmFp16], &mut nodes, &[0, 1], None),
             Err(SuiteError::MemberMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn jsonl_export_shape() {
-        let mut data = RunData::default();
-        data.results.insert(
-            BenchmarkId::CpuLatency,
-            vec![(NodeId(3), Sample::new(vec![95.0, 96.5]).unwrap())],
-        );
-        let jsonl = data.to_jsonl().unwrap();
-        assert_eq!(
-            jsonl.trim(),
-            r#"{"benchmark":"CPU latency","node":3,"values":[95,96.5]}"#
-        );
     }
 
     #[test]

@@ -42,8 +42,8 @@ pub struct KMeans {
 impl KMeans {
     /// Runs Lloyd's algorithm with k-means++ initialization.
     ///
-    /// All points must share a dimension and there must be at least `k`
-    /// points.
+    /// All points must share a dimension, every coordinate must be finite,
+    /// and there must be at least `k` points.
     pub fn fit(points: &[Vec<f64>], config: KMeansConfig) -> Result<Self> {
         if config.k == 0 {
             return Err(MetricsError::InvalidParameter {
@@ -64,12 +64,15 @@ impl KMeans {
                 message: "points must have at least one dimension".into(),
             });
         }
-        for p in points {
+        for (index, p) in points.iter().enumerate() {
             if p.len() != dim {
                 return Err(MetricsError::DimensionMismatch {
                     expected: dim,
                     actual: p.len(),
                 });
+            }
+            if let Some(&value) = p.iter().find(|v| !v.is_finite()) {
+                return Err(MetricsError::NonFinite { index, value });
             }
         }
 
@@ -197,10 +200,7 @@ fn kmeans_plus_plus(points: &[Vec<f64>], k: usize, rng: &mut ChaCha8Rng) -> Vec<
                 centroids
                     .iter()
                     .map(|c| stats::squared_euclidean(p, c))
-                    .fold(
-                        f64::INFINITY,
-                        |min, x| if x < min || x.is_nan() { x } else { min },
-                    )
+                    .fold(f64::INFINITY, f64::min)
             })
             .collect();
         let total: f64 = dists.iter().sum();
@@ -312,6 +312,18 @@ mod tests {
             }
         )
         .is_err());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(
+                KMeans::fit(
+                    &[vec![1.0], vec![bad], vec![3.0], vec![4.0]],
+                    KMeansConfig {
+                        k: 2,
+                        ..Default::default()
+                    }
+                ),
+                Err(MetricsError::NonFinite { index: 1, .. })
+            ));
+        }
     }
 
     #[test]

@@ -130,8 +130,10 @@ pub struct Bundle {
     pub broken_links: u32,
     /// How many of `total_links` are over-provisioned redundancy.
     pub redundant_links: u32,
-    /// Per-link rate in Gb/s.
-    pub link_gbps: f64,
+    /// Per-link rate in Gb/s: finite and non-negative, since
+    /// [`FatTree::build`] checks it and nothing outside this module can
+    /// write it.
+    link_gbps: f64,
 }
 
 impl Bundle {
@@ -167,11 +169,10 @@ impl Bundle {
         if self.redundancy_ok() {
             // Breakage within the masking budget costs nothing (ECMP
             // spreads over the spare capacity).
-            (f64::from(self.total_links) * self.link_gbps).max(0.0)
+            f64::from(self.total_links) * self.link_gbps
         } else {
             let working = f64::from(self.working_links());
-            let delivered = working * self.link_gbps;
-            delivered.max(0.0) * (working / f64::from(self.total_links))
+            working * self.link_gbps * (working / f64::from(self.total_links))
         }
     }
 }
@@ -228,6 +229,17 @@ impl FatTree {
             return Err(NetError::InvalidConfig(
                 "redundant uplinks must be fewer than total uplinks".into(),
             ));
+        }
+        for (name, gbps) in [
+            ("nic_gbps", config.nic_gbps),
+            ("uplink_gbps", config.uplink_gbps),
+            ("core_gbps_per_pod", config.core_gbps_per_pod),
+        ] {
+            if !(gbps.is_finite() && gbps >= 0.0) {
+                return Err(NetError::InvalidConfig(format!(
+                    "{name} must be finite and non-negative, got {gbps}"
+                )));
+            }
         }
         let pod_count = tor_count / config.tors_per_pod;
 
@@ -455,6 +467,21 @@ mod tests {
         let mut c = FatTreeConfig::figure3_testbed();
         c.nodes_per_tor = 0;
         assert!(FatTree::build(c).is_err());
+        let link_speeds: [fn(&mut FatTreeConfig) -> &mut f64; 3] = [
+            |c| &mut c.nic_gbps,
+            |c| &mut c.uplink_gbps,
+            |c| &mut c.core_gbps_per_pod,
+        ];
+        for gbps in link_speeds {
+            for bad in [f64::NAN, f64::INFINITY, -1.0] {
+                let mut c = FatTreeConfig::figure3_testbed();
+                *gbps(&mut c) = bad;
+                assert!(
+                    matches!(FatTree::build(c), Err(NetError::InvalidConfig(_))),
+                    "{bad} must be rejected"
+                );
+            }
+        }
     }
 
     #[test]

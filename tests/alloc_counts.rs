@@ -26,11 +26,12 @@
 //! an allocation whose unused value the optimizer removed (at `--release`
 //! it then does not exist; the default test profile still counts it).
 
+mod common;
+
 use anubis_bench::fig8::table6_coverage_history;
-use anubis_benchsuite::{BenchmarkId, RunData};
+use anubis_benchsuite::BenchmarkId;
 use anubis_cluster::{simulate, ClusterSimConfig, Policy};
 use anubis_fleetd::{FleetdConfig, ShardWorker, TickContext};
-use anubis_hwsim::NodeId;
 use anubis_lifecycle::{LifecycleEvent, LifecycleTable};
 use anubis_metrics::{pairwise_similarity_matrix_threads, Sample};
 use anubis_nn::{Activation, Adam, BatchCache, Mlp};
@@ -42,7 +43,6 @@ use anubis_traces::{
     generate_allocation_trace, generate_incident_trace, AllocationConfig, IncidentTraceConfig,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// The committed counts of [`pinned_counts`].
@@ -448,20 +448,7 @@ fn cluster_sim() -> [(&'static str, u64); 3] {
 }
 
 /// The JSON writers into a warm caller buffer.
-fn serializers() -> [(&'static str, u64); 3] {
-    let mut results = BTreeMap::new();
-    for bench in [BenchmarkId::GpuGemmFp16, BenchmarkId::CpuLatency] {
-        let rows = (0..4)
-            .map(|n| {
-                (
-                    NodeId(n),
-                    Sample::new(vec![1.5, 2.25, 1e-9]).expect("finite"),
-                )
-            })
-            .collect();
-        results.insert(bench, rows);
-    }
-    let runs = RunData { results };
+fn serializers() -> [(&'static str, u64); 2] {
     anubis_obs::enable_with_capacity(64);
     {
         let _span = anubis_obs::span!("alloc_counts.span");
@@ -485,10 +472,6 @@ fn serializers() -> [(&'static str, u64); 3] {
         })
     };
     [
-        (
-            "RunData::append_jsonl",
-            warm(&mut |out| runs.append_jsonl(out).expect("serializable")),
-        ),
         (
             "Trace::append_jsonl",
             warm(&mut |out| trace.append_jsonl(out)),
@@ -530,29 +513,8 @@ fn render(counts: &[(&str, u64)]) -> String {
     out
 }
 
-/// The lines of `text` missing from `other`, each prefixed with `sign`.
-fn lines_missing_from(text: &str, other: &str, sign: char) -> Vec<String> {
-    text.lines()
-        .filter(|line| !other.lines().any(|o| o == *line))
-        .map(|line| format!("  {sign} {line}"))
-        .collect()
-}
-
 #[test]
 fn pinned_counts_match_expected() {
     let actual = render(&pinned_counts());
-    if actual != EXPECTED {
-        let mut diff = lines_missing_from(EXPECTED, &actual, '-');
-        diff.extend(lines_missing_from(&actual, EXPECTED, '+'));
-        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("alloc_counts.actual");
-        std::fs::write(&path, &actual).expect("write actual allocation counts");
-        panic!(
-            "allocation counts differ from tests/alloc_counts.expected \
-             (- expected, + actual):\n{}\n\
-             actual counts written to {}; if the change is intended, copy that file over \
-             tests/alloc_counts.expected and say why in CHANGES.md",
-            diff.join("\n"),
-            path.display()
-        );
-    }
+    common::assert_matches_expected("alloc_counts", "allocation counts", EXPECTED, &actual);
 }

@@ -19,6 +19,8 @@
 //! totals under `CARGO_TARGET_TMPDIR`; re-baselining means copying that
 //! file over the expected one and saying why in CHANGES.md.
 
+mod common;
+
 use anubis_benchsuite::{run_set_parallel, BenchmarkId};
 use anubis_cluster::{simulate, ClusterSimConfig, Policy};
 use anubis_fleetd::{Coordinator, FleetdConfig};
@@ -126,14 +128,6 @@ fn render_totals(trace: &anubis_obs::Trace) -> String {
     out
 }
 
-/// The lines of `text` missing from `other`, each prefixed with `sign`.
-fn lines_missing_from(text: &str, other: &str, sign: char) -> Vec<String> {
-    text.lines()
-        .filter(|line| !other.lines().any(|o| o == *line))
-        .map(|line| format!("  {sign} {line}"))
-        .collect()
-}
-
 #[test]
 fn traces_are_byte_identical_across_runs_and_thread_counts() {
     std::env::set_var("ANUBIS_THREADS", "1");
@@ -166,18 +160,5 @@ fn traces_are_byte_identical_across_runs_and_thread_counts() {
     // Exact work counters: the equal bytes above make one run's totals
     // stand for all three.
     let actual = render_totals(&first_trace);
-    if actual != EXPECTED {
-        let mut diff = lines_missing_from(EXPECTED, &actual, '-');
-        diff.extend(lines_missing_from(&actual, EXPECTED, '+'));
-        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("work_counters.actual");
-        std::fs::write(&path, &actual).expect("write actual work counters");
-        panic!(
-            "work counters differ from tests/work_counters.expected \
-             (- expected, + actual):\n{}\n\
-             actual totals written to {}; if the change in work is intended, copy that \
-             file over tests/work_counters.expected and say why in CHANGES.md",
-            diff.join("\n"),
-            path.display()
-        );
-    }
+    common::assert_matches_expected("work_counters", "work counters", EXPECTED, &actual);
 }
