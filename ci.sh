@@ -38,24 +38,6 @@ for ex in quickstart cluster_buildout proactive_fleet network_scan; do
     cargo run -q --release --offline --example "$ex" > "target/example-$ex.txt"
 done
 
-echo "==> fleetd service smoke (byte-determinism across threads and shards)"
-ANUBIS_THREADS=1 ./target/release/repro fleetd --nodes 2000 --shards 8 --ticks 50 \
-    --jsonl=target/fleetd-smoke-t1.jsonl > target/fleetd-smoke-t1.txt
-ANUBIS_THREADS=4 ./target/release/repro fleetd --nodes 2000 --shards 8 --ticks 50 \
-    --jsonl=target/fleetd-smoke-t4.jsonl > target/fleetd-smoke-t4.txt
-ANUBIS_THREADS=4 ./target/release/repro fleetd --nodes 2000 --shards 1 --ticks 50 \
-    --jsonl=target/fleetd-smoke-s1.jsonl > target/fleetd-smoke-s1.txt
-cmp target/fleetd-smoke-t1.txt target/fleetd-smoke-t4.txt
-cmp target/fleetd-smoke-t1.jsonl target/fleetd-smoke-t4.jsonl
-cmp target/fleetd-smoke-t1.txt target/fleetd-smoke-s1.txt
-cmp target/fleetd-smoke-t1.jsonl target/fleetd-smoke-s1.jsonl
-# 100 shards of 20 nodes: every shard, and so every attention list, is
-# shorter than the shard loop's 32-entry prefetch lookahead.
-ANUBIS_THREADS=2 ./target/release/repro fleetd --nodes 2000 --shards 100 --ticks 50 \
-    --jsonl=target/fleetd-smoke-s100.jsonl > target/fleetd-smoke-s100.txt
-cmp target/fleetd-smoke-t1.txt target/fleetd-smoke-s100.txt
-cmp target/fleetd-smoke-t1.jsonl target/fleetd-smoke-s100.jsonl
-
 # The split Cox-Time trainer on both of its paths, whatever this host's
 # core count: inline on one thread, and with the helper thread on two.
 echo "==> nn + selector tests at ANUBIS_THREADS=1 and 2"
@@ -76,7 +58,9 @@ RUSTFLAGS="-C target-cpu=x86-64-v3" CARGO_TARGET_DIR=target/x86-64-v3 \
 # load cannot move, the exact allocation counts of the hot paths
 # (tests/alloc_counts.rs against tests/alloc_counts.expected), and the
 # digest of every experiment output at ANUBIS_THREADS 1, 2 and 8
-# (tests/digests/mod.rs against tests/repro_digests.expected);
+# (tests/digests/mod.rs against tests/repro_digests.expected), and
+# fleetd's byte-identity across shard and thread counts, `repro fleetd`'s
+# default fleet included (crates/fleetd/tests/determinism.rs);
 # perfbench bounds end-to-end wall time.
 echo "==> tests"
 cargo test -q --workspace --release --offline

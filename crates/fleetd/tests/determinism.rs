@@ -55,8 +55,29 @@ fn output_is_identical_across_thread_counts() {
 }
 
 #[test]
+fn default_fleet_is_identical_across_shards_and_threads() {
+    // `repro fleetd`'s default fleet, 2,000 nodes × 50 ticks, whose
+    // stdout is `render()` and whose `--jsonl` is the tick JSONL: 8
+    // shards at 1 and at 4 threads, 1 shard, and 100 shards of 20 nodes,
+    // where every shard, and so every attention list, is shorter than the
+    // shard loop's 32-entry prefetch lookahead.
+    let baseline = run(2000, 8, 50, 1, 42);
+    for (shards, threads) in [(8u32, 4usize), (1, 4), (100, 2)] {
+        let other = run(2000, shards, 50, threads, 42);
+        assert_eq!(
+            baseline.0, other.0,
+            "summary must not depend on the layout (S={shards}, threads={threads})"
+        );
+        assert_eq!(
+            baseline.1, other.1,
+            "tick JSONL must not depend on the layout (S={shards}, threads={threads})"
+        );
+    }
+}
+
+#[test]
 fn shard_and_thread_variation_combined() {
-    // The CI smoke in one test: vary both axes at once and across seeds.
+    // Vary both axes at once and across seeds.
     for seed in [7u64, 2026] {
         let a = run(300, 1, 30, 1, seed);
         let b = run(300, 16, 30, 8, seed);

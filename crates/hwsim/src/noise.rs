@@ -1,7 +1,6 @@
 //! Measurement-noise models.
 
 use rand::Rng;
-use rand_chacha::ChaCha8Rng;
 
 /// Multiplicative log-normal measurement noise.
 ///
@@ -32,12 +31,12 @@ impl NoiseModel {
     }
 
     /// Draws one multiplicative noise factor.
-    pub fn factor(&self, rng: &mut ChaCha8Rng) -> f64 {
+    pub fn factor<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         (self.sigma * standard_normal(rng)).exp()
     }
 
     /// Applies noise to a nominal value.
-    pub fn apply(&self, nominal: f64, rng: &mut ChaCha8Rng) -> f64 {
+    pub fn apply<R: Rng + ?Sized>(&self, nominal: f64, rng: &mut R) -> f64 {
         nominal * self.factor(rng)
     }
 }
@@ -47,7 +46,7 @@ impl NoiseModel {
 /// `rand` core ships no Gaussian sampler (that lives in `rand_distr`, which
 /// is outside the sanctioned dependency set), so we implement the classic
 /// two-uniform transform here.
-pub fn standard_normal(rng: &mut ChaCha8Rng) -> f64 {
+pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // Avoid ln(0) by sampling u1 from the half-open (0, 1].
     let u1: f64 = 1.0 - rng.random::<f64>();
     let u2: f64 = rng.random();
@@ -55,7 +54,7 @@ pub fn standard_normal(rng: &mut ChaCha8Rng) -> f64 {
 }
 
 /// Draws from a log-normal with median `exp(mu)`.
-pub fn log_normal(rng: &mut ChaCha8Rng, mu: f64, sigma: f64) -> f64 {
+pub fn log_normal<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
     (mu + sigma * standard_normal(rng)).exp()
 }
 
@@ -64,7 +63,7 @@ pub fn log_normal(rng: &mut ChaCha8Rng, mu: f64, sigma: f64) -> f64 {
     clippy::disallowed_macros,
     reason = "debug-only check that the parameters are positive"
 )]
-pub fn exponential(rng: &mut ChaCha8Rng, rate: f64) -> f64 {
+pub fn exponential<R: Rng + ?Sized>(rng: &mut R, rate: f64) -> f64 {
     debug_assert!(rate > 0.0, "exponential rate must be positive");
     let u: f64 = 1.0 - rng.random::<f64>();
     -u.ln() / rate
@@ -73,6 +72,7 @@ pub fn exponential(rng: &mut ChaCha8Rng, rate: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand_chacha::ChaCha8Rng;
 
     fn rng() -> ChaCha8Rng {
         crate::testutil::seeded_rng(12345)

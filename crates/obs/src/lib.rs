@@ -83,6 +83,8 @@ pub const DEFAULT_CAPACITY: usize = 1 << 16;
 struct Recorder {
     enabled: bool,
     suppress_depth: u32,
+    /// The virtual time when the outermost suppressed scope began.
+    vt_unsuppressed: f64,
     seq: u64,
     vt: f64,
     capacity: usize,
@@ -99,6 +101,7 @@ impl Recorder {
         Self {
             enabled: false,
             suppress_depth: 0,
+            vt_unsuppressed: 0.0,
             seq: 0,
             vt: 0.0,
             capacity: 0,
@@ -233,20 +236,38 @@ pub fn time() -> f64 {
 /// Used by `anubis-parallel` on its inline execution path so that work
 /// which *may* run on a worker thread (where recording is never enabled)
 /// is equally invisible when it happens to run on the caller's thread —
-/// the trace cannot depend on the resolved thread count.
+/// the trace cannot depend on the resolved thread count. For the same
+/// reason the outermost guard puts back, on drop, the virtual time it
+/// found: a [`set_time`] inside the scope would otherwise move the clock
+/// of the caller's later records only when its work ran on the caller's
+/// thread. The recorder, not the guard, keeps that time: the guard is
+/// inlined into the executor's per-minibatch joins, and an `f64` field
+/// there slowed the Cox-Time fit measurably.
 pub struct SuppressGuard(());
 
 impl Drop for SuppressGuard {
     fn drop(&mut self) {
-        let _ = with(|r| r.suppress_depth = r.suppress_depth.saturating_sub(1));
+        let _ = with(|r| {
+            r.suppress_depth = r.suppress_depth.saturating_sub(1);
+            if r.suppress_depth == 0 {
+                r.vt = r.vt_unsuppressed;
+            }
+        });
     }
 }
 
-/// Suppresses recording on this thread until the returned guard drops.
+/// Suppresses recording on this thread until the returned guard drops;
+/// the outermost guard's drop also restores the virtual time of the
+/// moment it was made.
 /// Nests; spans opened *before* suppression still record their exit.
 #[must_use = "suppression ends when the guard drops"]
 pub fn suppress() -> SuppressGuard {
-    let _ = with(|r| r.suppress_depth = r.suppress_depth.saturating_add(1));
+    let _ = with(|r| {
+        if r.suppress_depth == 0 {
+            r.vt_unsuppressed = r.vt;
+        }
+        r.suppress_depth = r.suppress_depth.saturating_add(1);
+    });
     SuppressGuard(())
 }
 
@@ -449,6 +470,27 @@ mod tests {
         let names: Vec<&str> = trace.records.iter().map(|r| r.name).collect();
         assert_eq!(names, vec!["outer", "visible", "outer"]);
         assert!(trace.counters.is_empty());
+    }
+
+    #[test]
+    fn suppressed_scope_leaves_the_virtual_clock_as_it_found_it() {
+        enable_with_capacity(16);
+        set_time(3.0);
+        let span = span!("caller");
+        {
+            let _quiet = suppress();
+            set_time(720.0);
+            {
+                let _deeper = suppress();
+                set_time(9.0);
+            }
+        }
+        assert_eq!(time(), 3.0);
+        drop(span);
+        let trace = drain();
+        disable();
+        let stamps: Vec<f64> = trace.records.iter().map(|r| r.vt).collect();
+        assert_eq!(stamps, vec![3.0, 3.0]);
     }
 
     #[test]

@@ -40,7 +40,7 @@ impl SourceMix {
     }
 
     /// Samples a category proportionally to weight.
-    pub fn sample(&self, rng: &mut ChaCha8Rng) -> IncidentCategory {
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> IncidentCategory {
         let total: f64 = self.weights.iter().map(|(_, w)| w).sum();
         let mut target = rng.random_range(0.0..total);
         for &(category, weight) in &self.weights {
@@ -79,7 +79,7 @@ impl TicketDurationModel {
     }
 
     /// Samples one ticket duration in hours.
-    pub fn sample(&self, rng: &mut ChaCha8Rng) -> f64 {
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         log_normal(rng, self.mu, self.sigma).min(self.cap_hours)
     }
 

@@ -49,5 +49,5 @@ pub use incident::{
 };
 pub use stream::{
     node_stream_seed, prefetch, shard_ranges, AllocationStream, IncidentStreamConfig, JobArrival,
-    ShardIncidentSource,
+    NodeRng, ShardIncidentSource,
 };

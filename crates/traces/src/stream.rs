@@ -27,18 +27,17 @@
 //! incident ([`ShardIncidentSource::next_hours`]) and its wear, the
 //! incidents since its last full repair ([`ShardIncidentSource::wear`]).
 //! A shard's per-tick pass over its range reads those 12 bytes a node.
-//! The cold half (the node's ChaCha stream and frailty, ~150 bytes) is
-//! touched only when the node is due, about once every 40 ticks at the
-//! default rates, and [`ShardIncidentSource::prefetch`] lets the shard
-//! ask for it a few nodes early. Neither changes a draw: a node whose
-//! next incident is not before the window end has nothing to poll, and
-//! [`prefetch`] only warms the cache.
+//! The cold half (the node's 80-byte [`NodeRng`] and its frailty, 88
+//! bytes) is touched only when the node is due, about once every 40 ticks
+//! at the default rates, and [`ShardIncidentSource::prefetch`] lets the
+//! shard ask for it a few nodes early. Neither changes a draw: a node
+//! whose next incident is not before the window end has nothing to poll,
+//! and [`prefetch`] only warms the cache.
 
 use crate::allocation::AllocationConfig;
 use crate::incident::{IncidentEvent, SourceMix, TicketDurationModel};
 use anubis_hwsim::noise::{exponential, log_normal};
-use rand::Rng;
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::ops::Range;
 
@@ -79,6 +78,67 @@ pub fn node_stream_seed(seed: u64, node: u32, stream: u64) -> u64 {
     splitmix64(seed ^ splitmix64(u64::from(node).wrapping_add(stream << 32)))
 }
 
+/// A node's private ChaCha8 stream in 80 bytes instead of a
+/// [`ChaCha8Rng`]'s 136. It keeps the stream's seed and what changes as
+/// the stream is read: the current keystream block and the number of
+/// words read, which gives both the read cursor and the next block's
+/// counter. The rest of the generator, the cipher constants, the 32-byte
+/// key and the stream id, is a function of the seed, so each refill
+/// rebuilds it through [`ChaCha8Rng::seed_from_u64`] and runs
+/// [`ChaCha8Rng::block`]. The draws are those of
+/// `ChaCha8Rng::seed_from_u64(seed)`, word for word (for the first 2^64
+/// words, which no run reaches).
+#[derive(Debug, Clone)]
+pub struct NodeRng {
+    /// The keystream block holding word `words - 1`.
+    block: [u32; 16],
+    /// Words read so far: the next one is word `words % 16` of block
+    /// `words / 16`.
+    words: u64,
+    seed: u64,
+}
+
+impl NodeRng {
+    /// The stream of `ChaCha8Rng::seed_from_u64(seed)`, positioned before
+    /// its first word; `seed` is usually a [`node_stream_seed`].
+    pub fn new(seed: u64) -> Self {
+        Self {
+            block: [0; 16],
+            words: 0,
+            seed,
+        }
+    }
+}
+
+impl RngCore for NodeRng {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`words % 16` indexes the 16-word block"
+    )]
+    fn next_u32(&mut self) -> u32 {
+        let offset = (self.words & 15) as usize;
+        if offset == 0 {
+            self.block = ChaCha8Rng::seed_from_u64(self.seed).block(self.words >> 4);
+        }
+        self.words = self.words.wrapping_add(1);
+        self.block[offset]
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        let lo = u64::from(self.next_u32());
+        let hi = u64::from(self.next_u32());
+        hi << 32 | lo
+    }
+
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        for chunk in dest.chunks_mut(4) {
+            for (byte, word_byte) in chunk.iter_mut().zip(self.next_u32().to_le_bytes()) {
+                *byte = word_byte;
+            }
+        }
+    }
+}
+
 /// Configuration of the streaming incident source — the statistical
 /// knobs of [`crate::IncidentTraceConfig`] minus the batch-only fields,
 /// plus a hazard cap so long-running services reach a bounded steady
@@ -117,7 +177,7 @@ impl Default for IncidentStreamConfig {
 #[derive(Debug, Clone)]
 struct NodeStream {
     /// The node's private RNG; every draw for this node comes from here.
-    rng: ChaCha8Rng,
+    rng: NodeRng,
     /// Per-node frailty multiplier (lemon nodes fail more).
     frailty: f64,
 }
@@ -140,6 +200,9 @@ pub struct ShardIncidentSource {
     wear: Vec<u32>,
     /// Each node's stream and frailty, by offset in `range`.
     streams: Vec<NodeStream>,
+    /// The largest wear any node of the range has reached. A repair does
+    /// not lower it, so it bounds every entry of `wear`.
+    max_wear: u32,
     mix: SourceMix,
     tickets: TicketDurationModel,
 }
@@ -151,7 +214,7 @@ impl ShardIncidentSource {
         let mut next_hours = Vec::with_capacity(range.len());
         let mut streams = Vec::with_capacity(range.len());
         for node in range.clone() {
-            let mut rng = ChaCha8Rng::seed_from_u64(node_stream_seed(config.seed, node, 0));
+            let mut rng = NodeRng::new(node_stream_seed(config.seed, node, 0));
             let frailty = log_normal(&mut rng, 0.0, config.frailty_sigma);
             let rate = frailty / config.base_mtbi_hours.max(1e-9);
             next_hours.push(exponential(&mut rng, rate));
@@ -160,6 +223,7 @@ impl ShardIncidentSource {
         Self {
             config: config.clone(),
             wear: vec![0; range.len()],
+            max_wear: 0,
             range,
             next_hours,
             streams,
@@ -182,6 +246,13 @@ impl ShardIncidentSource {
     /// ([`ShardIncidentSource::reset_wear`]), by offset in the range.
     pub fn wear(&self) -> &[u32] {
         &self.wear
+    }
+
+    /// The largest wear any node of the range has reached since the
+    /// source was created, an upper bound of every entry of
+    /// [`ShardIncidentSource::wear`].
+    pub fn max_wear(&self) -> u32 {
+        self.max_wear
     }
 
     /// Whether the node at offset `index` of the range has an incident
@@ -216,11 +287,11 @@ impl ShardIncidentSource {
         else {
             return;
         };
+        let NodeStream { rng, frailty } = &mut self.streams[index];
         while self.next_hours[index] < until_hour {
             let start_hour = self.next_hours[index];
-            let stream = &mut self.streams[index];
-            let ticket_hours = self.tickets.sample(&mut stream.rng);
-            let category = self.mix.sample(&mut stream.rng);
+            let ticket_hours = self.tickets.sample(rng);
+            let category = self.mix.sample(rng);
             out.push(IncidentEvent {
                 node,
                 start_hour,
@@ -229,8 +300,9 @@ impl ShardIncidentSource {
             });
             let wear = self.wear[index].saturating_add(1);
             self.wear[index] = wear;
-            let rate = rate(&self.config, stream.frailty, wear);
-            let gap = exponential(&mut stream.rng, rate);
+            self.max_wear = self.max_wear.max(wear);
+            let rate = rate(&self.config, *frailty, wear);
+            let gap = exponential(rng, rate);
             self.next_hours[index] = start_hour + gap;
         }
     }
@@ -445,6 +517,18 @@ mod tests {
             assert!(fresh_rate < worn_rate, "reset must drop the hazard");
         }
         assert_eq!(source.wear(), [0]);
+    }
+
+    #[test]
+    fn incident_cold_state_size_is_pinned() {
+        // 80 bytes of `NodeRng` and the 8-byte frailty: the bytes a due
+        // node's poll reads besides the dense arrays. A new field must
+        // show up here, not silently in the soak's peak RSS.
+        fn element_size<T>(_: &[T]) -> usize {
+            std::mem::size_of::<T>()
+        }
+        let source = ShardIncidentSource::new(&IncidentStreamConfig::default(), 0..1);
+        assert_eq!(element_size(&source.streams), 88);
     }
 
     #[test]
