@@ -41,7 +41,7 @@ use crate::shard::{ShardWorker, TickContext};
 use anubis_lifecycle::{LifecycleEvent, LifecycleTable, NodeState, StateCounts};
 use anubis_metrics::EcdfSketch;
 use anubis_parallel::map_chunks_mut;
-use anubis_traces::{shard_ranges, AllocationStream, JobArrival};
+use anubis_traces::{shard_ranges, AllocationRequest, AllocationStream};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
@@ -218,7 +218,7 @@ pub struct Coordinator {
     table: LifecycleTable,
     shards: Vec<ShardWorker>,
     alloc: AllocationStream,
-    pending: VecDeque<JobArrival>,
+    pending: VecDeque<AllocationRequest>,
     /// Each job's member nodes, ascending, indexed by job id. A job is
     /// live while its list is non-empty: completing or killing it takes
     /// (and frees) the list. A slot stays taken until phase 2 processes
@@ -240,7 +240,7 @@ pub struct Coordinator {
     new_suspects: Vec<u32>,
     // Persistent scratch (steady state allocates only for new jobs).
     repaired_now: Vec<u32>,
-    arrivals: Vec<JobArrival>,
+    arrivals: Vec<AllocationRequest>,
     merged_suspects: Vec<u32>,
 }
 

@@ -47,7 +47,7 @@
 use super::{Coordinator, TickSummary};
 use crate::config::FleetdConfig;
 use anubis_lifecycle::{LifecycleEvent as E, NodeState};
-use anubis_traces::JobArrival;
+use anubis_traces::AllocationRequest;
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt::{self, Write as _};
 
@@ -239,7 +239,7 @@ fn state_key(fleet: &Coordinator, ghost: Ghost) -> Vec<u8> {
 fn begin(fleet: &mut Coordinator, ghost: &mut Ghost, arrival: Option<(u32, u32)>) -> TickSummary {
     if let Some((nodes, ticks)) = arrival {
         ghost.budgets[0] -= 1;
-        fleet.arrivals.push(JobArrival {
+        fleet.arrivals.push(AllocationRequest {
             submit_hour: f64::from(fleet.tick),
             nodes,
             duration_hours: f64::from(ticks),

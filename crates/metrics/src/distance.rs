@@ -25,7 +25,6 @@
 //! Eq. (4) is the one-direction variant used for online defect filtering:
 //! only performance *worse* than the criteria counts.
 
-use crate::ecdf::Ecdf;
 use crate::sample::Sample;
 
 /// Whether larger or smaller metric values indicate better performance.
@@ -58,23 +57,12 @@ pub enum Direction {
 /// assert!((cdf_distance(&a, &b) - 0.2).abs() < 1e-12);
 /// ```
 pub fn cdf_distance(s1: &Sample, s2: &Sample) -> f64 {
-    cdf_distance_ecdf(&Ecdf::new(s1), &Ecdf::new(s2))
-}
-
-/// [`cdf_distance`] over prebuilt ECDFs — the fast path when the same
-/// sample enters many comparisons (pairwise matrices, criteria loops).
-pub fn cdf_distance_ecdf(e1: &Ecdf, e2: &Ecdf) -> f64 {
-    integrate_ecdf(e1, e2, &mut Vec::new(), |f1, f2| (f1 - f2).abs())
+    integrate(s1, s2, |f1, f2| (f1 - f2).abs())
 }
 
 /// Computes the Eq. (3) similarity `1 − d(S1, S2)`.
 pub fn similarity(s1: &Sample, s2: &Sample) -> f64 {
     1.0 - cdf_distance(s1, s2)
-}
-
-/// [`similarity`] over prebuilt ECDFs.
-pub fn similarity_ecdf(e1: &Ecdf, e2: &Ecdf) -> f64 {
-    1.0 - cdf_distance_ecdf(e1, e2)
 }
 
 /// Computes the one-direction Eq. (4) distance of an observation against a
@@ -86,20 +74,9 @@ pub fn similarity_ecdf(e1: &Ecdf, e2: &Ecdf) -> f64 {
 /// `1 − one_sided_distance(..)` is the similarity the Validator compares
 /// against the threshold α.
 pub fn one_sided_distance(observed: &Sample, criteria: &Sample, direction: Direction) -> f64 {
-    one_sided_distance_ecdf(&Ecdf::new(observed), &Ecdf::new(criteria), direction)
-}
-
-/// [`one_sided_distance`] over prebuilt ECDFs — the fast path when one
-/// criteria distribution screens many observations.
-pub fn one_sided_distance_ecdf(observed: &Ecdf, criteria: &Ecdf, direction: Direction) -> f64 {
-    let mut grid = Vec::new();
     match direction {
-        Direction::HigherIsBetter => {
-            integrate_ecdf(observed, criteria, &mut grid, |fo, fc| (fo - fc).max(0.0))
-        }
-        Direction::LowerIsBetter => {
-            integrate_ecdf(observed, criteria, &mut grid, |fo, fc| (fc - fo).max(0.0))
-        }
+        Direction::HigherIsBetter => integrate(observed, criteria, |fo, fc| (fo - fc).max(0.0)),
+        Direction::LowerIsBetter => integrate(observed, criteria, |fo, fc| (fc - fo).max(0.0)),
     }
 }
 
@@ -108,114 +85,55 @@ pub fn one_sided_similarity(observed: &Sample, criteria: &Sample, direction: Dir
     1.0 - one_sided_distance(observed, criteria, direction)
 }
 
-/// Shared integration kernel over the merged step grid of both ECDFs.
+/// Shared integration kernel: one merge walk over both sorted supports.
 ///
-/// `numerator(f1, f2)` receives the two CDF values on each constant segment;
-/// it must be bounded by `max(f1, f2)` so the normalized result stays in
-/// `[0, 1]`. The CDF values come from a linear merge walk over the two
-/// supports — the running count of values `<= x0` equals what
-/// [`Ecdf::eval`]'s binary search returns, so results are bit-identical to
-/// evaluating per window, without the `O(log n)` lookup. `grid` is a
-/// caller-reusable buffer for the merged breakpoints.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "`windows(2)` yields pairs; the cursors are checked against the supports first"
-)]
-fn integrate_ecdf(
-    e1: &Ecdf,
-    e2: &Ecdf,
-    grid: &mut Vec<f64>,
-    numerator: impl Fn(f64, f64) -> f64,
-) -> f64 {
-    e1.merged_breakpoints_into(e2, grid);
-    // An empty grid (two empty supports) or all measurements zero in both
-    // samples: identical distributions.
-    let upper = grid.last().copied().unwrap_or(0.0);
+/// `numerator(f1, f2)` receives the two CDF values on each constant segment
+/// `[x0, x1)` between consecutive distinct support points; it must be
+/// bounded by `max(f1, f2)` so the normalized result stays in `[0, 1]`.
+/// Each step takes `x0`, the smallest support point not yet consumed, and
+/// moves both cursors past every value `<= x0`, so `c / n` is exactly
+/// [`crate::Ecdf::eval`]`(x0)`. The segment ends at the next unconsumed
+/// point `x1`; the last point closes the walk, and the larger maximum is
+/// the normalizing bound.
+fn integrate(a: &Sample, b: &Sample, numerator: impl Fn(f64, f64) -> f64) -> f64 {
+    // All measurements zero in both samples: identical distributions.
+    let upper = a.max().max(b.max());
     if upper <= 0.0 {
         return 0.0;
     }
-    let (s1, s2) = (e1.support(), e2.support());
+    let (s1, s2) = (a.sorted(), b.sorted());
     let (n1, n2) = (s1.len() as f64, s2.len() as f64);
     let (mut c1, mut c2) = (0usize, 0usize);
+    let mut x0 = a.min().min(b.min());
     let mut area = 0.0;
-    for window in grid.windows(2) {
-        let (x0, x1) = (window[0], window[1]);
-        // CDFs are right-continuous steps: constant on [x0, x1).
-        while c1 < s1.len() && s1[c1] <= x0 {
+    // Each step consumes at least one support point (`x0` is the smaller
+    // head), so `n1 + n2` steps always reach the end of both supports.
+    for _ in 0..s1.len() + s2.len() {
+        while s1.get(c1).is_some_and(|&v| v <= x0) {
             c1 += 1;
         }
-        while c2 < s2.len() && s2[c2] <= x0 {
+        while s2.get(c2).is_some_and(|&v| v <= x0) {
             c2 += 1;
         }
+        let x1 = match (s1.get(c1), s2.get(c2)) {
+            (Some(&v1), Some(&v2)) => v1.min(v2),
+            (Some(&v), None) | (None, Some(&v)) => v,
+            (None, None) => break,
+        };
+        // CDFs are right-continuous steps: constant on [x0, x1), and at
+        // least one of them is positive from the first point on.
         let f1 = c1 as f64 / n1;
         let f2 = c2 as f64 / n2;
-        let denom = f1.max(f2);
-        if denom > 0.0 {
-            area += numerator(f1, f2) / denom * (x1 - x0);
-        }
+        area += numerator(f1, f2) / f1.max(f2) * (x1 - x0);
+        x0 = x1;
     }
     (area / upper).clamp(0.0, 1.0)
 }
 
-/// Sample pairs per parallel task in the pairwise loops. Fixed (never
+/// Sample rows per parallel task of the pairwise matrix. Fixed (never
 /// derived from the thread count) so the work decomposition is identical
 /// at any parallelism.
-const PAIRS_PER_CHUNK: usize = 32;
-
-/// Upper-triangle pairs `(i, j)`, `i < j`, in the row-major order the
-/// sequential double loop visits them.
-#[expect(clippy::integer_division_remainder_used, reason = "a constant divisor")]
-fn upper_triangle_pairs(n: usize) -> Vec<(usize, usize)> {
-    let mut pairs = Vec::with_capacity(n.saturating_sub(1) * n / 2);
-    for i in 0..n {
-        for j in i + 1..n {
-            pairs.push((i, j));
-        }
-    }
-    pairs
-}
-
-/// Eq. (3) similarities for a batch of sample pairs, written into a
-/// caller-owned buffer. This is the allocation-free kernel at the bottom
-/// of the pairwise matrix; each pair is an independent [`integrate_ecdf`]
-/// evaluation, so results do not depend on which pairs share a batch.
-/// `grid` is the reusable merged-breakpoint buffer.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "every pair indexes the ECDFs it was built for"
-)]
-fn similarity_rows_into(
-    ecdfs: &[Ecdf],
-    pairs: &[(usize, usize)],
-    grid: &mut Vec<f64>,
-    out: &mut Vec<f64>,
-) {
-    out.clear();
-    for &(i, j) in pairs {
-        let d = integrate_ecdf(&ecdfs[i], &ecdfs[j], grid, |f1, f2| (f1 - f2).abs());
-        out.push(1.0 - d);
-    }
-}
-
-/// Per-pair similarities over the upper triangle, computed on prebuilt
-/// ECDFs by [`similarity_rows_into`] over fixed-size pair chunks in
-/// parallel, returned in row-major pair order.
-fn upper_triangle_similarities(samples: &[Sample], threads: usize) -> Vec<((usize, usize), f64)> {
-    let ecdfs: Vec<Ecdf> = samples.iter().map(Ecdf::new).collect();
-    let pairs = upper_triangle_pairs(samples.len());
-    let per_chunk: Vec<Vec<f64>> =
-        anubis_parallel::map_chunks(&pairs, PAIRS_PER_CHUNK, threads, |_, chunk| {
-            let mut grid = Vec::new();
-            let mut sims = Vec::with_capacity(chunk.len());
-            similarity_rows_into(&ecdfs, chunk, &mut grid, &mut sims);
-            sims
-        });
-    pairs
-        .iter()
-        .copied()
-        .zip(per_chunk.into_iter().flatten())
-        .collect()
-}
+const ROWS_PER_CHUNK: usize = 4;
 
 /// Full pairwise similarity matrix for a set of samples.
 ///
@@ -229,16 +147,32 @@ pub fn pairwise_similarity_matrix(samples: &[Sample]) -> Vec<Vec<f64>> {
 
 /// [`pairwise_similarity_matrix`] with an explicit worker-thread count
 /// (`0` = auto); exposed so tests can pin the parallelism.
+///
+/// Row `i`'s entries `j > i` are filled in place, in fixed chunks of 4
+/// rows; the lower triangle is then mirrored from them. Nothing is
+/// allocated per pair.
 #[expect(
     clippy::indexing_slicing,
-    reason = "upper-triangle pairs index the `n × n` matrix"
+    reason = "row and column indices are below the sample count, the matrix's size"
 )]
 pub fn pairwise_similarity_matrix_threads(samples: &[Sample], threads: usize) -> Vec<Vec<f64>> {
     let n = samples.len();
     let mut matrix = vec![vec![1.0; n]; n];
-    for ((i, j), s) in upper_triangle_similarities(samples, threads) {
-        matrix[i][j] = s;
-        matrix[j][i] = s;
+    anubis_parallel::map_chunks_mut(&mut matrix, ROWS_PER_CHUNK, threads, |chunk, rows| {
+        for (i, row) in (chunk * ROWS_PER_CHUNK..).zip(rows) {
+            let a = &samples[i];
+            for (cell, b) in row.iter_mut().zip(samples).skip(i + 1) {
+                *cell = similarity(a, b);
+            }
+        }
+    });
+    for i in 1..n {
+        let (above, rest) = matrix.split_at_mut(i);
+        if let Some(row) = rest.first_mut() {
+            for (cell, upper) in row.iter_mut().zip(above.iter()) {
+                *cell = upper[i];
+            }
+        }
     }
     matrix
 }
@@ -247,19 +181,19 @@ pub fn pairwise_similarity_matrix_threads(samples: &[Sample], threads: usize) ->
 /// similarities across `N` different nodes or runs (Section 3.4).
 ///
 /// Returns 1.0 for fewer than two samples (a single run is trivially
-/// repeatable). Pairs are computed in parallel and summed in the
-/// sequential loop's pair order, so the mean is bit-identical at any
-/// thread count.
+/// repeatable). The matrix's upper triangle is summed in row-major pair
+/// order, so the mean is bit-identical at any thread count.
 pub fn mean_pairwise_similarity(samples: &[Sample]) -> f64 {
-    let n = samples.len();
-    if n < 2 {
+    if samples.len() < 2 {
         return 1.0;
     }
     let mut total = 0.0;
     let mut count = 0usize;
-    for (_, s) in upper_triangle_similarities(samples, 0) {
-        total += s;
-        count += 1;
+    for (i, row) in pairwise_similarity_matrix(samples).iter().enumerate() {
+        for &s in row.get(i + 1..).unwrap_or_default() {
+            total += s;
+            count += 1;
+        }
     }
     total / count as f64
 }

@@ -83,69 +83,6 @@ impl Ecdf {
     pub fn max(&self) -> f64 {
         self.sorted.last().copied().unwrap_or(f64::NAN)
     }
-
-    /// The sorted support points (with duplicates), i.e. the underlying
-    /// measurements.
-    pub fn support(&self) -> &[f64] {
-        &self.sorted
-    }
-
-    /// Sorted support points with duplicates removed, i.e. the breakpoints
-    /// of the step function.
-    pub fn breakpoints(&self) -> Vec<f64> {
-        let mut points = Vec::new();
-        self.breakpoints_into(&mut points);
-        points
-    }
-
-    /// [`Ecdf::breakpoints`] writing into a caller-owned buffer, so hot
-    /// integration loops reuse one allocation across calls.
-    pub fn breakpoints_into(&self, points: &mut Vec<f64>) {
-        points.clear();
-        points.extend_from_slice(&self.sorted);
-        points.dedup();
-    }
-
-    /// Merges the breakpoints of two ECDFs into one ascending, deduplicated
-    /// grid — the integration grid for the CDF-space distances.
-    pub fn merged_breakpoints(&self, other: &Ecdf) -> Vec<f64> {
-        let mut merged = Vec::new();
-        self.merged_breakpoints_into(other, &mut merged);
-        merged
-    }
-
-    /// [`Ecdf::merged_breakpoints`] writing into a caller-owned buffer, so
-    /// the Eq. (2) integration path reuses one grid allocation per pair.
-    pub fn merged_breakpoints_into(&self, other: &Ecdf, merged: &mut Vec<f64>) {
-        merged.clear();
-        merged.reserve(self.sorted.len() + other.sorted.len());
-        let (a, b) = (&self.sorted, &other.sorted);
-        let (mut i, mut j) = (0, 0);
-        loop {
-            let next = match (a.get(i), b.get(j)) {
-                (Some(&x), Some(&y)) if x <= y => {
-                    i += 1;
-                    x
-                }
-                (Some(_), Some(&y)) => {
-                    j += 1;
-                    y
-                }
-                (Some(&x), None) => {
-                    i += 1;
-                    x
-                }
-                (None, Some(&y)) => {
-                    j += 1;
-                    y
-                }
-                (None, None) => break,
-            };
-            if merged.last() != Some(&next) {
-                merged.push(next);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -189,25 +126,6 @@ mod tests {
         assert_eq!(cdf.quantile(0.26), 20.0);
         assert_eq!(cdf.quantile(0.5), 20.0);
         assert_eq!(cdf.quantile(1.0), 40.0);
-    }
-
-    #[test]
-    fn breakpoints_dedup() {
-        let cdf = ecdf(&[2.0, 1.0, 2.0, 3.0]);
-        assert_eq!(cdf.breakpoints(), vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn merged_breakpoints_are_sorted_and_unique() {
-        let a = ecdf(&[1.0, 3.0, 5.0]);
-        let b = ecdf(&[2.0, 3.0, 6.0]);
-        assert_eq!(a.merged_breakpoints(&b), vec![1.0, 2.0, 3.0, 5.0, 6.0]);
-    }
-
-    #[test]
-    fn merged_breakpoints_with_self() {
-        let a = ecdf(&[1.0, 2.0]);
-        assert_eq!(a.merged_breakpoints(&a), vec![1.0, 2.0]);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! - [`Sample`]: a validated container for benchmark measurements (a single
 //!   value from a micro-benchmark, or a step-throughput time series from an
 //!   end-to-end benchmark).
-//! - [`Ecdf`]: the empirical cumulative distribution function of a sample.
+//! - [`Ecdf`]: the empirical cumulative distribution function of a sample,
+//!   the definition that the distance walk and the sketch are tested against.
 //! - [`EcdfSketch`]: an append-only, mergeable ECDF accumulator for
 //!   fleetd's criteria refreshes (amortized `O(log n)` append,
 //!   `O(n + m)` merge without re-sorting).
@@ -53,9 +54,8 @@ pub mod sketch;
 pub mod stats;
 
 pub use distance::{
-    cdf_distance, cdf_distance_ecdf, mean_pairwise_similarity, one_sided_distance,
-    one_sided_distance_ecdf, one_sided_similarity, pairwise_similarity_matrix,
-    pairwise_similarity_matrix_threads, similarity, similarity_ecdf, Direction,
+    cdf_distance, mean_pairwise_similarity, one_sided_distance, one_sided_similarity,
+    pairwise_similarity_matrix, pairwise_similarity_matrix_threads, similarity, Direction,
 };
 pub use ecdf::Ecdf;
 pub use error::{MetricsError, Result};

@@ -270,14 +270,6 @@ impl EcdfSketch {
     pub fn to_ecdf(&self) -> Ecdf {
         Ecdf::from_sorted(self.collapsed())
     }
-
-    /// Sorted support points with duplicates removed — the breakpoints of
-    /// the step function, identical to [`Ecdf::breakpoints`].
-    pub fn breakpoints(&self) -> Vec<f64> {
-        let mut points = self.collapsed();
-        points.dedup();
-        points
-    }
 }
 
 /// Merges `src` into `dst` in place, both sorted by [`f64::total_cmp`],
@@ -378,7 +370,6 @@ mod tests {
         }
         assert_eq!(sketch.min(), batch.min());
         assert_eq!(sketch.max(), batch.max());
-        assert_eq!(sketch.breakpoints(), batch.breakpoints());
     }
 
     #[test]

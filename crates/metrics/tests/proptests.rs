@@ -2,7 +2,7 @@
 
 use anubis_metrics::outlier::{KMeans, KMeansConfig};
 use anubis_metrics::{
-    cdf_distance, cdf_distance_ecdf, one_sided_distance, pairwise_similarity_matrix,
+    cdf_distance, one_sided_distance, pairwise_similarity_matrix,
     pairwise_similarity_matrix_threads, similarity, Direction, Ecdf, EcdfSketch, Sample,
 };
 use proptest::prelude::*;
@@ -10,6 +10,42 @@ use proptest::prelude::*;
 /// Strategy: non-empty vectors of plausible benchmark measurements.
 fn measurements() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0.0f64..1.0e6, 1..64)
+}
+
+/// Strategy: 1 to 40 measurements, mostly from a small palette so values
+/// repeat within a sample and tie across samples, with `-0.0` beside
+/// `0.0`; also one- and two-value samples and all-zero samples.
+fn tied_measurements() -> impl Strategy<Value = Vec<f64>> {
+    let palette = || prop::sample::select(vec![0.0, -0.0, 0.5, 1.0, 2.0, 3.75, 1.0e3]);
+    let value = || prop_oneof![palette(), palette(), 0.0f64..10.0];
+    prop_oneof![
+        prop::collection::vec(value(), 1..41),
+        prop::collection::vec(value(), 1..3),
+        prop::collection::vec(prop::sample::select(vec![0.0, -0.0]), 1..41),
+    ]
+}
+
+/// The Eq. (2)/(4) integral by definition: the sorted, deduplicated union
+/// of both supports is the grid, and [`Ecdf::eval`] gives each CDF on
+/// every window `[x0, x1)`, normalized by the grid's last point.
+fn integral_by_definition(a: &Sample, b: &Sample, numerator: impl Fn(f64, f64) -> f64) -> f64 {
+    let mut grid: Vec<f64> = a.sorted().iter().chain(b.sorted()).copied().collect();
+    grid.sort_by(f64::total_cmp);
+    grid.dedup();
+    let upper = grid.last().copied().unwrap_or(0.0);
+    if upper <= 0.0 {
+        return 0.0;
+    }
+    let (ea, eb) = (Ecdf::new(a), Ecdf::new(b));
+    let mut area = 0.0;
+    for window in grid.windows(2) {
+        let (f1, f2) = (ea.eval(window[0]), eb.eval(window[0]));
+        let denom = f1.max(f2);
+        if denom > 0.0 {
+            area += numerator(f1, f2) / denom * (window[1] - window[0]);
+        }
+    }
+    (area / upper).clamp(0.0, 1.0)
 }
 
 proptest! {
@@ -74,14 +110,26 @@ proptest! {
     }
 
     #[test]
-    fn prebuilt_ecdf_distance_matches_sample_path(a in measurements(), b in measurements()) {
-        // The Ecdf-accepting fast path must be bit-identical to the
-        // Sample-accepting entry point, which constructs the same ECDFs.
+    fn merge_walk_matches_the_definition_bitwise(
+        a in tied_measurements(),
+        b in tied_measurements(),
+    ) {
         let sa = Sample::new(a).unwrap();
         let sb = Sample::new(b).unwrap();
-        let via_samples = cdf_distance(&sa, &sb);
-        let via_ecdfs = cdf_distance_ecdf(&Ecdf::new(&sa), &Ecdf::new(&sb));
-        prop_assert_eq!(via_samples.to_bits(), via_ecdfs.to_bits());
+        for (x, y) in [(&sa, &sb), (&sb, &sa)] {
+            let two_sided = integral_by_definition(x, y, |f1, f2| (f1 - f2).abs());
+            prop_assert_eq!(cdf_distance(x, y).to_bits(), two_sided.to_bits());
+            let higher = integral_by_definition(x, y, |fo, fc| (fo - fc).max(0.0));
+            prop_assert_eq!(
+                one_sided_distance(x, y, Direction::HigherIsBetter).to_bits(),
+                higher.to_bits()
+            );
+            let lower = integral_by_definition(x, y, |fo, fc| (fc - fo).max(0.0));
+            prop_assert_eq!(
+                one_sided_distance(x, y, Direction::LowerIsBetter).to_bits(),
+                lower.to_bits()
+            );
+        }
     }
 
     #[test]
@@ -119,7 +167,7 @@ proptest! {
 
     // EcdfSketch is observationally equivalent to the batch Ecdf: any
     // interleaving of appends and sub-sketch merges over the same multiset
-    // of values answers eval/quantile/breakpoints bit-identically.
+    // of values answers eval/quantile bit-identically.
     #[test]
     fn sketch_append_is_observationally_equivalent_to_batch(
         values in measurements(),
@@ -138,7 +186,6 @@ proptest! {
         }
         prop_assert_eq!(sketch.min().to_bits(), batch.min().to_bits());
         prop_assert_eq!(sketch.max().to_bits(), batch.max().to_bits());
-        prop_assert_eq!(sketch.breakpoints(), batch.breakpoints());
         prop_assert_eq!(sketch.to_ecdf(), batch);
     }
 

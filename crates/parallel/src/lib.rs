@@ -43,13 +43,13 @@
 //! # Examples
 //!
 //! ```
-//! use anubis_parallel::{map_chunks, reduce_chunks};
+//! use anubis_parallel::map_chunks;
 //!
 //! let xs: Vec<f64> = (0..1000).map(f64::from).collect();
-//! // Chunked sum: same chunking (and therefore the same result) at any
+//! // Chunked sums: same chunking (and therefore the same result) at any
 //! // thread count.
-//! let seq = reduce_chunks(&xs, 64, 1, |_, c| c.iter().sum::<f64>(), |a, b| a + b);
-//! let par = reduce_chunks(&xs, 64, 8, |_, c| c.iter().sum::<f64>(), |a, b| a + b);
+//! let seq = map_chunks(&xs, 64, 1, |_, c| c.iter().sum::<f64>());
+//! let par = map_chunks(&xs, 64, 8, |_, c| c.iter().sum::<f64>());
 //! assert_eq!(seq, par);
 //! let squares = map_chunks(&xs, 128, 4, |_, c| c.iter().map(|x| x * x).sum::<f64>());
 //! assert_eq!(squares.len(), 8); // ceil(1000 / 128) chunk results, in chunk order
@@ -95,7 +95,7 @@ pub const INCREMENTAL_ENV: &str = "ANUBIS_INCREMENTAL";
 /// parallelism buys. Routing them through the inline path changes nothing
 /// but wall-clock time — the executor is bit-deterministic at any worker
 /// count, including 1.
-pub const SERIAL_CHUNK_CUTOFF: usize = 2;
+const SERIAL_CHUNK_CUTOFF: usize = 2;
 
 /// Worker-thread count from [`THREADS_ENV`], defaulting to the machine's
 /// available parallelism, clamped to `1..=16`.
@@ -116,7 +116,7 @@ pub fn auto_threads() -> usize {
 
 /// Resolves a caller-supplied thread count: `0` means [`auto_threads`],
 /// anything else is clamped to `1..=16`.
-pub fn resolve_threads(threads: usize) -> usize {
+fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
         auto_threads()
     } else {
@@ -262,30 +262,6 @@ where
     execute(tasks, threads, |_, i| f(i))
 }
 
-/// Chunk-parallel reduction: maps each fixed-size chunk with `map`, then
-/// folds the per-chunk accumulators **in ascending chunk order** on the
-/// calling thread. Returns `None` for empty input.
-///
-/// Because the chunk boundaries and the fold order are both independent
-/// of the thread count, floating-point reductions associate identically
-/// at any thread count.
-pub fn reduce_chunks<T, A, M, F>(
-    items: &[T],
-    chunk_size: usize,
-    threads: usize,
-    map: M,
-    fold: F,
-) -> Option<A>
-where
-    T: Sync,
-    A: Send,
-    M: Fn(usize, &[T]) -> A + Sync,
-    F: Fn(A, A) -> A,
-{
-    let partials = map_chunks(items, chunk_size, threads, map);
-    partials.into_iter().reduce(fold)
-}
-
 /// Polls before a waiting side starts yielding its time slice: a step's
 /// two halves usually finish within microseconds of each other.
 const SPIN_POLLS: u32 = 1 << 12;
@@ -382,9 +358,9 @@ impl Drop for Lane<'_> {
 }
 
 /// Runs `body` with a [`Helper`]: one helper thread that lives for the
-/// whole call when `threads` resolves (see [`resolve_threads`]) to 2 or
-/// more, none at 1. A loop of many short two-way steps then pays one
-/// spawn, not one per step.
+/// whole call when `threads` resolves to 2 or more (`0` means
+/// [`auto_threads`]), none at 1. A loop of many short two-way steps
+/// then pays one spawn, not one per step.
 ///
 /// Results never depend on which: [`Helper::join`] returns each half's
 /// result in its own slot, and the halves may share nothing mutable.
@@ -543,30 +519,6 @@ mod tests {
         let a = map_items(&items, 4, |&i| i * i);
         let b = map_indexed(items.len(), 4, |i| i * i);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn reduce_chunks_is_thread_count_invariant() {
-        // A deliberately ill-conditioned float sum: any re-association
-        // across chunk boundaries would change the bits.
-        let items: Vec<f64> = (0..1000)
-            .map(|i| if i % 2 == 0 { 1e16 } else { 3.33333 })
-            .collect();
-        let reference = reduce_chunks(&items, 7, 1, |_, c| c.iter().sum::<f64>(), |a, b| a + b);
-        for threads in [2, 3, 8, 16] {
-            let parallel = reduce_chunks(
-                &items,
-                7,
-                threads,
-                |_, c| c.iter().sum::<f64>(),
-                |a, b| a + b,
-            );
-            assert_eq!(reference, parallel);
-        }
-        assert_eq!(
-            reduce_chunks::<f64, f64, _, _>(&[], 4, 2, |_, c| c.iter().sum(), |a, b| a + b),
-            None
-        );
     }
 
     #[test]

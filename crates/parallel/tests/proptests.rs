@@ -67,28 +67,6 @@ proptest! {
     }
 
     #[test]
-    fn reduce_chunks_is_thread_count_invariant(
-        items in ill_conditioned(),
-        chunk_size in 1usize..16,
-    ) {
-        // The fold runs on the caller thread in chunk order, so even a
-        // non-associative reduction is reproducible.
-        let run = |threads: usize| {
-            anubis_parallel::reduce_chunks(
-                &items,
-                chunk_size,
-                threads,
-                |_, chunk| chunk.iter().fold(0.0f64, |a, &v| a / 7.0 + v),
-                |a, b| a / 2.0 + b,
-            )
-        };
-        let reference = run(1);
-        prop_assert_eq!(reference, run(2));
-        prop_assert_eq!(reference, run(8));
-        prop_assert_eq!(reference.is_none(), items.is_empty());
-    }
-
-    #[test]
     fn uneven_task_costs_do_not_change_results(
         costs in prop::collection::vec(prop_oneof![0u64..50, 2_000u64..20_000], 0..40),
     ) {

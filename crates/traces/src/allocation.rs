@@ -55,29 +55,62 @@ impl AllocationConfig {
     }
 }
 
-/// Generates the Poisson allocation trace.
+/// Generates the Poisson allocation trace: the [`AllocationStream`]
+/// polled to `config.duration_hours`.
 pub fn generate_allocation_trace(config: &AllocationConfig) -> Vec<AllocationRequest> {
-    let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
     let mut requests = Vec::new();
-    let mut clock = 0.0f64;
-    let rate = 1.0 / config.mean_interarrival_hours.max(1e-9);
-    loop {
-        clock += exponential(&mut rng, rate);
-        if clock >= config.duration_hours {
-            break;
-        }
-        let nodes = sample_size(&config.size_mix, &mut rng);
-        let duration_hours =
-            log_normal(&mut rng, config.duration_mu, config.duration_sigma).clamp(0.5, 168.0);
-        requests.push(AllocationRequest {
-            submit_hour: clock,
-            nodes,
-            duration_hours,
-        });
-    }
+    AllocationStream::new(config).poll(config.duration_hours, &mut requests);
     requests
 }
 
+/// Streaming Poisson job-arrival source: arrivals are pulled tick by tick
+/// from one RNG instead of materialized up front, and the trace never
+/// ends. Each arrival draws its gap, then its size, then its duration.
+#[derive(Debug, Clone)]
+pub struct AllocationStream {
+    config: AllocationConfig,
+    rng: ChaCha8Rng,
+    next_hour: f64,
+}
+
+impl AllocationStream {
+    /// Creates the stream; `config.duration_hours` is ignored (the
+    /// stream is unbounded).
+    pub fn new(config: &AllocationConfig) -> Self {
+        let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
+        let rate = 1.0 / config.mean_interarrival_hours.max(1e-9);
+        let next_hour = exponential(&mut rng, rate);
+        Self {
+            config: config.clone(),
+            rng,
+            next_hour,
+        }
+    }
+
+    /// Appends every arrival with `submit_hour < until_hour` to `out`,
+    /// advancing the stream.
+    pub fn poll(&mut self, until_hour: f64, out: &mut Vec<AllocationRequest>) {
+        let rate = 1.0 / self.config.mean_interarrival_hours.max(1e-9);
+        while self.next_hour < until_hour {
+            let submit_hour = self.next_hour;
+            let nodes = sample_size(&self.config.size_mix, &mut self.rng);
+            let duration_hours = log_normal(
+                &mut self.rng,
+                self.config.duration_mu,
+                self.config.duration_sigma,
+            )
+            .clamp(0.5, 168.0);
+            out.push(AllocationRequest {
+                submit_hour,
+                nodes,
+                duration_hours,
+            });
+            self.next_hour = submit_hour + exponential(&mut self.rng, rate);
+        }
+    }
+}
+
+/// Samples a job size proportionally to the mix weights.
 fn sample_size(mix: &[(u32, f64)], rng: &mut ChaCha8Rng) -> u32 {
     let total: f64 = mix.iter().map(|(_, w)| w).sum();
     let mut target = rng.random_range(0.0..total);
@@ -137,5 +170,19 @@ mod tests {
         let a = generate_allocation_trace(&AllocationConfig::stressed(64));
         let b = generate_allocation_trace(&AllocationConfig::stressed(64));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn allocation_stream_is_window_invariant() {
+        let config = AllocationConfig::stressed(256);
+        let mut whole = Vec::new();
+        AllocationStream::new(&config).poll(300.0, &mut whole);
+        let mut stepped = Vec::new();
+        let mut stream = AllocationStream::new(&config);
+        for window in 0..300 {
+            stream.poll(f64::from(window + 1), &mut stepped);
+        }
+        assert!(!whole.is_empty());
+        assert_eq!(whole, stepped);
     }
 }

@@ -41,13 +41,14 @@ pub mod dataset;
 pub mod incident;
 pub mod stream;
 
-pub use allocation::{generate_allocation_trace, AllocationConfig, AllocationRequest};
+pub use allocation::{
+    generate_allocation_trace, AllocationConfig, AllocationRequest, AllocationStream,
+};
 pub use dataset::{generate_buildout_fleet, BuildoutConfig};
 pub use incident::{
     generate_incident_trace, job_time_to_failure_from, IncidentEvent, IncidentTrace,
     IncidentTraceConfig, SourceMix, TicketDurationModel,
 };
 pub use stream::{
-    node_stream_seed, prefetch, shard_ranges, AllocationStream, IncidentStreamConfig, JobArrival,
-    NodeRng, ShardIncidentSource,
+    node_stream_seed, prefetch, shard_ranges, IncidentStreamConfig, NodeRng, ShardIncidentSource,
 };

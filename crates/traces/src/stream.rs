@@ -1,7 +1,7 @@
 //! Streaming, shard-partitionable event sources for the fleetd service.
 //!
-//! The batch generators in [`crate::incident`] and [`crate::allocation`]
-//! materialize a whole trace up front from one sequential RNG — fine for
+//! The batch generator in [`crate::incident`] materializes a whole
+//! trace up front from one sequential RNG — fine for
 //! a one-shot `repro` pass, unusable for a long-running control plane
 //! over 100k+ nodes, and (worse) *partition-dependent*: splitting the
 //! node range across shards would change which draws each node sees.
@@ -14,9 +14,6 @@
 //!   independent of how the fleet is partitioned into shards and of how
 //!   the polling windows are chosen. That invariance is what lets
 //!   `anubis-fleetd` promise byte-identical output across shard counts.
-//! - [`AllocationStream`] is the coordinator-side job-arrival stream:
-//!   one global Poisson process pulled tick by tick instead of a
-//!   materialized trace.
 //! - [`shard_ranges`] is the canonical contiguous partitioner: shard `s`
 //!   owns a contiguous node range, ranges ascend with `s`, and sizes
 //!   differ by at most one. Concatenating per-shard results in shard
@@ -34,10 +31,9 @@
 //! whose next incident is not before the window end has nothing to poll,
 //! and [`prefetch`] only warms the cache.
 
-use crate::allocation::AllocationConfig;
 use crate::incident::{IncidentEvent, SourceMix, TicketDurationModel};
 use anubis_hwsim::noise::{exponential, log_normal};
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::ops::Range;
 
@@ -347,78 +343,6 @@ pub fn prefetch<T>(value: &T) {
     let _ = value;
 }
 
-/// Streaming Poisson job-arrival source (the coordinator-side twin of
-/// [`crate::generate_allocation_trace`]): arrivals are pulled tick by
-/// tick from one global RNG instead of materialized up front, and the
-/// trace never ends.
-#[derive(Debug, Clone)]
-pub struct AllocationStream {
-    config: AllocationConfig,
-    rng: ChaCha8Rng,
-    next_hour: f64,
-}
-
-/// One streamed job arrival.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JobArrival {
-    /// Submission time in hours.
-    pub submit_hour: f64,
-    /// Requested node count.
-    pub nodes: u32,
-    /// Requested duration in hours.
-    pub duration_hours: f64,
-}
-
-impl AllocationStream {
-    /// Creates the stream; `config.duration_hours` is ignored (the
-    /// stream is unbounded).
-    pub fn new(config: &AllocationConfig) -> Self {
-        let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-        let rate = 1.0 / config.mean_interarrival_hours.max(1e-9);
-        let next_hour = exponential(&mut rng, rate);
-        Self {
-            config: config.clone(),
-            rng,
-            next_hour,
-        }
-    }
-
-    /// Appends every arrival with `submit_hour < until_hour` to `out`,
-    /// advancing the stream.
-    pub fn poll(&mut self, until_hour: f64, out: &mut Vec<JobArrival>) {
-        let rate = 1.0 / self.config.mean_interarrival_hours.max(1e-9);
-        while self.next_hour < until_hour {
-            let submit_hour = self.next_hour;
-            let nodes = sample_size(&self.config.size_mix, &mut self.rng);
-            let duration_hours = log_normal(
-                &mut self.rng,
-                self.config.duration_mu,
-                self.config.duration_sigma,
-            )
-            .clamp(0.5, 168.0);
-            out.push(JobArrival {
-                submit_hour,
-                nodes,
-                duration_hours,
-            });
-            self.next_hour = submit_hour + exponential(&mut self.rng, rate);
-        }
-    }
-}
-
-/// Samples a job size proportionally to the mix weights.
-fn sample_size(mix: &[(u32, f64)], rng: &mut ChaCha8Rng) -> u32 {
-    let total: f64 = mix.iter().map(|(_, w)| w).sum();
-    let mut target = rng.random_range(0.0..total);
-    for &(size, weight) in mix {
-        if target < weight {
-            return size;
-        }
-        target -= weight;
-    }
-    mix.last().map_or(1, |&(s, _)| s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -529,19 +453,5 @@ mod tests {
         }
         let source = ShardIncidentSource::new(&IncidentStreamConfig::default(), 0..1);
         assert_eq!(element_size(&source.streams), 88);
-    }
-
-    #[test]
-    fn allocation_stream_is_window_invariant() {
-        let config = AllocationConfig::stressed(256);
-        let mut whole = Vec::new();
-        AllocationStream::new(&config).poll(300.0, &mut whole);
-        let mut stepped = Vec::new();
-        let mut stream = AllocationStream::new(&config);
-        for window in 0..300 {
-            stream.poll(f64::from(window + 1), &mut stepped);
-        }
-        assert!(!whole.is_empty());
-        assert_eq!(whole, stepped);
     }
 }

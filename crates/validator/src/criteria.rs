@@ -1,8 +1,6 @@
 //! Criteria calculation (paper Algorithm 2).
 
-use anubis_metrics::{
-    pairwise_similarity_matrix, similarity_ecdf, stats, Ecdf, MetricsError, Sample,
-};
+use anubis_metrics::{pairwise_similarity_matrix, similarity, stats, MetricsError, Sample};
 
 /// How the centroid of a sample set is computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,13 +64,7 @@ pub fn calculate_criteria(
             message: format!("similarity threshold {alpha} must be in [0, 1)"),
         });
     }
-    let similarity = pairwise_similarity_matrix(samples);
-    // Prebuilt per-sample ECDFs for the distribution-mean comparisons, so
-    // each clustering round only constructs the (changing) mean's ECDF.
-    let ecdfs: Vec<Ecdf> = match method {
-        CentroidMethod::Medoid => Vec::new(),
-        CentroidMethod::DistributionMean => samples.iter().map(Ecdf::new).collect(),
-    };
+    let matrix = pairwise_similarity_matrix(samples);
     let n = samples.len();
     let mut healthy: Vec<usize> = (0..n).collect();
     let mut defects: Vec<usize> = Vec::new();
@@ -80,7 +72,7 @@ pub fn calculate_criteria(
 
     loop {
         iterations += 1;
-        let centroid_idx = medoid_of(&healthy, &similarity);
+        let centroid_idx = medoid_of(&healthy, &matrix);
         // Similarity of each healthy sample to the current centroid. For
         // the medoid method this reads straight from the matrix; for the
         // distribution mean we build the mean sample and compare.
@@ -88,19 +80,14 @@ pub fn calculate_criteria(
         let sim_to_centroid: Vec<f64> = match method {
             CentroidMethod::Medoid => {
                 centroid_sample = None;
-                healthy
-                    .iter()
-                    .map(|&i| similarity[centroid_idx][i])
-                    .collect()
+                healthy.iter().map(|&i| matrix[centroid_idx][i]).collect()
             }
             CentroidMethod::DistributionMean => {
                 let mean = distribution_mean(samples, &healthy)?;
-                let mean_ecdf = Ecdf::new(&mean);
                 // Member comparisons are independent; workers fill slots
                 // in member order, identical to the sequential loop.
-                let sims = anubis_parallel::map_items(&healthy, 0, |&i| {
-                    similarity_ecdf(&mean_ecdf, &ecdfs[i])
-                });
+                let sims =
+                    anubis_parallel::map_items(&healthy, 0, |&i| similarity(&mean, &samples[i]));
                 centroid_sample = Some(mean);
                 sims
             }

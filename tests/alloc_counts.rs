@@ -9,10 +9,10 @@
 //! Two kinds of promise are checked:
 //!
 //! - **Allocation-free kernels** must count exactly 0 over N warm calls.
-//!   The similarity kernels have no public warm entry, so they are
-//!   measured through `pairwise_similarity_matrix_threads` as allocations
-//!   per sample pair: every pair is one warm `integrate_ecdf` call inside
-//!   `similarity_rows_into`.
+//!   The similarity kernel has no public warm entry, so it is measured
+//!   through `pairwise_similarity_matrix_threads` as allocations per
+//!   sample pair: every pair is one `integrate` merge walk over the two
+//!   samples' sorted values, written straight into its matrix cell.
 //! - **Pinned counts**: every other hot path's exact count equals
 //!   the committed `tests/alloc_counts.expected`. On a mismatch the test
 //!   prints a per-entry diff and writes the actual counts under
@@ -274,10 +274,11 @@ fn warmstart_merge_kernel() -> u64 {
     })
 }
 
-/// Allocations per sample pair of the similarity kernels. Up to 8
-/// samples (28 pairs) the matrix runs one 32-pair chunk, so every other
-/// allocation of the call is affine in the sample count; the second
-/// difference over 6, 7 and 8 samples isolates the per-pair term.
+/// Allocations per sample pair of the similarity kernel. From 5 to 8
+/// samples the matrix runs two 4-row chunks, so every other allocation
+/// of the call (the `n + 1` matrix vectors and the executor's task list)
+/// is affine in the sample count; the second difference over 6, 7 and 8
+/// samples isolates the per-pair term.
 fn similarity_kernel_per_pair() -> u64 {
     let [a, b, c] = [6, 7, 8].map(similarity_matrix_allocs);
     (c + a).abs_diff(2 * b)
@@ -289,7 +290,7 @@ fn alloc_free_kernels_allocate_nothing_when_warm() {
     counts.push(("celf_core", celf_kernel()));
     counts.push(("warmstart_merge_into", warmstart_merge_kernel()));
     counts.push((
-        "similarity_rows_into/integrate_ecdf (per pair)",
+        "pairwise_similarity_matrix_threads/integrate (per pair)",
         similarity_kernel_per_pair(),
     ));
     let failures: Vec<String> = counts
@@ -381,7 +382,7 @@ fn coxtime_fit() -> u64 {
 }
 
 /// The executor entries at 1 thread over 100 items in chunks of 8.
-fn executor() -> [(&'static str, u64); 5] {
+fn executor() -> [(&'static str, u64); 4] {
     let mut items: Vec<u64> = (0..100).collect();
     let sum = |_: usize, chunk: &[u64]| chunk.iter().sum::<u64>();
     [
@@ -400,10 +401,6 @@ fn executor() -> [(&'static str, u64); 5] {
         (
             "anubis_parallel::map_indexed",
             count(|| anubis_parallel::map_indexed(100, 1, |i| i * 2)).0,
-        ),
-        (
-            "anubis_parallel::reduce_chunks",
-            count(|| anubis_parallel::reduce_chunks(&items, 8, 1, sum, |a, b| a + b)).0,
         ),
     ]
 }
