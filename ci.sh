@@ -33,9 +33,14 @@ cargo build --release --offline --workspace
 echo "==> perfbench build (locked)"
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
-echo "==> examples (run end to end; quickstart asserts both gray failures are caught)"
+# The examples read no wall clock, so their stdout must not depend on
+# the executor's thread count (the Validator's single-node phase runs on
+# it).
+echo "==> examples (run end to end at ANUBIS_THREADS=1 and 4, outputs cmp-identical; quickstart asserts both gray failures are caught)"
 for ex in quickstart cluster_buildout proactive_fleet network_scan; do
-    cargo run -q --release --offline --example "$ex" > "target/example-$ex.txt"
+    ANUBIS_THREADS=1 cargo run -q --release --offline --example "$ex" > "target/example-$ex-1.txt"
+    ANUBIS_THREADS=4 cargo run -q --release --offline --example "$ex" > "target/example-$ex-4.txt"
+    cmp "target/example-$ex-1.txt" "target/example-$ex-4.txt"
 done
 
 # The split Cox-Time trainer on both of its paths, whatever this host's

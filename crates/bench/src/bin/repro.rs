@@ -25,8 +25,9 @@
 //! Its stdout (end-of-run summary) and `--jsonl` per-tick trace are
 //! byte-deterministic — identical for any `ANUBIS_THREADS` / `--threads`
 //! value and any `--shards` count — while wall-clock throughput figures
-//! (events/s, nodes validated/s) go to stderr. CI's service-smoke step
-//! byte-compares two runs at different thread counts.
+//! (events/s, nodes validated/s) go to stderr.
+//! `crates/fleetd/tests/determinism.rs` holds that contract across shard
+//! and thread counts, `repro fleetd`'s default fleet included.
 
 use anubis_bench::experiments::{find, Experiment, Preset, EXPERIMENTS};
 use anubis_obs::wall::Stopwatch;

@@ -6,7 +6,7 @@
 //! repeatability among the surviving healthy nodes.
 
 use crate::table::{pct, render_table};
-use anubis_benchsuite::{run_set_parallel, BenchmarkId};
+use anubis_benchsuite::{run_set, BenchmarkId};
 use anubis_hwsim::{NodeId, NodeSim};
 use anubis_metrics::{mean_pairwise_similarity, Sample};
 use anubis_traces::{generate_buildout_fleet, BuildoutConfig};
@@ -115,10 +115,7 @@ pub fn run(config: &Table6Config) -> Table6Result {
         let mut group_defective: BTreeSet<NodeId> = BTreeSet::new();
         let mut repeatabilities = Vec::new();
         for bench in benches {
-            // Fan the fleet out across workers: each node still runs the
-            // benchmarks in the same per-node order (its RNG stream is
-            // untouched), so the samples match the sequential loop exactly.
-            let data = run_set_parallel(&[bench], &mut fleet, 0).expect("single-node benchmark");
+            let data = run_set(&[bench], &mut fleet, None).expect("single-node benchmark");
             let samples: Vec<(NodeId, Sample)> = data
                 .samples_for(bench)
                 .expect("benchmark just ran")

@@ -9,8 +9,9 @@
 //! single-value sample for scalar micro-benchmarks or a step series for
 //! training benchmarks.
 //!
-//! [`BenchmarkId`] enumerates the suite; [`runner`] executes (sub)sets in
-//! the paper's two-phase order.
+//! [`BenchmarkId`] enumerates the suite; [`run_set`] executes (sub)sets in
+//! the paper's two-phase order, fanning the single-node phase out over
+//! nodes through the deterministic executor.
 
 // Panic-freedom: clippy rejects every panic path in this crate's library
 // code: unwrap/expect/panic!/unreachable!, indexing and slicing, integer
@@ -33,9 +34,7 @@
 )]
 
 pub mod id;
-pub mod parallel;
 pub mod runner;
 
 pub use id::{BenchCategory, BenchmarkId, BenchmarkSpec, Phase};
-pub use parallel::run_set_parallel;
 pub use runner::{run_benchmark, run_benchmark_multi, run_set, RunData, SuiteError};

@@ -299,60 +299,88 @@ fn collect_network_samples(nodes: &mut [NodeSim], base: f64) -> Result<Vec<Sampl
         .collect()
 }
 
+/// Nodes per executor chunk in phase 1: small enough to balance uneven
+/// per-node simulation cost, fixed so the decomposition never depends on
+/// the thread count.
+const NODES_PER_CHUNK: usize = 4;
+
 /// Runs a benchmark (sub)set over a node set in the paper's two-phase
-/// order: single-node benchmarks per node, then multi-node benchmarks (if a
-/// fabric is supplied).
+/// order.
 ///
-/// `members[i]` is the fabric index of `nodes[i]`. Multi-node benchmarks in
-/// `set` error with [`SuiteError::MissingFabric`] when `fabric` is `None`.
+/// Phase 1 runs the single-node benchmarks node-parallel through the
+/// deterministic executor ([`anubis_parallel`], worker count from
+/// `ANUBIS_THREADS`). Each node runs them in set order on its own RNG, so
+/// every sample equals that of a serial [`run_benchmark`] loop; only
+/// wall-clock time depends on the thread count. Phase 2 runs the
+/// multi-node benchmarks serially on `fabric = (tree, members)`, where
+/// `members[i]` is the fabric index of `nodes[i]`. It needs at least two
+/// nodes and yields no rows below that; an empty node set yields no rows
+/// at all.
+///
+/// # Errors
+///
+/// [`SuiteError::MissingFabric`] when `set` holds a multi-node benchmark
+/// and `fabric` is `None`, and [`SuiteError::MemberMismatch`] when
+/// `members` and `nodes` differ in length, both before any node runs;
+/// otherwise whatever a benchmark returns.
 pub fn run_set(
     set: &[BenchmarkId],
     nodes: &mut [NodeSim],
-    members: &[usize],
-    fabric: Option<&FatTree>,
+    fabric: Option<(&FatTree, &[usize])>,
 ) -> Result<RunData, SuiteError> {
-    if nodes.is_empty() {
-        return Err(SuiteError::EmptyNodeSet);
-    }
-    if nodes.len() != members.len() {
-        return Err(SuiteError::MemberMismatch {
-            nodes: nodes.len(),
-            members: members.len(),
-        });
-    }
-    let mut data = RunData::default();
-    // Phase 1: single-node benchmarks.
-    for &bench in set.iter().filter(|b| b.spec().phase == Phase::SingleNode) {
-        let _span = anubis_obs::span!(bench.spec().name);
-        let mut rows = Vec::with_capacity(nodes.len());
-        for node in nodes.iter_mut() {
-            rows.push((node.id(), run_benchmark(bench, node)?));
-        }
-        anubis_obs::counter!("runner.node_runs", rows.len() as i64);
-        data.results.insert(bench, rows);
-    }
-    // Phase 2: multi-node benchmarks.
-    let multi: Vec<BenchmarkId> = set
+    let (single, multi): (Vec<BenchmarkId>, Vec<BenchmarkId>) = set
         .iter()
-        .copied()
-        .filter(|b| b.spec().phase == Phase::MultiNode)
-        .collect();
-    if let Some(&first_multi) = multi.first() {
-        let fabric = match fabric {
-            Some(f) => f,
-            None => return Err(SuiteError::MissingFabric(first_multi)),
-        };
-        if nodes.len() >= 2 {
-            for bench in multi {
-                let _span = anubis_obs::span!(bench.spec().name);
-                let samples = run_benchmark_multi(bench, nodes, members, fabric)?;
-                let rows = nodes
-                    .iter()
-                    .zip(samples)
-                    .map(|(n, s)| (n.id(), s))
-                    .collect();
-                data.results.insert(bench, rows);
+        .partition(|b| b.spec().phase == Phase::SingleNode);
+    match (fabric, multi.first()) {
+        (None, Some(&first_multi)) => return Err(SuiteError::MissingFabric(first_multi)),
+        (Some((_, members)), _) if members.len() != nodes.len() => {
+            return Err(SuiteError::MemberMismatch {
+                nodes: nodes.len(),
+                members: members.len(),
+            })
+        }
+        _ => {}
+    }
+    // Orchestration-level span only: the per-node work of phase 1 runs
+    // through the executor, where recording is suppressed at any thread
+    // count.
+    let _span = anubis_obs::span!("runner.run_set");
+    let mut data = RunData::default();
+    if !single.is_empty() {
+        anubis_obs::counter!(
+            "runner.parallel_node_runs",
+            (nodes.len() * single.len()) as i64
+        );
+        // Each worker owns a disjoint node chunk and returns one flat
+        // node-major row buffer (node 0's full set, then node 1's, …).
+        // Per-chunk results come back in chunk order, so the rows arrive
+        // in fleet order and each node's id repeats once per benchmark.
+        type ChunkResult = Result<Vec<(BenchmarkId, Sample)>, SuiteError>;
+        let per_chunk: Vec<ChunkResult> =
+            anubis_parallel::map_chunks_mut(nodes, NODES_PER_CHUNK, 0, |_, chunk| {
+                let mut rows = Vec::with_capacity(chunk.len() * single.len());
+                for node in chunk.iter_mut() {
+                    for &bench in &single {
+                        rows.push((bench, run_benchmark(bench, node)?));
+                    }
+                }
+                Ok(rows)
+            });
+        let mut ids = nodes
+            .iter()
+            .flat_map(|node| std::iter::repeat_n(node.id(), single.len()));
+        for chunk in per_chunk {
+            for ((bench, sample), id) in chunk?.into_iter().zip(&mut ids) {
+                data.results.entry(bench).or_default().push((id, sample));
             }
+        }
+    }
+    if let Some((fabric, members)) = fabric.filter(|_| nodes.len() >= 2) {
+        for bench in multi {
+            let _span = anubis_obs::span!(bench.spec().name);
+            let samples = run_benchmark_multi(bench, nodes, members, fabric)?;
+            let rows = nodes.iter().map(NodeSim::id).zip(samples).collect();
+            data.results.insert(bench, rows);
         }
     }
     Ok(data)
@@ -446,7 +474,7 @@ mod tests {
             BenchmarkId::CpuLatency,
             BenchmarkId::MultiNodeAllReduce,
         ];
-        let data = run_set(&set, &mut nodes, &members, Some(&fabric)).unwrap();
+        let data = run_set(&set, &mut nodes, Some((&fabric, &members))).unwrap();
         assert_eq!(data.benchmarks().len(), 3);
         assert_eq!(data.samples_for(BenchmarkId::GpuGemmFp16).unwrap().len(), 4);
         assert_eq!(
@@ -457,25 +485,98 @@ mod tests {
         );
     }
 
+    /// Every `(benchmark, node, sample bits)` row of a run, in map order.
+    fn row_bits(
+        results: &BTreeMap<BenchmarkId, Vec<(NodeId, Sample)>>,
+    ) -> Vec<(BenchmarkId, NodeId, Vec<u64>)> {
+        results
+            .iter()
+            .flat_map(|(&bench, rows)| {
+                rows.iter().map(move |(id, sample)| {
+                    (
+                        bench,
+                        *id,
+                        sample.values().iter().map(|v| v.to_bits()).collect(),
+                    )
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn run_set_matches_a_reference_loop_bitwise() {
+        // Ten nodes span two full executor chunks and a short one.
+        let fleet = || -> Vec<NodeSim> { (0..10).map(|i| node(i, 40)).collect() };
+        let fabric = FatTree::build(FatTreeConfig::figure3_testbed()).unwrap();
+        let members: Vec<usize> = (0..10).collect();
+        let single = [
+            BenchmarkId::GpuGemmFp16,
+            BenchmarkId::CpuLatency,
+            BenchmarkId::DiskSeqRead,
+        ];
+        let set = [
+            single[0],
+            BenchmarkId::MultiNodeAllReduce,
+            single[1],
+            single[2],
+        ];
+        let mut nodes = fleet();
+        let data = run_set(&set, &mut nodes, Some((&fabric, &members))).unwrap();
+
+        // Reference: each node runs the single-node benchmarks in set
+        // order, then the multi-node benchmark runs over the whole fleet.
+        let mut reference = fleet();
+        let mut expected: BTreeMap<BenchmarkId, Vec<(NodeId, Sample)>> = BTreeMap::new();
+        for node in &mut reference {
+            for bench in single {
+                let sample = run_benchmark(bench, node).unwrap();
+                expected.entry(bench).or_default().push((node.id(), sample));
+            }
+        }
+        let multi = BenchmarkId::MultiNodeAllReduce;
+        let samples = run_benchmark_multi(multi, &mut reference, &members, &fabric).unwrap();
+        expected.insert(
+            multi,
+            reference.iter().map(NodeSim::id).zip(samples).collect(),
+        );
+        assert_eq!(row_bits(&data.results), row_bits(&expected));
+
+        // Both fleets' RNGs stand at the same draw afterwards.
+        for (a, b) in nodes.iter_mut().zip(&mut reference) {
+            let next_a = run_benchmark(BenchmarkId::CpuLatency, a).unwrap();
+            let next_b = run_benchmark(BenchmarkId::CpuLatency, b).unwrap();
+            assert_eq!(next_a.values(), next_b.values(), "node {}", a.id());
+        }
+    }
+
     #[test]
     fn run_set_requires_fabric_for_multi_node() {
         let mut nodes: Vec<NodeSim> = (0..2).map(|i| node(i, 13)).collect();
-        let err = run_set(&[BenchmarkId::MultiNodeAllToAll], &mut nodes, &[0, 1], None);
-        assert!(matches!(err, Err(SuiteError::MissingFabric(_))));
+        let set = [BenchmarkId::CpuLatency, BenchmarkId::AllPairRdma];
+        assert_eq!(
+            run_set(&set, &mut nodes, None).map(|d| d.benchmarks()),
+            Err(SuiteError::MissingFabric(BenchmarkId::AllPairRdma))
+        );
     }
 
     #[test]
     fn run_set_validates_inputs() {
-        let mut nodes: Vec<NodeSim> = vec![];
-        assert!(matches!(
-            run_set(&[BenchmarkId::GpuGemmFp16], &mut nodes, &[], None),
-            Err(SuiteError::EmptyNodeSet)
-        ));
+        let fabric = FatTree::build(FatTreeConfig::figure3_testbed()).unwrap();
         let mut nodes = vec![node(0, 1)];
         assert!(matches!(
-            run_set(&[BenchmarkId::GpuGemmFp16], &mut nodes, &[0, 1], None),
+            run_set(
+                &[BenchmarkId::GpuGemmFp16],
+                &mut nodes,
+                Some((&fabric, &[0, 1]))
+            ),
             Err(SuiteError::MemberMismatch { .. })
         ));
+        // No nodes, no rows; one node, no multi-node rows.
+        let data = run_set(&[BenchmarkId::CpuLatency], &mut [], None).unwrap();
+        assert!(data.results.is_empty());
+        let set = [BenchmarkId::CpuLatency, BenchmarkId::MultiNodeAllReduce];
+        let data = run_set(&set, &mut nodes, Some((&fabric, &[0]))).unwrap();
+        assert_eq!(data.benchmarks(), vec![BenchmarkId::CpuLatency]);
     }
 
     #[test]

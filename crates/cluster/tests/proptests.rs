@@ -83,7 +83,7 @@ proptest! {
         let model = CountModel { rate: 10f64.powf(log_rate) };
         let p_joint = joint_incident_probability(&model, &statuses, horizon);
         for p0 in [p0, p_joint] {
-            let config = SelectorConfig { p0, ..SelectorConfig::default() };
+            let config = SelectorConfig { p0 };
             let selector = Selector::new(Box::new(model), history.clone(), config);
             let policy = Policy::Selector(&selector);
             let decision = policy.decide(&statuses, horizon, &mut seeded_rng(0));

@@ -160,31 +160,12 @@ impl Anubis {
                 // Quality gate: full set, criteria learned from this run.
                 // Build-out treats every unknown node as having crossed the
                 // risk threshold — it must prove itself before serving.
-                for &id in &ids {
-                    self.drive(id, LifecycleEvent::RiskCrossed);
-                    self.drive(id, LifecycleEvent::ValidationStarted);
-                }
-                let single = BenchmarkId::single_node();
-                let set: Vec<BenchmarkId> = if fabric.is_some() {
+                let set = if fabric.is_some() {
                     BenchmarkId::ALL.to_vec()
                 } else {
-                    single
+                    BenchmarkId::single_node()
                 };
-                let report = self.validator.validate(&set, nodes, members, fabric)?;
-                // Bootstrap: (re)learn criteria on the gathered data, then
-                // re-filter with the fresh criteria.
-                self.validator
-                    .learn_criteria(&report.data)
-                    .map_err(SuiteError::Metrics)?;
-                let outcome = self.validator.filter_data(&report.data);
-                self.record_defects(&outcome.flagged);
-                self.record_verdicts(&ids, &outcome.flagged);
-                Ok(EventOutcome {
-                    validated: true,
-                    benchmarks: set,
-                    defective: outcome.defective_nodes(),
-                    duration_minutes: report.duration_minutes,
-                })
+                self.validate_and_record(&ids, set, nodes, members, fabric, true)
             }
             ValidationEvent::JobAllocation { horizon_hours }
             | ValidationEvent::RegularCheck { horizon_hours } => {
@@ -213,19 +194,7 @@ impl Anubis {
                         fabric.is_some() || b.spec().phase == anubis_benchsuite::Phase::SingleNode
                     })
                     .collect();
-                for &id in &ids {
-                    self.drive(id, LifecycleEvent::RiskCrossed);
-                    self.drive(id, LifecycleEvent::ValidationStarted);
-                }
-                let report = self.validator.validate(&subset, nodes, members, fabric)?;
-                self.record_defects(&report.flagged);
-                self.record_verdicts(&ids, &report.flagged);
-                Ok(EventOutcome {
-                    validated: true,
-                    benchmarks: subset,
-                    defective: report.defective_nodes(),
-                    duration_minutes: report.duration_minutes,
-                })
+                self.validate_and_record(&ids, subset, nodes, members, fabric, false)
             }
             ValidationEvent::IncidentReported { node, category } => {
                 if let Some(status) = self.statuses.get_mut(node) {
@@ -249,22 +218,52 @@ impl Anubis {
                     return Ok(EventOutcome::skipped());
                 }
                 // The incident is this node's threshold crossing.
-                self.drive(*node, LifecycleEvent::RiskCrossed);
-                self.drive(*node, LifecycleEvent::ValidationStarted);
-                let node_slice = &mut nodes[idx..=idx];
-                let report =
-                    self.validator
-                        .validate(&subset, node_slice, &members[idx..=idx], None)?;
-                self.record_defects(&report.flagged);
-                self.record_verdicts(std::slice::from_ref(node), &report.flagged);
-                Ok(EventOutcome {
-                    validated: true,
-                    benchmarks: subset,
-                    defective: report.defective_nodes(),
-                    duration_minutes: report.duration_minutes,
-                })
+                self.validate_and_record(
+                    std::slice::from_ref(node),
+                    subset,
+                    &mut nodes[idx..=idx],
+                    &members[idx..=idx],
+                    None,
+                    false,
+                )
             }
         }
+    }
+
+    /// Moves the nodes `ids` across the risk threshold into validation,
+    /// validates them with `set` and records the verdicts. With `relearn`
+    /// (cluster build-out) the criteria are first (re)learned from this
+    /// run's data, and the data re-filtered with them.
+    fn validate_and_record(
+        &mut self,
+        ids: &[NodeId],
+        set: Vec<BenchmarkId>,
+        nodes: &mut [NodeSim],
+        members: &[usize],
+        fabric: Option<&FatTree>,
+        relearn: bool,
+    ) -> Result<EventOutcome, SuiteError> {
+        for &id in ids {
+            self.drive(id, LifecycleEvent::RiskCrossed);
+            self.drive(id, LifecycleEvent::ValidationStarted);
+        }
+        let report = self.validator.validate(&set, nodes, members, fabric)?;
+        let flagged = if relearn {
+            self.validator
+                .learn_criteria(&report.data)
+                .map_err(SuiteError::Metrics)?;
+            self.validator.filter_data(&report.data).flagged
+        } else {
+            report.flagged
+        };
+        self.record_defects(&flagged);
+        self.record_verdicts(ids, &flagged);
+        Ok(EventOutcome {
+            validated: true,
+            benchmarks: set,
+            defective: flagged.into_keys().collect(),
+            duration_minutes: report.duration_minutes,
+        })
     }
 
     /// Feeds found defects into the Selector's coverage history (the

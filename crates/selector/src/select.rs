@@ -435,16 +435,11 @@ pub fn celf_core(
 pub struct SelectorConfig {
     /// Acceptable residual incident probability `p₀`.
     pub p0: f64,
-    /// Default job-duration horizon in hours for regular checks.
-    pub default_horizon_hours: f64,
 }
 
 impl Default for SelectorConfig {
     fn default() -> Self {
-        Self {
-            p0: 0.1,
-            default_horizon_hours: 24.0,
-        }
+        Self { p0: 0.1 }
     }
 }
 

@@ -1,6 +1,7 @@
 //! Criteria calculation (paper Algorithm 2).
 
 use anubis_metrics::{pairwise_similarity_matrix, similarity, stats, MetricsError, Sample};
+use std::borrow::Cow;
 
 /// How the centroid of a sample set is computed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,7 +65,11 @@ pub fn calculate_criteria(
             message: format!("similarity threshold {alpha} must be in [0, 1)"),
         });
     }
-    let matrix = pairwise_similarity_matrix(samples);
+    // Only the medoid reads the pairwise similarity matrix.
+    let matrix = match method {
+        CentroidMethod::Medoid => pairwise_similarity_matrix(samples),
+        CentroidMethod::DistributionMean => Vec::new(),
+    };
     let n = samples.len();
     let mut healthy: Vec<usize> = (0..n).collect();
     let mut defects: Vec<usize> = Vec::new();
@@ -72,15 +77,14 @@ pub fn calculate_criteria(
 
     loop {
         iterations += 1;
-        let centroid_idx = medoid_of(&healthy, &matrix);
-        // Similarity of each healthy sample to the current centroid. For
-        // the medoid method this reads straight from the matrix; for the
-        // distribution mean we build the mean sample and compare.
-        let centroid_sample;
-        let sim_to_centroid: Vec<f64> = match method {
+        // The centroid and each healthy sample's similarity to it. The
+        // medoid is a member and reads both from the matrix; the
+        // distribution mean is a new sample compared with each member.
+        let (centroid, sim_to_centroid): (Cow<'_, Sample>, Vec<f64>) = match method {
             CentroidMethod::Medoid => {
-                centroid_sample = None;
-                healthy.iter().map(|&i| matrix[centroid_idx][i]).collect()
+                let medoid = medoid_of(&healthy, &matrix);
+                let sims = healthy.iter().map(|&i| matrix[medoid][i]).collect();
+                (Cow::Borrowed(&samples[medoid]), sims)
             }
             CentroidMethod::DistributionMean => {
                 let mean = distribution_mean(samples, &healthy)?;
@@ -88,8 +92,7 @@ pub fn calculate_criteria(
                 // in member order, identical to the sequential loop.
                 let sims =
                     anubis_parallel::map_items(&healthy, 0, |&i| similarity(&mean, &samples[i]));
-                centroid_sample = Some(mean);
-                sims
+                (Cow::Owned(mean), sims)
             }
         };
         let newly_defective: Vec<usize> = healthy
@@ -100,12 +103,9 @@ pub fn calculate_criteria(
             .collect();
         if newly_defective.is_empty() || newly_defective.len() == healthy.len() {
             // Stable, or excluding would empty the set: stop here.
-            // `centroid_sample` is `Some` exactly for the distribution-
-            // mean method; the medoid method reads from the sample set.
-            let criteria = centroid_sample.unwrap_or_else(|| samples[centroid_idx].clone());
             defects.sort_unstable();
             return Ok(CriteriaResult {
-                criteria,
+                criteria: centroid.into_owned(),
                 defects,
                 iterations,
             });

@@ -89,11 +89,6 @@ pub struct FilterOutcome {
 }
 
 impl FilterOutcome {
-    /// Defective node ids, ascending.
-    pub fn defective_nodes(&self) -> Vec<NodeId> {
-        self.flagged.keys().copied().collect()
-    }
-
     /// Whether a specific node was flagged.
     pub fn is_defective(&self, node: NodeId) -> bool {
         self.flagged.contains_key(&node)
@@ -161,7 +156,7 @@ mod tests {
             ],
         );
         let outcome = filter.filter(&data);
-        assert_eq!(outcome.defective_nodes(), vec![NodeId(1), NodeId(2)]);
+        assert!(outcome.flagged.keys().eq(&[NodeId(1), NodeId(2)]));
         assert_eq!(outcome.flagged[&NodeId(1)], vec![BenchmarkId::GpuGemmFp16]);
         assert_eq!(
             outcome.flagged[&NodeId(2)],
@@ -177,7 +172,7 @@ mod tests {
         data.results
             .insert(BenchmarkId::CpuLatency, vec![(NodeId(0), scalar(500.0))]);
         let outcome = filter.filter(&data);
-        assert!(outcome.defective_nodes().is_empty());
+        assert!(outcome.flagged.is_empty());
         assert!(outcome.checked.is_empty());
     }
 

@@ -2,9 +2,7 @@
 
 use crate::criteria::{calculate_criteria, CentroidMethod, CriteriaResult};
 use crate::filter::{Criteria, DefectFilter, FilterOutcome};
-use anubis_benchsuite::{
-    run_benchmark, run_benchmark_multi, BenchmarkId, Phase, RunData, SuiteError,
-};
+use anubis_benchsuite::{run_set, BenchmarkId, Phase, RunData, SuiteError};
 use anubis_hwsim::{NodeId, NodeSim};
 use anubis_metrics::MetricsError;
 use anubis_netsim::FatTree;
@@ -42,13 +40,6 @@ pub struct ValidationReport {
     /// Wall-clock cost in minutes (benchmarks run serially, nodes in
     /// parallel).
     pub duration_minutes: f64,
-}
-
-impl ValidationReport {
-    /// Defective node ids, ascending.
-    pub fn defective_nodes(&self) -> Vec<NodeId> {
-        self.flagged.keys().copied().collect()
-    }
 }
 
 /// The ANUBIS Validator: learns criteria offline and filters defective
@@ -156,67 +147,41 @@ impl Validator {
             });
         }
         let _span = anubis_obs::span!("validator.validate");
-        let mut report = ValidationReport {
-            duration_minutes: BenchmarkId::total_runtime_minutes(set),
-            ..Default::default()
-        };
+        let duration_minutes = BenchmarkId::total_runtime_minutes(set);
         anubis_obs::hist!(
             "validator.duration_minutes",
-            report.duration_minutes,
+            duration_minutes,
             DURATION_BUCKETS
         );
+        let (single, multi): (Vec<BenchmarkId>, Vec<BenchmarkId>) = set
+            .iter()
+            .partition(|b| b.spec().phase == Phase::SingleNode);
 
         // Phase 1: single-node benchmarks on every node.
-        for &bench in set.iter().filter(|b| b.spec().phase == Phase::SingleNode) {
-            let _bench_span = anubis_obs::span!(bench.spec().name);
-            let mut rows = Vec::with_capacity(nodes.len());
-            for node in nodes.iter_mut() {
-                rows.push((node.id(), run_benchmark(bench, node)?));
-            }
-            report.data.results.insert(bench, rows);
-        }
-        let phase1 = self.filter.filter(&report.data);
-        report.flagged = phase1.flagged;
+        let mut data = run_set(&single, nodes, None)?;
+        let mut flagged = self.filter.filter(&data).flagged;
 
-        // Phase 2: multi-node benchmarks on the surviving nodes only.
-        let multi: Vec<BenchmarkId> = set
-            .iter()
-            .copied()
-            .filter(|b| b.spec().phase == Phase::MultiNode)
-            .collect();
-        if let Some(&first_multi) = multi.first() {
-            let Some(fabric) = fabric else {
-                return Err(SuiteError::MissingFabric(first_multi));
-            };
-            // Work on clones of the healthy nodes so index mapping stays
-            // simple, then fold RNG-free results back.
-            let (mut healthy_nodes, healthy_members): (Vec<NodeSim>, Vec<usize>) = nodes
+        // Phase 2: multi-node benchmarks on clones of the surviving nodes,
+        // so the original nodes' RNGs do not advance.
+        if !multi.is_empty() {
+            let (mut survivors, survivor_members): (Vec<NodeSim>, Vec<usize>) = nodes
                 .iter()
                 .zip(members)
-                .filter(|(node, _)| !report.flagged.contains_key(&node.id()))
+                .filter(|(node, _)| !flagged.contains_key(&node.id()))
                 .map(|(node, &member)| (node.clone(), member))
                 .unzip();
-            if healthy_nodes.len() >= 2 {
-                let mut phase2 = RunData::default();
-                for bench in multi {
-                    let _bench_span = anubis_obs::span!(bench.spec().name);
-                    let samples =
-                        run_benchmark_multi(bench, &mut healthy_nodes, &healthy_members, fabric)?;
-                    let rows = healthy_nodes
-                        .iter()
-                        .zip(samples)
-                        .map(|(n, s)| (n.id(), s))
-                        .collect();
-                    phase2.results.insert(bench, rows);
-                }
-                let outcome = self.filter.filter(&phase2);
-                for (node, benches) in outcome.flagged {
-                    report.flagged.entry(node).or_default().extend(benches);
-                }
-                report.data.merge(phase2);
+            let fabric = fabric.map(|tree| (tree, survivor_members.as_slice()));
+            let phase2 = run_set(&multi, &mut survivors, fabric)?;
+            for (node, benches) in self.filter.filter(&phase2).flagged {
+                flagged.entry(node).or_default().extend(benches);
             }
+            data.merge(phase2);
         }
-        Ok(report)
+        Ok(ValidationReport {
+            flagged,
+            data,
+            duration_minutes,
+        })
     }
 }
 
@@ -233,14 +198,7 @@ mod tests {
     }
 
     fn bootstrap_validator(nodes: &mut [NodeSim], set: &[BenchmarkId]) -> Validator {
-        let mut data = RunData::default();
-        for &bench in set.iter().filter(|b| b.spec().phase == Phase::SingleNode) {
-            let rows = nodes
-                .iter_mut()
-                .map(|n| (n.id(), run_benchmark(bench, n).unwrap()))
-                .collect();
-            data.results.insert(bench, rows);
-        }
+        let data = run_set(set, nodes, None).unwrap();
         let mut validator = Validator::new(ValidatorConfig::default());
         validator.learn_criteria(&data).unwrap();
         validator
@@ -259,7 +217,7 @@ mod tests {
         let report = validator
             .validate(&set, &mut nodes, &members, None)
             .unwrap();
-        assert_eq!(report.defective_nodes(), vec![NodeId(1), NodeId(3)]);
+        assert!(report.flagged.keys().eq(&[NodeId(1), NodeId(3)]));
         assert_eq!(report.flagged[&NodeId(1)], vec![BenchmarkId::GpuGemmFp16]);
         assert_eq!(
             report.flagged[&NodeId(3)],
@@ -281,7 +239,7 @@ mod tests {
         let report = validator
             .validate(&set, &mut nodes, &members, None)
             .unwrap();
-        assert!(report.defective_nodes().is_empty(), "{:?}", report.flagged);
+        assert!(report.flagged.is_empty(), "{:?}", report.flagged);
     }
 
     #[test]
@@ -295,16 +253,7 @@ mod tests {
         let mut validator = bootstrap_validator(&mut pool, &single);
         let mut multi_pool = fleet(12, 9);
         let members: Vec<usize> = (0..12).collect();
-        let samples = run_benchmark_multi(multi[0], &mut multi_pool, &members, &fabric).unwrap();
-        let mut data = RunData::default();
-        data.results.insert(
-            multi[0],
-            multi_pool
-                .iter()
-                .zip(samples)
-                .map(|(n, s)| (n.id(), s))
-                .collect(),
-        );
+        let data = run_set(&multi, &mut multi_pool, Some((&fabric, &members))).unwrap();
         validator.learn_criteria(&data).unwrap();
 
         // One compute-defective node must be excluded in phase 1 and not

@@ -21,7 +21,7 @@
 
 mod common;
 
-use anubis_benchsuite::{run_set_parallel, BenchmarkId};
+use anubis_benchsuite::{run_set, BenchmarkId};
 use anubis_cluster::{simulate, ClusterSimConfig, Policy};
 use anubis_fleetd::{Coordinator, FleetdConfig};
 use anubis_hwsim::{NodeId, NodeSim, NodeSpec};
@@ -62,7 +62,7 @@ fn traced_scenario() -> anubis_obs::Trace {
         .map(|i| NodeSim::new(NodeId(i), NodeSpec::a100_8x(), 33))
         .collect();
     let set = [BenchmarkId::GpuGemmFp16, BenchmarkId::CpuLatency];
-    run_set_parallel(&set, &mut nodes, 0).expect("benchmark fan-out");
+    run_set(&set, &mut nodes, None).expect("benchmark fan-out");
 
     let mut fleet = Coordinator::new(FleetdConfig {
         nodes: 256,
@@ -150,7 +150,7 @@ fn traces_are_byte_identical_across_runs_and_thread_counts() {
     // Sanity: the trace is substantial and carries the expected spans.
     assert!(first.lines().count() > 10, "trace too small:\n{first}");
     assert!(first.contains("\"name\":\"cluster.simulate\""));
-    assert!(first.contains("\"name\":\"runner.run_set_parallel\""));
+    assert!(first.contains("\"name\":\"runner.run_set\""));
     assert!(first.contains("\"counter\":\"sim.jobs_completed\""));
     assert!(
         !first.contains("\"name\":\"GPU GEMM FP16\""),

@@ -61,14 +61,7 @@ fn selector_trades_time_for_coverage() {
         coverage.record(BenchmarkId::GpuStress, d);
     }
     let model = ExponentialModel { rate: 1.0 / 100.0 };
-    let selector = Selector::new(
-        Box::new(model),
-        coverage,
-        SelectorConfig {
-            p0: 0.1,
-            ..Default::default()
-        },
-    );
+    let selector = Selector::new(Box::new(model), coverage, SelectorConfig { p0: 0.1 });
 
     let statuses = vec![NodeStatus::fresh(); 8];
     let subset = selector.select(&statuses, 36.0);
@@ -125,10 +118,7 @@ fn skip_threshold_scales_with_node_count() {
     let selector = Selector::new(
         Box::new(model),
         CoverageTable::new(),
-        SelectorConfig {
-            p0: 0.05,
-            ..Default::default()
-        },
+        SelectorConfig { p0: 0.05 },
     );
     // One low-risk node: skip. Forty of them jointly exceed p0.
     assert!(!selector.should_validate(&[NodeStatus::fresh(); 1], 24.0));
